@@ -137,6 +137,8 @@ class SolveReport:
     num_segments: int
     split_indices: tuple[int, ...]
     deadline_reached: bool = False
+    qp_nonoptimal: int = 0
+    kkt_fallbacks: int = 0
 
 
 def split_uniform(num_waypoints: int, num_splits: int) -> tuple[int, ...]:
@@ -190,13 +192,6 @@ def segment_couplings(segment: SegmentProblem, consensus: ConsensusState) -> lis
             )
         )
     return couplings
-
-
-def build_segment_objective(scenario: Scenario, segment: SegmentProblem, consensus: ConsensusState, rho: float):
-    """Quadratic objective of one segment under the current consensus state."""
-    from .nlp import build_segment_objective as _build
-
-    return _build(scenario, segment.first, segment.last, segment_couplings(segment, consensus), rho)
 
 
 def primal_update(
@@ -360,7 +355,7 @@ def run(
     iteration_seconds: list[float] = []
     primal_seconds = 0.0
     consensus_seconds = 0.0
-    nonconverged = 0
+    nonconverged = qp_nonoptimal = kkt_fallbacks = 0
     converged = False
     deadline_reached = False
     iterations = 0
@@ -377,6 +372,8 @@ def run(
             solutions = primal_update(scenario, segments, consensus, cfg, executor)
             primal_seconds += time.perf_counter() - tp
             nonconverged += sum(1 for s in solutions if not s.converged)
+            qp_nonoptimal += sum(s.qp_nonoptimal for s in solutions)
+            kkt_fallbacks += sum(s.kkt_fallbacks for s in solutions)
             tc = time.perf_counter()
             consensus_update(segments, consensus, cfg.rho)
             residual = splitting_residual(segments, scenario)
@@ -414,4 +411,6 @@ def run(
         num_segments=len(segments),
         split_indices=splits,
         deadline_reached=deadline_reached,
+        qp_nonoptimal=qp_nonoptimal,
+        kkt_fallbacks=kkt_fallbacks,
     )

@@ -16,8 +16,6 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import admm
 from .errors import TrajsplitError
 from .nlp import SolverOptions
@@ -139,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     config = _config_from_args(args)
-    if args.seed is not None:
-        np.random.seed(args.seed)
     report = admm.run(scenario, config)
     print(f"scenario: {args.scenario}")
     print(f"segments: {report.num_segments}  splits at: {list(report.split_indices)}")

@@ -1,8 +1,10 @@
 """Scenario-level collision queries built on the shape engine.
 
 The robot body is a set of convex shapes placed by forward kinematics: one
-capsule per arm link, or a zero-radius disc for a point robot.  Clearance
-queries sweep all (link, obstacle) pairs.
+capsule per arm link, or a zero-radius disc for a point robot.  Every
+clearance query goes through ``clearances``, which evaluates all
+(configuration, link, obstacle) triples of a configuration stack in one call
+of the batched signed-distance kernel.
 """
 
 from __future__ import annotations
@@ -12,8 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Capsule, Circle, ConvexShape, SignedDistanceResult, signed_distance
-from .kinematics import forward_kinematics, point_jacobian
+from .geometry import (
+    Capsule,
+    Circle,
+    ConvexShape,
+    SignedDistanceResult,
+    core_clearance,
+    core_signed_distance,
+    signed_distance,
+    stack_cores,
+)
+from .kinematics import forward_kinematics, link_segments
+from .kinematics import point_jacobian  # noqa: F401  (wrapped here by benchmark/tracing.py)
 from .model import PlanarArm, Point2D, RobotState, Scenario, Trajectory
 
 # Pairs farther apart than this are dropped from a convexification round;
@@ -46,6 +58,44 @@ def pair_distance(scenario: Scenario, q, link_index: int, obstacle_index: int) -
     return signed_distance(body[link_index], scenario.obstacles[obstacle_index])
 
 
+def link_count(scenario: Scenario) -> int:
+    """Number of robot body shapes: one per arm link, one for a point."""
+    return 1 if isinstance(scenario.robot, Point2D) else scenario.robot.dim
+
+
+def clearances(scenario: Scenario, configs, with_gradients: bool = False):
+    """Signed distance of every (configuration, link, obstacle) triple.
+
+    ``configs`` is an (m, n) stack of configurations; the values come back
+    as (m, links, obstacles).  With ``with_gradients`` the derivatives with
+    respect to each configuration, (m, links, obstacles, n), come back too:
+    the contact normal pulled back through the Jacobian of the robot-side
+    witness, taken as rigidly attached to its link.
+    """
+    configs = np.asarray(configs, dtype=float)
+    model = scenario.robot
+    links = link_count(scenario)
+    if not scenario.obstacles:
+        values = np.zeros((len(configs), links, 0))
+        return (values, np.zeros(values.shape + (model.dim,))) if with_gradients else values
+    origins, endpoints = link_segments(model, configs)
+    if isinstance(model, Point2D):
+        body, radius = origins[:, :, None, None, :], 0.0
+    else:
+        body, radius = np.stack([origins, endpoints], axis=2)[:, :, None], model.link_radius
+    obstacles, obstacle_radii = stack_cores(scenario.obstacles)
+    if not with_gradients:
+        return core_clearance(body, radius, obstacles, obstacle_radii)
+    values, witness, _, normal = core_signed_distance(body, radius, obstacles, obstacle_radii)
+    if isinstance(model, Point2D):
+        return values, normal
+    # d sd / d q_j = cross(witness - origin_j, normal) for joints j <= link
+    r = witness[:, :, :, None, :] - origins[:, None, None, :, :]
+    cross = r[..., 0] * normal[..., None, 1] - r[..., 1] * normal[..., None, 0]
+    chain = np.tril(np.ones((links, links)))[None, :, None, :]
+    return values, cross * chain
+
+
 def min_scenario_clearance(scenario: Scenario, state: RobotState) -> float:
     """Smallest signed distance over all (link, obstacle) pairs.
 
@@ -53,12 +103,7 @@ def min_scenario_clearance(scenario: Scenario, state: RobotState) -> float:
     """
     if not scenario.obstacles:
         return math.inf
-    body = robot_body_shapes(scenario, state.position)
-    worst = math.inf
-    for link_shape in body:
-        for obstacle in scenario.obstacles:
-            worst = min(worst, signed_distance(link_shape, obstacle).value)
-    return worst
+    return float(clearances(scenario, state.position[None, :]).min())
 
 
 @dataclass(frozen=True)
@@ -89,13 +134,10 @@ def linearize_collision_constraint(
     link; for separated shapes this gives the exact first-order expansion.
     """
     link_index, obstacle_index = pair
-    q0 = state.position
-    result = pair_distance(scenario, q0, link_index, obstacle_index)
-    jac = point_jacobian(scenario.robot, q0, link_index, result.point_a)
-    gradient = result.normal @ jac
+    values, gradients = clearances(scenario, state.position[None, :], with_gradients=True)
     return CollisionLinearization(
-        value=result.value,
-        gradient=gradient,
+        value=float(values[0, link_index, obstacle_index]),
+        gradient=gradients[0, link_index, obstacle_index],
         link_index=link_index,
         obstacle_index=obstacle_index,
     )
@@ -103,23 +145,15 @@ def linearize_collision_constraint(
 
 def all_pairs(scenario: Scenario) -> list[tuple[int, int]]:
     """Every (link_index, obstacle_index) combination of a scenario."""
-    n_links = 1 if isinstance(scenario.robot, Point2D) else scenario.robot.dim
-    return [(k, j) for k in range(n_links) for j in range(len(scenario.obstacles))]
+    return [(k, j) for k in range(link_count(scenario)) for j in range(len(scenario.obstacles))]
 
 
 def active_pairs(scenario: Scenario, q, activation: float | None = None) -> list[tuple[int, int]]:
     """Pairs whose signed distance at ``q`` is within the activation band."""
-    if not scenario.obstacles:
-        return []
     if activation is None:
         activation = activation_distance(scenario.safety_margin)
-    body = robot_body_shapes(scenario, q)
-    pairs = []
-    for k, link_shape in enumerate(body):
-        for j, obstacle in enumerate(scenario.obstacles):
-            if signed_distance(link_shape, obstacle).value <= activation:
-                pairs.append((k, j))
-    return pairs
+    values = clearances(scenario, np.asarray(q, dtype=float)[None, :])[0]
+    return [(int(k), int(j)) for k, j in zip(*np.nonzero(values <= activation))]
 
 
 def trajectory_collision_free(
@@ -131,18 +165,8 @@ def trajectory_collision_free(
     configurations strictly inside each edge, so a pair of waypoints
     straddling a thin obstacle is still caught.
     """
-    margin = scenario.safety_margin
     pos = trajectory.positions()
-    zeros = np.zeros(trajectory.dim)
-    for i in range(len(trajectory)):
-        state = RobotState(pos[i], zeros, zeros)
-        if min_scenario_clearance(scenario, state) <= margin:
-            return False
-        if i + 1 < len(trajectory):
-            for k in range(1, samples_per_edge + 1):
-                t = k / (samples_per_edge + 1)
-                q = (1.0 - t) * pos[i] + t * pos[i + 1]
-                state = RobotState(q, zeros, zeros)
-                if min_scenario_clearance(scenario, state) <= margin:
-                    return False
-    return True
+    t = (np.arange(1, samples_per_edge + 1) / (samples_per_edge + 1))[None, :, None]
+    inner = (1.0 - t) * pos[:-1, None, :] + t * pos[1:, None, :]
+    configs = np.concatenate([pos, inner.reshape(-1, trajectory.dim)])
+    return not bool(np.any(clearances(scenario, configs) <= scenario.safety_margin))

@@ -2,11 +2,16 @@
 
 Shapes are modeled as a convex core (point, segment, or polygon) swept by a
 radius: a circle is a swept point, a capsule a swept segment, a polygon a
-core with radius zero.  Signed distance between two shapes is then the core
-distance minus the radii when the cores are disjoint, and minus the core
-penetration depth when they overlap.  Core distance comes from GJK, core
-penetration from EPA, with analytic shortcuts for the circle-circle and
-circle-capsule pairs.
+core with radius zero.  Signed distance between two shapes is the signed
+distance between their cores minus the radii, and between cores it has a
+closed form (Ericson, *Real-Time Collision Detection*, 2004):
+
+* disjoint cores: the minimum over vertex-edge distances, taken both ways;
+* overlapping cores: minus the smallest overlap over the edge normals of
+  both cores (separating-axis theorem).
+
+``core_signed_distance`` evaluates that form for whole batches of core pairs
+at once; ``signed_distance`` is its batch-of-one case for shape objects.
 """
 
 from __future__ import annotations
@@ -114,7 +119,7 @@ class SignedDistanceResult:
     normal: np.ndarray = field(repr=False)
 
 
-# --- support functions on shape cores -------------------------------------
+# --- shape cores ------------------------------------------------------------
 
 
 def _core(shape: ConvexShape) -> tuple[np.ndarray, float]:
@@ -128,8 +133,17 @@ def _core(shape: ConvexShape) -> tuple[np.ndarray, float]:
     raise ShapeError(f"unsupported shape type {type(shape).__name__}")
 
 
-def _support_index(core: np.ndarray, direction: np.ndarray) -> int:
-    return int(np.argmax(core @ direction))
+def stack_cores(shapes) -> tuple[np.ndarray, np.ndarray]:
+    """Cores of several shapes as one (count, k, 2) array plus their radii.
+
+    Shorter cores are padded by repeating their last vertex; the repeated
+    vertex adds only zero-length edges, which the kernel ignores.
+    """
+    cores = [_core(shape) for shape in shapes]
+    k = max(len(core) for core, _ in cores)
+    stacked = np.stack([np.concatenate([core, np.repeat(core[-1:], k - len(core), axis=0)])
+                        for core, _ in cores])
+    return stacked, np.array([radius for _, radius in cores])
 
 
 def support_point(shape: ConvexShape, direction: np.ndarray) -> np.ndarray:
@@ -141,179 +155,141 @@ def support_point(shape: ConvexShape, direction: np.ndarray) -> np.ndarray:
         d = np.array([1.0, 0.0])
         norm = 1.0
     u = d / norm
-    return core[_support_index(core, u)] + radius * u
+    return core[int(np.argmax(core @ u))] + radius * u
 
 
-# --- GJK on polytope cores --------------------------------------------------
+# --- batched closed-form kernel ---------------------------------------------
 
 
-def _closest_on_segment(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Closest point to the origin on segment [a, b] and its parameter t."""
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom < _EPS * _EPS:
-        return a, 0.0
-    t = float(np.clip(-(a @ ab) / denom, 0.0, 1.0))
-    return a + t * ab, t
+# Inside the kernel a batch of P core pairs is held as coordinate arrays
+# with the vertex index first and the pair index last, (K, P), so every
+# reduction over vertices or candidate axes runs across whole rows.
 
 
-def _gjk_core_distance(
-    core_a: np.ndarray, core_b: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """Distance between polytope cores with witness points.
+def _edge_vectors(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge vectors of vertex loops given as coordinate arrays (K, P)."""
+    return np.concatenate([x[1:], x[:1]]) - x, np.concatenate([y[1:], y[:1]]) - y
 
-    Returns (distance, witness_a, witness_b, simplex index pairs).  Distance
-    zero means the cores intersect; the simplex then contains the origin and
-    seeds EPA.  Exact for polytopes: terminates on a support certificate.
+
+def _vertex_edge_gaps(px, py, qx, qy, ex, ey) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices p (V, P) minus their closest point on each edge of loop q
+    (K, P) with edge vectors e, flattened to (V*K, P) per coordinate.
+    Zero-length edges degrade to their vertex."""
+    rx = px[:, None] - qx[None]
+    ry = py[:, None] - qy[None]
+    length2 = ex * ex + ey * ey
+    t = (rx * ex + ry * ey) / np.where(length2 > _EPS * _EPS, length2, 1.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    count = px.shape[1]
+    return (rx - t * ex).reshape(-1, count), (ry - t * ey).reshape(-1, count)
+
+
+def _outward_normals(ex, ey) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outward unit normals (x and y parts) of the edges e (K, P) of
+    counterclockwise loops, plus a mask that drops zero-length edges."""
+    length = np.hypot(ex, ey)
+    valid = length > _EPS
+    length = np.where(valid, length, 1.0)
+    return ey / length, -ex / length, valid
+
+
+def _extreme_projection(reduce, axis_x, axis_y, x, y) -> np.ndarray:
+    """``reduce`` (np.minimum or np.maximum) over the vertices of loops
+    (K, P) of their projections on axes (C, P), one vertex at a time."""
+    out = axis_x * x[0] + axis_y * y[0]
+    for k in range(1, len(x)):
+        reduce(out, axis_x * x[k] + axis_y * y[k], out=out)
+    return out
+
+
+def _flatten(core, batch: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate arrays (K, P) of a core batch broadcast to ``batch``."""
+    core = np.broadcast_to(core, batch + core.shape[-2:]).reshape(-1, *core.shape[-2:])
+    return np.ascontiguousarray(core[..., 0].T), np.ascontiguousarray(core[..., 1].T)
+
+
+def _best_axis(core_a, core_b, radius_a, radius_b):
+    """Flatten a broadcast batch of core pairs and find, per pair, the axis
+    of largest core separation.
+
+    Every candidate axis n gives the separation min_A n.x - max_B n.x, a
+    lower bound on the signed core distance.  Candidates are the direction
+    of the closest vertex-edge pair (taken both ways), which makes the bound
+    tight for disjoint cores, and the edge normals of the Minkowski
+    difference A - B (inward normals of A, outward normals of B), which make
+    it tight for overlapping ones; a fixed axis covers coincident points.
+    Returns the batch shape, the flattened coordinates and radii of both
+    cores, and per pair the separation and the two parts of its axis.
     """
-    # each simplex entry is (index into core_a, index into core_b)
-    d0 = core_b.mean(axis=0) - core_a.mean(axis=0)
-    if float(d0 @ d0) < _EPS:
-        d0 = np.array([1.0, 0.0])
-    simplex: list[tuple[int, int]] = []
-    ia, ib = _support_index(core_a, -d0), _support_index(core_b, d0)
-    simplex.append((ia, ib))
+    a = np.asarray(core_a, dtype=float)
+    b = np.asarray(core_b, dtype=float)
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2], np.shape(radius_a), np.shape(radius_b))
+    ax, ay = _flatten(a, batch)
+    bx, by = _flatten(b, batch)
+    ra = np.broadcast_to(np.asarray(radius_a, dtype=float), batch).reshape(-1)
+    rb = np.broadcast_to(np.asarray(radius_b, dtype=float), batch).reshape(-1)
+    pairs = np.arange(ax.shape[1])
 
-    def minkowski(pair: tuple[int, int]) -> np.ndarray:
-        return core_a[pair[0]] - core_b[pair[1]]
+    ea_x, ea_y = _edge_vectors(ax, ay)
+    eb_x, eb_y = _edge_vectors(bx, by)
+    ab_x, ab_y = _vertex_edge_gaps(ax, ay, bx, by, eb_x, eb_y)
+    ba_x, ba_y = _vertex_edge_gaps(bx, by, ax, ay, ea_x, ea_y)
+    gap_x = np.concatenate([ab_x, -ba_x])
+    gap_y = np.concatenate([ab_y, -ba_y])
+    closest = np.argmin(gap_x * gap_x + gap_y * gap_y, axis=0)
+    cx, cy = gap_x[closest, pairs], gap_y[closest, pairs]
+    dist = np.hypot(cx, cy)
+    near = dist > _EPS
+    dist = np.where(near, dist, 1.0)
 
-    v = minkowski(simplex[0])
-    bary = [1.0]
-    for _ in range(200):
-        vv = float(v @ v)
-        if vv < _EPS * _EPS:
-            break  # origin reached: cores intersect
-        ia = _support_index(core_a, -v)
-        ib = _support_index(core_b, v)
-        w = core_a[ia] - core_b[ib]
-        # support certificate: no point of the difference is closer than v
-        if vv - float(v @ w) <= 1e-14 * max(1.0, vv):
-            break
-        if (ia, ib) in simplex:
-            break
-        simplex.append((ia, ib))
-        pts = np.array([minkowski(p) for p in simplex])
-        if len(simplex) == 2:
-            v, t = _closest_on_segment(pts[0], pts[1])
-            bary = [1.0 - t, t]
-        else:
-            v, bary, keep = _closest_on_triangle(pts)
-            simplex = [simplex[k] for k in keep]
-        # drop simplex vertices with zero weight
-        kept = [k for k, b in enumerate(bary) if b > 0.0 or len(simplex) == 1]
-        if len(kept) < len(simplex):
-            simplex = [simplex[k] for k in kept]
-            bary = [bary[k] for k in kept]
-            total = sum(bary)
-            bary = [b / total for b in bary] if total > 0 else [1.0] * len(bary)
-
-    dist = float(np.hypot(v[0], v[1]))
-    wa = sum(b * core_a[p[0]] for b, p in zip(bary, simplex))
-    wb = sum(b * core_b[p[1]] for b, p in zip(bary, simplex))
-    return dist, np.asarray(wa, dtype=float), np.asarray(wb, dtype=float), simplex
+    na_x, na_y, valid_a = _outward_normals(ea_x, ea_y)
+    nb_x, nb_y, valid_b = _outward_normals(eb_x, eb_y)
+    ones = np.ones((1, len(pairs)))
+    axis_x = np.concatenate([(cx / dist)[None], -na_x, nb_x, ones])
+    axis_y = np.concatenate([(cy / dist)[None], -na_y, nb_y, 0.0 * ones])
+    valid = np.concatenate([near[None], valid_a, valid_b, ones > 0.0])
+    low_a = _extreme_projection(np.minimum, axis_x, axis_y, ax, ay)
+    high_b = _extreme_projection(np.maximum, axis_x, axis_y, bx, by)
+    sep = np.where(valid, low_a - high_b, -np.inf)
+    best = np.argmax(sep, axis=0)
+    return batch, (ax, ay, ra), (bx, by, rb), sep[best, pairs], axis_x[best, pairs], axis_y[best, pairs]
 
 
-def _closest_on_triangle(
-    pts: np.ndarray,
-) -> tuple[np.ndarray, list[float], list[int]]:
-    """Closest point to the origin on a triangle, with barycentric weights.
+def core_clearance(core_a, radius_a, core_b, radius_b) -> np.ndarray:
+    """Signed distance values only (see ``core_signed_distance``)."""
+    batch, (_, _, ra), (_, _, rb), sep, _, _ = _best_axis(core_a, core_b, radius_a, radius_b)
+    return (sep - ra - rb).reshape(batch)
 
-    Returns (point, weights, kept vertex indices).  If the origin is inside,
-    returns the origin with all three vertices kept.
+
+def core_signed_distance(core_a, radius_a, core_b, radius_b):
+    """Signed distance between batches of swept convex cores.
+
+    ``core_a`` (..., Ka, 2) and ``core_b`` (..., Kb, 2) are vertex loops
+    (counterclockwise for polygons; one point or two segment ends otherwise)
+    whose leading dimensions broadcast, as do the radii.  Returns
+    ``(value, point_a, point_b, normal)`` over the broadcast batch with the
+    ``SignedDistanceResult`` meaning of each field.  Witnesses sit mid-way
+    along the overlap of the two cores' support features, which is the
+    unique closest pair unless those features are parallel edges.
     """
-    a, b, c = pts[0], pts[1], pts[2]
-    area2 = float(_cross2(b - a, c - a))
-    if abs(area2) > _EPS:
-        # barycentric coordinates of the origin
-        la = float(_cross2(b, c)) / area2
-        lb = float(_cross2(c, a)) / area2
-        lc = float(_cross2(a, b)) / area2
-        if la >= 0.0 and lb >= 0.0 and lc >= 0.0:
-            return np.zeros(2), [la, lb, lc], [0, 1, 2]
-    best: tuple[float, np.ndarray, list[float], list[int]] | None = None
-    for i, j in ((0, 1), (1, 2), (0, 2)):
-        p, t = _closest_on_segment(pts[i], pts[j])
-        d = float(p @ p)
-        if best is None or d < best[0] - _EPS:
-            best = (d, p, [1.0 - t, t], [i, j])
-    assert best is not None
-    return best[1], best[2], best[3]
-
-
-# --- EPA on polytope cores ---------------------------------------------------
-
-
-def _epa_core_penetration(
-    core_a: np.ndarray, core_b: np.ndarray, seed: list[tuple[int, int]]
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Penetration depth and direction for intersecting polytope cores.
-
-    Returns (depth, direction, witness_a, witness_b) where translating core A
-    by depth*direction separates the cores.  ``seed`` is the terminal GJK
-    simplex (index pairs into the cores).
-    """
-    pairs: list[tuple[int, int]] = list(dict.fromkeys(seed))
-    # expand the seed to a polytope with nonzero area containing the origin
-    for ux, uy in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
-                   (0.7071067811865476, 0.7071067811865476),
-                   (-0.7071067811865476, 0.7071067811865476),
-                   (0.7071067811865476, -0.7071067811865476),
-                   (-0.7071067811865476, -0.7071067811865476)):
-        if len(pairs) >= 3 and _polytope_area(core_a, core_b, pairs) > _EPS:
-            break
-        u = np.array([ux, uy])
-        p = (_support_index(core_a, u), _support_index(core_b, -u))
-        if p not in pairs:
-            pairs.append(p)
-    pts = [core_a[i] - core_b[j] for i, j in pairs]
-    order = _ccw_hull_order(np.array(pts))
-    hull = [pairs[k] for k in order]
-
-    def mink(pair: tuple[int, int]) -> np.ndarray:
-        return core_a[pair[0]] - core_b[pair[1]]
-
-    for _ in range(200):
-        # closest hull edge to the origin
-        best_d, best_k, best_p, best_t = np.inf, 0, np.zeros(2), 0.0
-        m = len(hull)
-        for k in range(m):
-            p, t = _closest_on_segment(mink(hull[k]), mink(hull[(k + 1) % m]))
-            d = float(p @ p)
-            if d < best_d:
-                best_d, best_k, best_p, best_t = d, k, p, t
-        depth = float(np.sqrt(best_d))
-        if depth > _EPS:
-            normal = best_p / depth
-        else:
-            # origin on the hull boundary: use the edge outward normal
-            e = mink(hull[(best_k + 1) % m]) - mink(hull[best_k])
-            n = np.array([e[1], -e[0]])
-            nn = float(np.hypot(n[0], n[1]))
-            normal = n / nn if nn > _EPS else np.array([1.0, 0.0])
-        cand = (_support_index(core_a, normal), _support_index(core_b, -normal))
-        grow = float(mink(cand) @ normal) - depth
-        if grow <= 1e-12 * max(1.0, depth) or cand in hull:
-            pa = (1.0 - best_t) * core_a[hull[best_k][0]] + best_t * core_a[hull[(best_k + 1) % m][0]]
-            pb = (1.0 - best_t) * core_b[hull[best_k][1]] + best_t * core_b[hull[(best_k + 1) % m][1]]
-            return depth, -normal, pa, pb
-        hull.insert(best_k + 1, cand)
-    raise ShapeError("penetration query failed to converge")
-
-
-def _polytope_area(core_a: np.ndarray, core_b: np.ndarray, pairs: list[tuple[int, int]]) -> float:
-    pts = np.array([core_a[i] - core_b[j] for i, j in pairs])
-    order = _ccw_hull_order(pts)
-    hp = pts[order]
-    return 0.5 * abs(float(np.sum(_cross2(hp, np.roll(hp, -1, axis=0)))))
-
-
-def _ccw_hull_order(pts: np.ndarray) -> list[int]:
-    centroid = pts.mean(axis=0)
-    ang = np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0])
-    return list(np.argsort(ang, kind="stable"))
-
-
-# --- public signed distance ---------------------------------------------------
+    batch, (ax, ay, ra), (bx, by, rb), sep, nx, ny = _best_axis(core_a, core_b, radius_a, radius_b)
+    # support features along n, located by their coordinate along (-ny, nx)
+    along_a, along_b = nx * ax + ny * ay, nx * bx + ny * by
+    across_a, across_b = nx * ay - ny * ax, nx * by - ny * bx
+    scale = np.maximum(np.abs(np.concatenate([ax, ay, bx, by])).max(axis=0), 1.0)
+    low_a = along_a.min(axis=0)
+    high_b = along_b.max(axis=0)
+    face_a = along_a <= low_a + 1e-9 * scale
+    face_b = along_b >= high_b - 1e-9 * scale
+    lo = np.maximum(np.where(face_a, across_a, np.inf).min(axis=0), np.where(face_b, across_b, np.inf).min(axis=0))
+    hi = np.minimum(np.where(face_a, across_a, -np.inf).max(axis=0), np.where(face_b, across_b, -np.inf).max(axis=0))
+    mid = 0.5 * (lo + hi)
+    normal = np.stack([nx, ny], axis=-1)
+    tangent = np.stack([-ny, nx], axis=-1)
+    point_a = mid[:, None] * tangent + (low_a - ra)[:, None] * normal
+    point_b = mid[:, None] * tangent + (high_b + rb)[:, None] * normal
+    return ((sep - ra - rb).reshape(batch), point_a.reshape(batch + (2,)),
+            point_b.reshape(batch + (2,)), normal.reshape(batch + (2,)))
 
 
 def signed_distance(shape_a: ConvexShape, shape_b: ConvexShape) -> SignedDistanceResult:
@@ -326,100 +302,5 @@ def signed_distance(shape_a: ConvexShape, shape_b: ConvexShape) -> SignedDistanc
     """
     core_a, ra = _core(shape_a)
     core_b, rb = _core(shape_b)
-
-    if len(core_a) == 1 and len(core_b) == 1:
-        # circle-circle, analytic
-        delta = core_a[0] - core_b[0]
-        dist = float(np.hypot(delta[0], delta[1]))
-        u = delta / dist if dist > _EPS else np.array([1.0, 0.0])
-        return _swept_result(dist, core_a[0], core_b[0], u, ra, rb)
-    if len(core_a) == 1 and len(core_b) == 2:
-        return _point_segment_result(core_a[0], core_b, ra, rb, flip=False)
-    if len(core_a) == 2 and len(core_b) == 1:
-        return _point_segment_result(core_b[0], core_a, rb, ra, flip=True)
-
-    dist, wa, wb, simplex = _gjk_core_distance(core_a, core_b)
-    if dist > _EPS:
-        u = (wa - wb) / dist
-        wa, wb, u = _refine_parallel_witnesses(core_a, core_b, wa, wb, u)
-        return _swept_result(dist, wa, wb, u, ra, rb)
-    depth, direction, pa, pb = _epa_core_penetration(core_a, core_b, simplex)
-    value = -(depth + ra + rb)
-    n = direction
-    point_a = pa - ra * n
-    point_b = pb + rb * n
-    return SignedDistanceResult(value=value, point_a=point_a, point_b=point_b, normal=n)
-
-
-def _swept_result(
-    core_dist: float, wa: np.ndarray, wb: np.ndarray, u: np.ndarray, ra: float, rb: float
-) -> SignedDistanceResult:
-    """Result for disjoint cores: offset witnesses along u by the radii."""
-    value = core_dist - ra - rb
-    point_a = wa - ra * u
-    point_b = wb + rb * u
-    return SignedDistanceResult(value=value, point_a=point_a, point_b=point_b, normal=u)
-
-
-def _point_segment_result(
-    p: np.ndarray, seg: np.ndarray, rp: float, rs: float, flip: bool
-) -> SignedDistanceResult:
-    """Analytic circle-capsule query (point core vs segment core)."""
-    c, _t = _closest_on_segment(seg[0] - p, seg[1] - p)
-    closest = c + p
-    delta = p - closest
-    dist = float(np.hypot(delta[0], delta[1]))
-    if dist > _EPS:
-        u = delta / dist
-    else:
-        # point on the segment axis: separate along a perpendicular
-        e = seg[1] - seg[0]
-        en = float(np.hypot(e[0], e[1]))
-        u = np.array([-e[1], e[0]]) / en if en > _EPS else np.array([1.0, 0.0])
-    if flip:
-        return _swept_result(dist, closest, p, -u, rs, rp)
-    return _swept_result(dist, p, closest, u, rp, rs)
-
-
-def _support_feature(core: np.ndarray, direction: np.ndarray, tol: float) -> np.ndarray:
-    """Vertices of the core face extremal along ``direction`` (1 or 2 points)."""
-    dots = core @ direction
-    top = float(dots.max())
-    idx = np.nonzero(dots >= top - tol)[0]
-    if len(idx) <= 2:
-        return core[idx]
-    # keep the two extreme vertices along the face tangent
-    tangent = np.array([-direction[1], direction[0]])
-    proj = core[idx] @ tangent
-    return core[[idx[int(np.argmin(proj))], idx[int(np.argmax(proj))]]]
-
-
-def _refine_parallel_witnesses(
-    core_a: np.ndarray,
-    core_b: np.ndarray,
-    wa: np.ndarray,
-    wb: np.ndarray,
-    u: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tie-break witness points for parallel closest features.
-
-    When the closest features of both cores are edges perpendicular to the
-    separation direction, any point pair along the overlap is a valid
-    witness; pick the midpoint of the overlapping support interval so the
-    answer is stable and symmetric.
-    """
-    scale = max(1.0, float(np.abs(core_a).max()), float(np.abs(core_b).max()))
-    fa = _support_feature(core_a, -u, 1e-9 * scale)
-    fb = _support_feature(core_b, u, 1e-9 * scale)
-    if len(fa) < 2 or len(fb) < 2:
-        return wa, wb, u
-    tangent = np.array([-u[1], u[0]])
-    ta = np.sort(fa @ tangent)
-    tb = np.sort(fb @ tangent)
-    lo, hi = max(ta[0], tb[0]), min(ta[-1], tb[-1])
-    if hi < lo:
-        return wa, wb, u
-    mid = 0.5 * (lo + hi)
-    wa_new = wa + (mid - float(wa @ tangent)) * tangent
-    wb_new = wb + (mid - float(wb @ tangent)) * tangent
-    return wa_new, wb_new, u
+    value, point_a, point_b, normal = core_signed_distance(core_a, ra, core_b, rb)
+    return SignedDistanceResult(value=float(value), point_a=point_a, point_b=point_b, normal=normal)

@@ -32,26 +32,39 @@ def _check_config(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def forward_kinematics(model: RobotModel, q) -> list[LinkPose]:
-    """Link poses at configuration ``q``.
+def link_segments(model: RobotModel, qs) -> tuple[np.ndarray, np.ndarray]:
+    """Link origins and endpoints for a stack of configurations.
 
-    Planar arm: joint angles accumulate along the chain and each link runs
-    from the previous endpoint.  Point robot: one degenerate zero-length
-    link at the point's position.
+    ``qs`` is (m, n); both results are (m, links, 2).  Planar arm: joint
+    angles accumulate along the chain and each link runs from the previous
+    endpoint.  Point robot: one degenerate zero-length link at the point.
     """
+    qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 2 or qs.shape[1] != model.dim:
+        raise ScenarioError(f"configurations must have shape (m, {model.dim}), got {qs.shape}")
+    if isinstance(model, Point2D):
+        return qs[:, None, :], qs[:, None, :]
+    assert isinstance(model, PlanarArm)
+    m = len(qs)
+    # running sums start from the base, in chain order
+    angles = np.cumsum(np.concatenate([np.full((m, 1), model.base.angle), qs], axis=1), axis=1)[:, 1:]
+    steps = np.asarray(model.link_lengths)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    base = np.broadcast_to([model.base.x, model.base.y], (m, 1, 2))
+    joints = np.cumsum(np.concatenate([base, steps], axis=1), axis=1)
+    return joints[:, :-1], joints[:, 1:]
+
+
+def forward_kinematics(model: RobotModel, q) -> list[LinkPose]:
+    """Link poses at configuration ``q`` (see ``link_segments``)."""
     q = _check_config(model, q)
     if isinstance(model, Point2D):
         return [LinkPose(origin=q, angle=0.0, endpoint=q)]
-    assert isinstance(model, PlanarArm)
-    origin = np.array([model.base.x, model.base.y])
-    angle = model.base.angle
-    poses: list[LinkPose] = []
-    for length, theta in zip(model.link_lengths, q):
-        angle += float(theta)
-        endpoint = origin + length * np.array([np.cos(angle), np.sin(angle)])
-        poses.append(LinkPose(origin=origin, angle=angle, endpoint=endpoint))
-        origin = endpoint
-    return poses
+    origins, endpoints = link_segments(model, q[None, :])
+    angles = np.cumsum(np.concatenate([[model.base.angle], q]))[1:]
+    return [
+        LinkPose(origin=o, angle=float(a), endpoint=e)
+        for o, a, e in zip(origins[0], angles, endpoints[0])
+    ]
 
 
 def point_jacobian(model: RobotModel, q, link_index: int, point) -> np.ndarray:

@@ -18,14 +18,29 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .collision import activation_distance, all_pairs, linearize_collision_constraint, pair_distance
+from .collision import activation_distance, clearances
+from .collision import linearize_collision_constraint, pair_distance  # noqa: F401  (wrapped by benchmark/tracing.py)
 from .errors import ConfigError, EvaluatorError
-from .model import RobotState, Scenario
+from .model import Scenario
 
 # --- convex QP, dense primal active set ------------------------------------
 
 
-def _solve_kkt(h: np.ndarray, a: np.ndarray, rhs_top: np.ndarray, rhs_bot: np.ndarray):
+@dataclass
+class QpStats:
+    """Tallies of QP outcomes that are not a clean optimum.
+
+    ``nonoptimal`` counts ``solve_qp`` returns that hit the iteration cap;
+    ``kkt_fallbacks`` counts singular KKT systems answered by least squares.
+    """
+
+    nonoptimal: int = 0
+    kkt_fallbacks: int = 0
+
+
+def _solve_kkt(
+    h: np.ndarray, a: np.ndarray, rhs_top: np.ndarray, rhs_bot: np.ndarray, stats: QpStats | None = None
+):
     """Solve [[H, A^T], [A, 0]] [x; lam] = [rhs_top; rhs_bot]."""
     n, m = h.shape[0], a.shape[0]
     kkt = np.zeros((n + m, n + m))
@@ -38,6 +53,8 @@ def _solve_kkt(h: np.ndarray, a: np.ndarray, rhs_top: np.ndarray, rhs_bot: np.nd
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        if stats is not None:
+            stats.kkt_fallbacks += 1
     return sol[:n], sol[n:]
 
 
@@ -52,13 +69,15 @@ def solve_qp(
     *,
     tol: float = 1e-11,
     max_iterations: int | None = None,
+    stats: QpStats | None = None,
 ) -> tuple[np.ndarray, bool]:
     """Minimize 1/2 x'Hx + g'x s.t. A_eq x = b_eq, A_in x <= b_in.
 
     H must be positive definite.  ``x0`` must satisfy the inequalities (the
     equalities are restored by the first full step if slightly violated).
     Returns (x, optimal); when the iteration cap is hit the best iterate so
-    far is returned with optimal=False.
+    far is returned with optimal=False.  ``stats``, when given, tallies
+    non-optimal returns and least-squares KKT fallbacks.
     """
     n = gradient.shape[0]
     m_in = a_in.shape[0]
@@ -73,7 +92,7 @@ def solve_qp(
     for _ in range(max_iterations):
         a_act = np.vstack([a_eq] + [a_in[active]]) if active else a_eq
         b_act = np.concatenate([b_eq] + [b_in[active]]) if active else b_eq
-        target, lam = _solve_kkt(hessian, a_act, -gradient, b_act)
+        target, lam = _solve_kkt(hessian, a_act, -gradient, b_act, stats)
         p = target - x
         if float(np.max(np.abs(p), initial=0.0)) <= tol:
             if not active:
@@ -103,6 +122,8 @@ def solve_qp(
         x = x + alpha * p
         if blocker >= 0:
             active.append(blocker)
+    if stats is not None:
+        stats.nonoptimal += 1
     return x, False
 
 
@@ -194,6 +215,8 @@ class NlpSolution:
     max_inequality_violation: float
     iterations: int
     converged: bool
+    qp_nonoptimal: int = 0
+    kkt_fallbacks: int = 0
 
 
 def _check_finite(value, what: str) -> None:
@@ -265,6 +288,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
 
     converged = False
     iterations = 0
+    qp_stats = QpStats()
     for _ in range(opts.max_outer_iterations):
         iterations += 1
         fx, gx = problem.objective(x)
@@ -319,7 +343,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         b_in = np.array(rhs)
 
         x0_qp = np.concatenate([x, np.maximum(rows_vals, 0.0)])
-        sol, _qp_ok = solve_qp(hqp, gqp, aeq_qp, np.array(b_eq, dtype=float), a_in, b_in, x0_qp)
+        sol, _ = solve_qp(hqp, gqp, aeq_qp, np.array(b_eq, dtype=float), a_in, b_in, x0_qp, stats=qp_stats)
         x_new = np.clip(sol[:n], lo_eff, hi_eff)
 
         dx = x_new - x
@@ -378,6 +402,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         max_inequality_violation=max(ineq_viol, 0.0),
         iterations=iterations,
         converged=converged,
+        qp_nonoptimal=qp_stats.nonoptimal,
+        kkt_fallbacks=qp_stats.kkt_fallbacks,
     )
 
 
@@ -429,9 +455,7 @@ class SegmentLayout:
         return np.asarray(positions, dtype=float)[: self.count].reshape(-1).copy()
 
     def positions(self, x: np.ndarray) -> np.ndarray:
-        if self.dynamics:
-            return np.stack([x[self.position_slice(k)] for k in range(self.count)])
-        return x.reshape(self.count, self.dim).copy()
+        return x.reshape(self.count, self.state_dim)[:, : self.dim].copy()
 
     def velocities(self, x: np.ndarray) -> np.ndarray:
         return np.stack([x[self.velocity_slice(k)] for k in range(self.count)])
@@ -578,43 +602,26 @@ def _collision_evaluators(
     """Row evaluator (activation-filtered linearizations) and full values.
 
     Rows encode  margin - sd(q_k) <= 0  for each near-contact pair at each
-    waypoint; the full evaluator reports every pair so merit accounting sees
-    violations the filter missed after a step.
+    waypoint, ordered by waypoint, then link, then obstacle; the full
+    evaluator reports every pair so merit accounting sees violations the
+    filter missed after a step.
     """
     if not scenario.obstacles:
         return None, None
     margin = scenario.safety_margin
     activation = activation_distance(margin)
-    pairs = all_pairs(scenario)
-    zeros = np.zeros(layout.dim)
+    # packed-vector columns of each waypoint's position block
+    columns = layout.state_dim * np.arange(layout.count)[:, None] + np.arange(layout.dim)
 
     def rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vals: list[float] = []
-        jac: list[np.ndarray] = []
-        for k in range(layout.count):
-            q = x[layout.position_slice(k)]
-            state = RobotState(q, zeros, zeros)
-            for pair in pairs:
-                lin = linearize_collision_constraint(scenario, state, pair)
-                if lin.value > activation:
-                    continue
-                row = np.zeros(layout.size)
-                row[layout.position_slice(k)] = -lin.gradient
-                vals.append(margin - lin.value)
-                jac.append(row)
-        if not vals:
-            return np.zeros(0), np.zeros((0, layout.size))
-        return np.array(vals), np.array(jac)
+        sd, grad = clearances(scenario, layout.positions(x), with_gradients=True)
+        waypoint, link, obstacle = np.nonzero(sd <= activation)
+        jac = np.zeros((waypoint.size, layout.size))
+        jac[np.arange(waypoint.size)[:, None], columns[waypoint]] = -grad[waypoint, link, obstacle]
+        return margin - sd[waypoint, link, obstacle], jac
 
     def values(x: np.ndarray) -> np.ndarray:
-        out = np.empty(layout.count * len(pairs))
-        i = 0
-        for k in range(layout.count):
-            q = x[layout.position_slice(k)]
-            for link, obs in pairs:
-                out[i] = margin - pair_distance(scenario, q, link, obs).value
-                i += 1
-        return out
+        return (margin - clearances(scenario, layout.positions(x))).ravel()
 
     return rows, values
 

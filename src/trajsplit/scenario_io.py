@@ -316,6 +316,8 @@ def report_to_dict(report, scenario_path: str, config, seed: int | None = None) 
             "segment_solves_converged": report.segment_solves_converged,
             "nonconverged_segment_solves": report.nonconverged_segment_solves,
             "deadline_reached": report.deadline_reached,
+            "qp_nonoptimal": report.qp_nonoptimal,
+            "kkt_fallbacks": report.kkt_fallbacks,
         },
         "timing": {
             "wall_seconds_total": float(report.wall_seconds_total),

@@ -15,6 +15,16 @@ import pytest
 from trajsplit.geometry import Capsule, Circle, ConvexPolygon
 from trajsplit.model import RobotState
 
+try:
+    from hypothesis import settings
+except ImportError:  # property tests skip themselves without hypothesis
+    pass
+else:
+    # fixed example sequence and no per-example deadline: reproducible runs
+    # whatever the speed of the machine
+    settings.register_profile("trajsplit", derandomize=True, deadline=None)
+    settings.load_profile("trajsplit")
+
 
 def make_state(position, velocity=None, acceleration=None):
     p = np.asarray(position, dtype=float)

@@ -1,0 +1,226 @@
+"""Batched closed-form signed-distance kernel: property tests against the
+per-pair query and the sampling oracle, batched forward kinematics, and
+finite-difference checks of the batched collision rows on a polygon world."""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from conftest import oracle_signed_distance  # noqa: E402
+from trajsplit.collision import activation_distance, clearances, link_count, pair_distance  # noqa: E402
+from trajsplit.geometry import (  # noqa: E402
+    Capsule,
+    Circle,
+    ConvexPolygon,
+    core_clearance,
+    core_signed_distance,
+    signed_distance,
+    stack_cores,
+)
+from trajsplit.kinematics import forward_kinematics, link_segments  # noqa: E402
+from trajsplit.model import BasePose, PlanarArm, Point2D, RobotState, Scenario  # noqa: E402
+from trajsplit.nlp import convexify_segment, segment_layout  # noqa: E402
+
+coord = st.floats(-2.0, 2.0, allow_nan=False)
+points = st.tuples(coord, coord).map(np.array)
+
+circles = st.builds(Circle, points, st.floats(0.05, 1.0))
+capsules = st.builds(
+    lambda center, offset, radius: Capsule(center, center + offset, radius),
+    points,
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(np.array),
+    st.floats(0.0, 0.6),
+)
+
+
+@st.composite
+def polygons(draw):
+    """Jittered regular polygon under a rotation and a squash: always
+    strictly convex and counterclockwise."""
+    k = draw(st.integers(3, 7))
+    jitter = draw(st.lists(st.floats(-0.3, 0.3), min_size=k, max_size=k))
+    angles = 2.0 * math.pi * (np.arange(k) + np.array(jitter)) / k
+    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    radius = draw(st.floats(0.2, 1.2))
+    squash = draw(st.floats(0.3, 1.0))
+    turn = draw(st.floats(0.0, 2.0 * math.pi))
+    rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+    return ConvexPolygon(draw(points) + (radius * unit * [1.0, squash]) @ rot.T)
+
+
+shapes = st.one_of(circles, capsules, polygons())
+shape_pairs = st.tuples(shapes, shapes)
+
+
+def translate(shape, delta):
+    if isinstance(shape, Circle):
+        return Circle(shape.center + delta, shape.radius)
+    if isinstance(shape, Capsule):
+        return Capsule(shape.point_a + delta, shape.point_b + delta, shape.radius)
+    return ConvexPolygon(shape.vertices + delta)
+
+
+@given(st.lists(shape_pairs, min_size=1, max_size=8))
+def test_batch_equals_per_pair(pairs):
+    core_a, radius_a = stack_cores([a for a, _ in pairs])
+    core_b, radius_b = stack_cores([b for _, b in pairs])
+    value, point_a, point_b, normal = core_signed_distance(core_a, radius_a, core_b, radius_b)
+    np.testing.assert_allclose(core_clearance(core_a, radius_a, core_b, radius_b), value, atol=1e-12)
+    for i, (a, b) in enumerate(pairs):
+        single = signed_distance(a, b)
+        assert value[i] == pytest.approx(single.value, abs=1e-9)
+        if abs(single.value) > 1e-6:
+            np.testing.assert_allclose(normal[i], single.normal, atol=1e-6)
+            np.testing.assert_allclose(point_a[i], single.point_a, atol=1e-6)
+            np.testing.assert_allclose(point_b[i], single.point_b, atol=1e-6)
+
+
+@given(shape_pairs)
+def test_oracle_agreement(pair):
+    a, b = pair
+    assert signed_distance(a, b).value == pytest.approx(oracle_signed_distance(a, b), abs=1e-3)
+
+
+@given(shape_pairs, st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).map(np.array))
+def test_symmetry_and_translation_invariance(pair, shift):
+    a, b = pair
+    ab, ba = signed_distance(a, b), signed_distance(b, a)
+    assert ab.value == pytest.approx(ba.value, abs=1e-9)
+    if ab.value > 1e-6:
+        # disjoint shapes have a unique separating direction
+        np.testing.assert_allclose(ab.normal, -ba.normal, atol=1e-6)
+    moved = signed_distance(translate(a, shift), translate(b, shift))
+    assert moved.value == pytest.approx(ab.value, abs=1e-9)
+
+
+@given(shape_pairs)
+def test_witnesses_span_the_separation(pair):
+    res = signed_distance(*pair)
+    assert np.linalg.norm(res.normal) == pytest.approx(1.0, abs=1e-12)
+    # point_a - point_b = value * normal holds in both regimes
+    np.testing.assert_allclose(res.point_a - res.point_b, res.value * res.normal, atol=1e-9)
+    if res.value > 0.0:
+        assert np.linalg.norm(res.point_a - res.point_b) == pytest.approx(res.value, rel=1e-8, abs=1e-9)
+
+
+def test_overlap_cases_are_drawn():
+    # the property tests above see penetrating pairs, not only disjoint ones
+    seen = []
+
+    @given(shape_pairs)
+    def record(pair):
+        seen.append(signed_distance(*pair).value < 0.0)
+
+    record()
+    assert sum(seen) >= 0.1 * len(seen)
+
+
+def test_polygon_polygon_touching_and_nested():
+    outer = ConvexPolygon(np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]]))
+    inner = ConvexPolygon(np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
+    # nested: inner must travel 2.5 to clear the outer square
+    assert signed_distance(inner, outer).value == pytest.approx(-2.5, abs=1e-12)
+    touching = ConvexPolygon(inner.vertices + [2.5, 0.0])
+    assert abs(signed_distance(touching, outer).value) < 1e-12
+
+
+class TestLinkSegments:
+    def test_matches_per_configuration_fk(self, rng):
+        arm = PlanarArm(link_lengths=(0.8, 0.7, 0.5), link_radius=0.05,
+                        base=BasePose(x=0.3, y=-0.2, angle=0.4))
+        qs = rng.uniform(-math.pi, math.pi, size=(6, 3))
+        origins, endpoints = link_segments(arm, qs)
+        assert origins.shape == endpoints.shape == (6, 3, 2)
+        for i, q in enumerate(qs):
+            for k, pose in enumerate(forward_kinematics(arm, q)):
+                np.testing.assert_array_equal(origins[i, k], pose.origin)
+                np.testing.assert_array_equal(endpoints[i, k], pose.endpoint)
+
+    def test_point_robot_is_one_zero_length_link(self):
+        qs = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        origins, endpoints = link_segments(Point2D(), qs)
+        np.testing.assert_array_equal(origins[:, 0], qs)
+        np.testing.assert_array_equal(endpoints[:, 0], qs)
+
+
+def hexagon(center, radius, phase):
+    angles = phase + np.arange(6) * math.pi / 3.0
+    return ConvexPolygon(np.asarray(center) + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1))
+
+
+def polygon_arm_scenario(num_waypoints):
+    # arm_three_link with its discs replaced by hexagons
+    return Scenario(
+        robot=PlanarArm(link_lengths=(0.8, 0.7, 0.5), link_radius=0.05),
+        obstacles=(hexagon((1.3, 0.9), 0.3, 0.2), hexagon((1.5, -0.7), 0.3, 0.9)),
+        start=RobotState.resting((-0.28, 1.35, -1.38)),
+        goal=RobotState.resting((0.73, -1.55, 1.47)),
+        num_waypoints=num_waypoints,
+        dt=0.2,
+        safety_margin=0.03,
+        dynamics_enabled=False,
+    )
+
+
+def test_clearances_match_per_pair_queries(rng):
+    scenario = polygon_arm_scenario(4)
+    qs = rng.uniform(-math.pi, math.pi, size=(5, 3))
+    values, gradients = clearances(scenario, qs, with_gradients=True)
+    assert values.shape == (5, link_count(scenario), 2)
+    assert gradients.shape == (5, link_count(scenario), 2, 3)
+    np.testing.assert_array_equal(clearances(scenario, qs), values)
+    for i, q in enumerate(qs):
+        for k in range(3):
+            for j in range(2):
+                assert values[i, k, j] == pytest.approx(pair_distance(scenario, q, k, j).value, abs=1e-12)
+        # joints beyond a link cannot move it
+        assert np.all(gradients[i, 0, :, 1:] == 0.0)
+        assert np.all(gradients[i, 1, :, 2:] == 0.0)
+
+
+def one_sided_jacobians(func, x, step):
+    base = func(x)
+    forward = np.zeros((base.size, x.size))
+    backward = np.zeros((base.size, x.size))
+    for i in range(x.size):
+        hi, lo = x.copy(), x.copy()
+        hi[i] += step
+        lo[i] -= step
+        forward[:, i] = (func(hi) - base) / step
+        backward[:, i] = (base - func(lo)) / step
+    return forward, backward
+
+
+def test_batched_rows_match_finite_differences_on_polygons(rng):
+    # The convexified rows of a polygon world must be the derivatives of
+    # the merit values.  A row whose one-sided differences disagree sits
+    # where its witness switches features; the value is not differentiable
+    # there and such rows are skipped, as in criterion 06.
+    scenario = polygon_arm_scenario(4)
+    layout = segment_layout(scenario, 0, 3)
+    activation = activation_distance(scenario.safety_margin)
+    checked = 0
+    for _ in range(200):
+        x = rng.uniform(-math.pi, math.pi, size=layout.size)
+        problem = convexify_segment(scenario, 0, 3, x)
+        row_vals, row_jac = problem.inequalities(x)
+        full = problem.inequality_values(x)
+        active = np.nonzero(scenario.safety_margin - full <= activation)[0]
+        np.testing.assert_array_equal(row_vals, full[active])
+        if not active.size:
+            continue
+        forward, backward = one_sided_jacobians(lambda y: problem.inequality_values(y)[active], x, 1e-7)
+        central = 0.5 * (forward + backward)
+        for r in range(active.size):
+            scale = max(1.0, float(np.abs(central[r]).max()))
+            if np.abs(forward[r] - backward[r]).max() / scale > 1e-3:
+                continue
+            assert np.abs(row_jac[r] - central[r]).max() / scale <= 1e-5
+            checked += 1
+        if checked >= 100:
+            break
+    assert checked >= 100
