@@ -1,18 +1,23 @@
-"""Consensus splitting of a trajectory problem into parallel segments.
+"""Consensus splitting of a trajectory problem into independent segments.
 
 The trajectory is cut at split waypoints; each split waypoint is duplicated
 into the two adjacent segments and a consensus variable with a scaled dual
-pair ties the copies together.  Each round solves all segments in parallel,
-averages the split copies into the consensus targets, and pushes the duals
-by rho times the remaining disagreement.  The loop stops when the mean
-position disagreement across splits drops below the splitting tolerance.
+pair ties the copies together.  Each round solves the segments one after
+another, averages the split copies into the consensus targets, and pushes
+the duals by rho times the remaining disagreement.  The loop stops when the
+mean position disagreement across splits drops below the splitting
+tolerance.
+
+The gain of splitting is that each segment's cost grows with its own
+waypoints, not the whole trajectory's.  Running the segments on threads adds
+nothing to that: the work is GIL-bound numpy with small LAPACK calls, and a
+thread pool measured slower than this serial loop on every benchmark workload.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (wrapped by benchmark/tracing.py)
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +37,6 @@ from .nlp import (
     solve,
 )
 
-THREAD_ENV_VAR = "TRAJSPLIT_THREADS"
-
 
 @dataclass(frozen=True)
 class SplitConfig:
@@ -49,7 +52,6 @@ class SplitConfig:
     rho: float = 50.0
     eps: float = 0.1745
     max_admm_iterations: int = 100
-    parallel: bool = True
     samples_per_edge: int = 5
     nlp_options: SolverOptions = field(default_factory=SolverOptions)
 
@@ -199,15 +201,14 @@ def primal_update(
     segments: list[SegmentProblem],
     consensus: ConsensusState,
     config: SplitConfig,
-    executor: ThreadPoolExecutor | None = None,
 ) -> list[NlpSolution]:
-    """Solve every segment from its warm start; write back the new iterates.
+    """Solve every segment, in segment order, from its warm start.
 
-    Results are gathered in segment order, so serial and parallel execution
-    produce identical numbers.
+    Each solve sees only the consensus state of the previous round, so the
+    order does not change the result; the new iterates are written back.
     """
-
-    def solve_one(segment: SegmentProblem) -> NlpSolution:
+    solutions = []
+    for segment in segments:
         problem = convexify_segment(
             scenario,
             segment.first,
@@ -216,15 +217,10 @@ def primal_update(
             segment_couplings(segment, consensus),
             config.rho,
         )
-        return solve(problem, config.nlp_options)
-
-    if executor is None:
-        solutions = [solve_one(s) for s in segments]
-    else:
-        solutions = list(executor.map(solve_one, segments))
-    for segment, solution in zip(segments, solutions):
+        solution = solve(problem, config.nlp_options)
         segment.x = solution.point
         segment.last_solution = solution
+        solutions.append(solution)
     return solutions
 
 
@@ -305,20 +301,6 @@ def trajectory_objective(scenario: Scenario, trajectory: Trajectory) -> float:
     return float(np.sum(((q[1:] - q[:-1]) / scenario.dt) ** 2))
 
 
-def _worker_count(num_segments: int) -> int:
-    env = os.environ.get(THREAD_ENV_VAR)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{THREAD_ENV_VAR} must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ConfigError(f"{THREAD_ENV_VAR} must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(num_segments, cap))
-
-
 def initial_point(scenario: Scenario) -> np.ndarray:
     """Packed straight-line seed, corrected onto the dynamics and pin rows."""
     layout = segment_layout(scenario, 0, scenario.num_waypoints - 1)
@@ -361,34 +343,26 @@ def run(
     iterations = 0
     solutions: list[NlpSolution] = []
 
-    executor: ThreadPoolExecutor | None = None
-    workers = _worker_count(len(segments)) if cfg.parallel else 1
-    try:
-        if workers > 1:
-            executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="trajsplit")
-        for it in range(1, cfg.max_admm_iterations + 1):
-            iterations = it
-            tp = time.perf_counter()
-            solutions = primal_update(scenario, segments, consensus, cfg, executor)
-            primal_seconds += time.perf_counter() - tp
-            nonconverged += sum(1 for s in solutions if not s.converged)
-            qp_nonoptimal += sum(s.qp_nonoptimal for s in solutions)
-            kkt_fallbacks += sum(s.kkt_fallbacks for s in solutions)
-            tc = time.perf_counter()
-            consensus_update(segments, consensus, cfg.rho)
-            residual = splitting_residual(segments, scenario)
-            consensus_seconds += time.perf_counter() - tc
-            residual_history.append(residual)
-            iteration_seconds.append(time.perf_counter() - t0)
-            if residual <= cfg.eps:
-                converged = all(s.converged for s in solutions)
-                break
-            if deadline_seconds is not None and time.perf_counter() - t0 >= deadline_seconds:
-                deadline_reached = True
-                break
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    for it in range(1, cfg.max_admm_iterations + 1):
+        iterations = it
+        tp = time.perf_counter()
+        solutions = primal_update(scenario, segments, consensus, cfg)
+        primal_seconds += time.perf_counter() - tp
+        nonconverged += sum(1 for s in solutions if not s.converged)
+        qp_nonoptimal += sum(s.qp_nonoptimal for s in solutions)
+        kkt_fallbacks += sum(s.kkt_fallbacks for s in solutions)
+        tc = time.perf_counter()
+        consensus_update(segments, consensus, cfg.rho)
+        residual = splitting_residual(segments, scenario)
+        consensus_seconds += time.perf_counter() - tc
+        residual_history.append(residual)
+        iteration_seconds.append(time.perf_counter() - t0)
+        if residual <= cfg.eps:
+            converged = all(s.converged for s in solutions)
+            break
+        if deadline_seconds is not None and time.perf_counter() - t0 >= deadline_seconds:
+            deadline_reached = True
+            break
 
     trajectory = assemble_trajectory(scenario, segments, consensus)
     collision_free = trajectory_collision_free(scenario, trajectory, cfg.samples_per_edge)

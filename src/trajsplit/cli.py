@@ -71,7 +71,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rho", type=float, default=50.0, help="consensus penalty weight (default 50)")
     parser.add_argument("--eps", type=float, default=0.1745, help="splitting tolerance (default 0.1745)")
     parser.add_argument("--max-iters", type=int, default=100, metavar="K", help="consensus iteration cap (default 100)")
-    parser.add_argument("--serial", action="store_true", help="solve segments sequentially in one thread")
     parser.add_argument("--samples-per-edge", type=int, default=5, metavar="S",
                         help="interpolated collision checks per edge (default 5)")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed recorded in the report")
@@ -94,7 +93,6 @@ def _config_from_args(args: argparse.Namespace, num_splits: int | None = None) -
         rho=args.rho,
         eps=args.eps,
         max_admm_iterations=args.max_iters,
-        parallel=not args.serial,
         samples_per_edge=args.samples_per_edge,
         nlp_options=options,
     )
@@ -192,6 +190,9 @@ BENCH_COLUMNS = ["problem", "planner", "converged", "collision_free", "success",
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if not args.time_limit > 0.0:
+        print("error: --time-limit must be > 0", file=sys.stderr)
+        return EXIT_INPUT
     suite_dir = Path(args.suite) if args.suite else bundled_scenario_dir() / "arm_suite"
     problems = sorted(suite_dir.glob("*.yaml"))
     if not problems:

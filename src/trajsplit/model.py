@@ -1,7 +1,7 @@
 """Domain types: robots, obstacles, scenarios, trajectories.
 
 All types are immutable after construction; numpy fields are stored as
-read-only float64 arrays so values can be shared across worker threads.
+read-only float64 arrays so a value handed out cannot be changed in place.
 """
 
 from __future__ import annotations
@@ -243,9 +243,3 @@ def path_length(trajectory: Trajectory) -> float:
     """Sum of Euclidean distances between consecutive waypoint positions."""
     pos = trajectory.positions()
     return float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1)))
-
-
-def objective_cost(trajectory: Trajectory) -> float:
-    """Trajectory cost: sum of squared velocity norms over all waypoints."""
-    vel = trajectory.velocities()
-    return float(np.sum(vel * vel))

@@ -294,7 +294,6 @@ def report_to_dict(report, scenario_path: str, config, seed: int | None = None) 
             "rho": float(config.rho),
             "eps": float(config.eps),
             "max_admm_iterations": config.max_admm_iterations,
-            "parallel": config.parallel,
             "samples_per_edge": config.samples_per_edge,
             "seed": seed,
             "nlp": {

@@ -155,9 +155,7 @@ def test_criterion_03_scalar_consensus_matches_hand_recursion():
         z_hand.append(z)
         residual_hand.append(abs(q - qp))
     for k in range(1, 11):
-        cfg = SplitConfig(
-            num_splits=1, rho=rho, eps=1e-300, max_admm_iterations=k, parallel=False
-        )
+        cfg = SplitConfig(num_splits=1, rho=rho, eps=1e-300, max_admm_iterations=k)
         report = run(scenario, cfg)
         assert report.iterations == k
         assert report.trajectory.positions()[1, 0] == pytest.approx(z_hand[k - 1], abs=1e-10)
@@ -263,7 +261,6 @@ def test_criterion_07_sweep_trends(tmp_path):
             "--splits-list", "1,2,4",
             "--eps-list", "0.05,0.1,0.17,0.26",
             "--repeats", "1",
-            "--serial",
             "--out", str(out),
         ]
     )
@@ -305,7 +302,7 @@ def test_criterion_08_determinism(tmp_path):
         code = main(
             [
                 "solve", str(bundled("circle.yaml")),
-                "--splits", "2", "--serial", "--seed", "42",
+                "--splits", "2", "--seed", "42",
                 "--out", str(out),
             ]
         )
@@ -315,11 +312,6 @@ def test_criterion_08_determinism(tmp_path):
             curves.append([(r["iteration"], r["residual"]) for r in csv.DictReader(fh)])
     assert reports[0] == reports[1]
     assert curves[0] == curves[1]
-
-    scenario = load_scenario(bundled("circle.yaml"))
-    serial = run(scenario, SplitConfig(num_splits=2, parallel=False))
-    parallel = run(scenario, SplitConfig(num_splits=2, parallel=True))
-    assert serial.residual_history == parallel.residual_history
 
 
 def test_criterion_09_thin_wall_collision_reported():

@@ -1,5 +1,7 @@
 """Consensus splitting: segment bookkeeping, the update rules, full runs."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from trajsplit.admm import (
     run,
     split_uniform,
     splitting_residual,
-    THREAD_ENV_VAR,
 )
 from trajsplit.errors import ConfigError
 from trajsplit.model import PlanarArm, Point2D, RobotState, Scenario
@@ -128,7 +129,6 @@ class TestSplitConfig:
         assert cfg.rho == 50.0
         assert cfg.eps == pytest.approx(0.1745)
         assert cfg.max_admm_iterations == 100
-        assert cfg.parallel
 
 
 class TestBuildSegments:
@@ -274,9 +274,7 @@ class TestScalarToyRecursion:
         a, b, dt, rho = 0.0, 2.0, 0.5, 2.0
         for k in (1, 2, 5, 9):
             scenario = scalar_path_scenario(a, b, n=3, dt=dt)
-            cfg = SplitConfig(
-                num_splits=1, rho=rho, eps=1e-300, max_admm_iterations=k, parallel=False
-            )
+            cfg = SplitConfig(num_splits=1, rho=rho, eps=1e-300, max_admm_iterations=k)
             report = run(scenario, cfg)
             z_want, res_want = self.hand_recursion(a, b, dt, rho, k)
             assert report.iterations == k
@@ -286,7 +284,7 @@ class TestScalarToyRecursion:
     def test_residual_decays_geometrically(self):
         a, b, dt, rho = 0.0, 2.0, 0.5, 2.0
         scenario = scalar_path_scenario(a, b, n=3, dt=dt)
-        cfg = SplitConfig(num_splits=1, rho=rho, eps=1e-300, max_admm_iterations=12, parallel=False)
+        cfg = SplitConfig(num_splits=1, rho=rho, eps=1e-300, max_admm_iterations=12)
         report = run(scenario, cfg)
         h = report.residual_history
         # contraction factor 2s/(2s+rho) with s = 1/dt^2
@@ -325,19 +323,6 @@ class TestRun:
         np.testing.assert_array_equal(report.trajectory.positions()[-1], scenario.goal.position)
         np.testing.assert_array_equal(report.trajectory.velocities()[0], scenario.start.velocity)
         np.testing.assert_array_equal(report.trajectory.velocities()[-1], scenario.goal.velocity)
-
-    def test_parallel_serial_identical(self):
-        scenario = corridor()
-        kwargs = dict(num_splits=2, rho=5.0, eps=1e-4, max_admm_iterations=120)
-        serial = run(scenario, SplitConfig(parallel=False, **kwargs))
-        parallel = run(scenario, SplitConfig(parallel=True, **kwargs))
-        assert serial.residual_history == parallel.residual_history
-        np.testing.assert_array_equal(
-            serial.trajectory.positions(), parallel.trajectory.positions()
-        )
-        np.testing.assert_array_equal(
-            serial.trajectory.velocities(), parallel.trajectory.velocities()
-        )
 
     def test_termination_at_iteration_cap(self):
         scenario = corridor()
@@ -405,17 +390,14 @@ class TestRun:
         assert not report.segment_solves_converged
         assert not report.converged
 
-    def test_thread_cap_env_validation(self, monkeypatch):
-        scenario = corridor(n=6)
-        monkeypatch.setenv(THREAD_ENV_VAR, "abc")
-        with pytest.raises(ConfigError):
-            run(scenario, SplitConfig(num_splits=1, eps=1.0))
-        monkeypatch.setenv(THREAD_ENV_VAR, "0")
-        with pytest.raises(ConfigError):
-            run(scenario, SplitConfig(num_splits=1, eps=1.0))
-        monkeypatch.setenv(THREAD_ENV_VAR, "1")
-        report = run(scenario, SplitConfig(num_splits=1, rho=5.0, eps=1e-2, max_admm_iterations=200))
-        assert report.converged
+    def test_split_run_starts_no_threads(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"thread {self.name!r} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        report = run(corridor(), SplitConfig(num_splits=2, rho=5.0, eps=1e-2))
+        assert report.num_segments == 3
+        assert report.iterations >= 1
 
 
 class TestAssembleTrajectory:

@@ -147,7 +147,7 @@ class TestSweep:
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
             code = main([
-                "sweep", str(corridor_file), "--rho", "5", "--serial", "--seed", "11",
+                "sweep", str(corridor_file), "--rho", "5", "--seed", "11",
                 "--splits-list", "1,2", "--eps-list", "0.3", "--out", str(out),
             ])
             assert code == EXIT_OK
@@ -194,13 +194,18 @@ class TestBench:
         out = tmp_path / "bench.csv"
         code = main([
             "bench", "--suite", str(suite), "--planners", "mono,split2",
-            "--rho", "5", "--eps", "0.05", "--time-limit", "0.001", "--out", str(out),
+            "--rho", "5", "--eps", "0.05", "--time-limit", "1e-9", "--out", str(out),
         ])
         assert code == EXIT_OK
         rows = read_rows(out)
         assert len(rows) - 1 == 2
         for row in rows[1:]:
             assert row[4] == "False"
+
+    @pytest.mark.parametrize("limit", ["0", "-1", "nan"])
+    def test_time_limit_must_be_positive(self, limit, capsys):
+        assert main(["bench", "--time-limit", limit]) == EXIT_INPUT
+        assert "--time-limit must be > 0" in capsys.readouterr().err
 
     def test_empty_suite(self, tmp_path, capsys):
         suite = tmp_path / "empty"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trajsplit.admm import trajectory_objective
 from trajsplit.errors import ScenarioError, ShapeError
 from trajsplit.geometry import Circle, ConvexPolygon
 from trajsplit.model import (
@@ -14,7 +15,6 @@ from trajsplit.model import (
     RobotState,
     Scenario,
     Trajectory,
-    objective_cost,
     path_length,
     straight_line_init,
 )
@@ -108,19 +108,22 @@ class TestPathLength:
 
 
 class TestObjectiveCost:
+    # with dynamics the cost is the summed squared velocity states
+    dynamic = point_scenario((0.0, 0.0), (4.0, 0.0), n=5, dt=1.0)
+
     def test_zero_velocities(self):
         pos = np.zeros((4, 2))
         traj = Trajectory.from_arrays(pos, np.zeros_like(pos), np.zeros_like(pos), dt=1.0)
-        assert objective_cost(traj) == 0.0
+        assert trajectory_objective(self.dynamic, traj) == 0.0
 
     def test_direct_formula(self):
         vel = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         traj = Trajectory.from_arrays(np.zeros((3, 2)), vel, np.zeros((3, 2)), dt=1.0)
-        assert objective_cost(traj) == pytest.approx(4.0, abs=1e-12)
+        assert trajectory_objective(self.dynamic, traj) == pytest.approx(4.0, abs=1e-12)
 
     def test_straight_line_constant_velocity(self):
-        traj = straight_line_init(point_scenario((0.0, 0.0), (4.0, 0.0), n=5, dt=1.0))
-        assert objective_cost(traj) == pytest.approx(5.0, abs=1e-12)
+        traj = straight_line_init(self.dynamic)
+        assert trajectory_objective(self.dynamic, traj) == pytest.approx(5.0, abs=1e-12)
 
     def test_zero_iff_all_velocities_zero(self, rng):
         pos = np.zeros((5, 2))
@@ -128,9 +131,25 @@ class TestObjectiveCost:
             vel = rng.uniform(-1.0, 1.0, size=(5, 2))
             traj = Trajectory.from_arrays(pos, vel, np.zeros_like(pos), dt=1.0)
             if np.any(vel != 0.0):
-                assert objective_cost(traj) > 0.0
+                assert trajectory_objective(self.dynamic, traj) > 0.0
         still = Trajectory.from_arrays(pos, np.zeros_like(pos), np.zeros_like(pos), dt=1.0)
-        assert objective_cost(still) == 0.0
+        assert trajectory_objective(self.dynamic, still) == 0.0
+
+    def test_path_only_finite_differences(self):
+        # path-only mode ignores the velocity states: (1/0.5)^2 + (2/0.5)^2 = 20
+        scenario = Scenario(
+            robot=Point2D(),
+            obstacles=(),
+            start=RobotState.resting((0.0, 0.0)),
+            goal=RobotState.resting((3.0, 0.0)),
+            num_waypoints=3,
+            dt=0.5,
+            safety_margin=0.05,
+            dynamics_enabled=False,
+        )
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        traj = Trajectory.from_arrays(pos, np.ones_like(pos), np.zeros_like(pos), dt=0.5)
+        assert trajectory_objective(scenario, traj) == pytest.approx(20.0, abs=1e-12)
 
 
 class TestValidation:

@@ -89,7 +89,7 @@ def test_report_totals_sum_over_segment_solves(monkeypatch, tmp_path):
         safety_margin=0.05,
         dynamics_enabled=True,
     )
-    config = SplitConfig(num_splits=2, rho=5.0, eps=0.05, parallel=False)
+    config = SplitConfig(num_splits=2, rho=5.0, eps=0.05)
     report = run(scenario, config)
     solves = report.iterations * report.num_segments
     assert report.qp_nonoptimal == solves
