@@ -58,10 +58,9 @@ class SplitConfig:
     def __post_init__(self) -> None:
         if self.num_splits < 0:
             raise ConfigError("num_splits must be >= 0")
-        if self.rho <= 0.0:
-            raise ConfigError("rho must be > 0")
-        if self.eps <= 0.0:
-            raise ConfigError("eps must be > 0")
+        for name in ("rho", "eps"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0")
         if self.max_admm_iterations < 1:
             raise ConfigError("max_admm_iterations must be >= 1")
         if self.samples_per_edge < 0:

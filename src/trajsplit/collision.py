@@ -143,19 +143,6 @@ def linearize_collision_constraint(
     )
 
 
-def all_pairs(scenario: Scenario) -> list[tuple[int, int]]:
-    """Every (link_index, obstacle_index) combination of a scenario."""
-    return [(k, j) for k in range(link_count(scenario)) for j in range(len(scenario.obstacles))]
-
-
-def active_pairs(scenario: Scenario, q, activation: float | None = None) -> list[tuple[int, int]]:
-    """Pairs whose signed distance at ``q`` is within the activation band."""
-    if activation is None:
-        activation = activation_distance(scenario.safety_margin)
-    values = clearances(scenario, np.asarray(q, dtype=float)[None, :])[0]
-    return [(int(k), int(j)) for k, j in zip(*np.nonzero(values <= activation))]
-
-
 def trajectory_collision_free(
     scenario: Scenario, trajectory: Trajectory, samples_per_edge: int = 5
 ) -> bool:

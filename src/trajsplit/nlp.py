@@ -6,7 +6,7 @@ exact affine equalities, linearized inequalities with an l1 exact penalty on
 their violation, all inside an infinity-norm trust region.  The convex
 subproblems are solved by a primal active-set method.
 
-Collision constraints enter as the inequality evaluators; dynamics and
+Collision constraints enter as the inequality evaluator; dynamics and
 boundary pins are affine equalities and stay exactly satisfied at every
 iterate, so the penalty only ever acts on collision violation.
 """
@@ -153,18 +153,17 @@ class QuadraticFunction:
 ObjectiveFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
 HessianFn = Callable[[np.ndarray], np.ndarray]
 InequalityFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-ValuesFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class NlpProblem:
     """One smooth NLP in the form the convexification loop consumes.
 
-    ``inequalities`` is re-evaluated at the current iterate each round and
-    may return a different number of rows each time (e.g. only collision
-    pairs near contact).  ``inequality_values`` gives the full constraint
-    value set for merit and feasibility accounting; when omitted the row
-    evaluator's values are used.
+    ``inequalities`` is evaluated once at every point the solver visits and
+    its rows serve both the convex model and the merit and feasibility
+    accounting.  It may return a different number of rows each time: rows
+    may omit constraints that are satisfied at x (e.g. collision pairs far
+    from contact), never violated ones.
     """
 
     dim: int
@@ -173,7 +172,6 @@ class NlpProblem:
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
     inequalities: InequalityFn | None = None
-    inequality_values: ValuesFn | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     x0: np.ndarray | None = None
@@ -203,8 +201,8 @@ class SolverOptions:
             raise ConfigError("max_outer_iterations must be >= 1")
         for name in ("feasibility_tolerance", "step_tolerance", "initial_trust_radius",
                      "initial_penalty", "penalty_cap"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -241,6 +239,8 @@ def project_to_affine(x: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.n
 def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolution:
     """Solve an NLP by sequential convexification with an l1 exact penalty.
 
+    Every point visited (``x0`` and each trial step) is evaluated exactly
+    once; an accepted trial's evaluation is the next iteration's model.
     Never raises on non-convergence: the iteration limit returns the best
     iterate found with ``converged=False``.  Non-finite evaluator output
     raises ``EvaluatorError``.
@@ -260,54 +260,44 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         x = project_to_affine(x, a_eq, b_eq)
     x = np.clip(x, lower, upper)
 
-    def true_values(point: np.ndarray) -> np.ndarray:
-        if problem.inequality_values is not None:
-            vals = problem.inequality_values(point)
-        elif problem.inequalities is not None:
-            vals = problem.inequalities(point)[0]
+    def evaluate(point: np.ndarray):
+        """Objective value, gradient, symmetrized Hessian, inequality rows."""
+        f, g = problem.objective(point)
+        _check_finite(f, "objective")
+        _check_finite(g, "objective gradient")
+        if problem.objective_hessian is not None:
+            h = np.asarray(problem.objective_hessian(point), dtype=float)
+            _check_finite(h, "objective hessian")
         else:
-            return np.zeros(0)
-        vals = np.asarray(vals, dtype=float)
-        _check_finite(vals, "inequality evaluator")
-        return vals
+            h = np.eye(n)
+        if problem.inequalities is not None:
+            vals, jac = problem.inequalities(point)
+            vals = np.asarray(vals, dtype=float)
+            jac = np.asarray(jac, dtype=float).reshape(len(vals), n)
+            _check_finite(vals, "inequality evaluator")
+            _check_finite(jac, "inequality jacobian")
+        else:
+            vals, jac = np.zeros(0), np.zeros((0, n))
+        return f, g, 0.5 * (h + h.T), vals, jac
 
-    def violation(point: np.ndarray, vals: np.ndarray | None = None) -> float:
-        v = true_values(point) if vals is None else vals
-        ineq = float(np.max(v, initial=0.0))
-        eq = float(np.max(np.abs(a_eq @ point - b_eq), initial=0.0)) if a_eq.shape[0] else 0.0
-        return max(ineq, eq, 0.0)
+    def penalty(vals: np.ndarray) -> float:
+        return float(np.sum(np.maximum(vals, 0.0)))
+
+    def eq_violation(point: np.ndarray) -> float:
+        return float(np.max(np.abs(a_eq @ point - b_eq), initial=0.0)) if a_eq.shape[0] else 0.0
 
     mu = opts.initial_penalty
     delta = opts.initial_trust_radius
     prox = opts.prox_regularization
 
-    fx, _ = problem.objective(x)
-    _check_finite(fx, "objective")
-    vals_x = true_values(x)
-    merit = fx + mu * float(np.sum(np.maximum(vals_x, 0.0)))
+    fx, gx, h, rows_vals, rows_jac = evaluate(x)
+    merit = fx + mu * penalty(rows_vals)
 
     converged = False
     iterations = 0
     qp_stats = QpStats()
     for _ in range(opts.max_outer_iterations):
         iterations += 1
-        fx, gx = problem.objective(x)
-        _check_finite(gx, "objective gradient")
-        if problem.objective_hessian is not None:
-            h = np.asarray(problem.objective_hessian(x), dtype=float)
-            _check_finite(h, "objective hessian")
-        else:
-            h = np.eye(n)
-        h = 0.5 * (h + h.T)
-
-        if problem.inequalities is not None:
-            rows_vals, rows_jac = problem.inequalities(x)
-            rows_vals = np.asarray(rows_vals, dtype=float)
-            rows_jac = np.asarray(rows_jac, dtype=float).reshape(len(rows_vals), n)
-            _check_finite(rows_vals, "inequality evaluator")
-            _check_finite(rows_jac, "inequality jacobian")
-        else:
-            rows_vals, rows_jac = np.zeros(0), np.zeros((0, n))
         m_s = rows_vals.shape[0]
 
         # convex subproblem over [x; slacks]
@@ -349,57 +339,44 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         dx = x_new - x
         model_obj = fx + gx @ dx + 0.5 * dx @ h @ dx
         lin_vals = rows_vals + rows_jac @ dx
-        model_merit = model_obj + mu * float(np.sum(np.maximum(lin_vals, 0.0)))
+        model_merit = model_obj + mu * penalty(lin_vals)
         predicted = merit - model_merit
 
-        if predicted <= 1e-12 * max(1.0, abs(merit)):
-            # model is stationary inside the trust region
-            if violation(x, vals_x) <= opts.feasibility_tolerance:
+        # stalled: the model is stationary inside the trust region, or an
+        # accepted step is below the step tolerance
+        stalled = predicted <= 1e-12 * max(1.0, abs(merit))
+        if not stalled:
+            trial = evaluate(x_new)
+            f_new, _, _, vals_new, _ = trial
+            merit_new = f_new + mu * penalty(vals_new)
+            ratio = (merit - merit_new) / predicted
+
+            if ratio > opts.ratio_good:
+                delta = min(delta * opts.trust_expand, opts.max_trust_radius)
+            elif ratio < opts.ratio_bad:
+                delta = max(delta * opts.trust_shrink, opts.min_trust_radius)
+
+            if merit_new < merit:
+                stalled = float(np.max(np.abs(dx), initial=0.0)) <= opts.step_tolerance
+                x, merit = x_new, merit_new
+                fx, gx, h, rows_vals, rows_jac = trial
+            elif delta <= opts.min_trust_radius * 1.01:
+                break
+        if stalled:
+            if max(float(np.max(rows_vals, initial=0.0)), eq_violation(x)) <= opts.feasibility_tolerance:
                 converged = True
                 break
             if mu >= opts.penalty_cap:
                 break
             mu = min(mu * opts.penalty_growth, opts.penalty_cap)
             delta = max(delta, opts.initial_trust_radius)
-            merit = fx + mu * float(np.sum(np.maximum(vals_x, 0.0)))
-            continue
+            merit = fx + mu * penalty(rows_vals)
 
-        f_new, _ = problem.objective(x_new)
-        _check_finite(f_new, "objective")
-        vals_new = true_values(x_new)
-        merit_new = f_new + mu * float(np.sum(np.maximum(vals_new, 0.0)))
-        ratio = (merit - merit_new) / predicted
-
-        if ratio > opts.ratio_good:
-            delta = min(delta * opts.trust_expand, opts.max_trust_radius)
-        elif ratio < opts.ratio_bad:
-            delta = max(delta * opts.trust_shrink, opts.min_trust_radius)
-
-        if merit_new < merit:
-            step = float(np.max(np.abs(dx), initial=0.0))
-            x, fx, merit, vals_x = x_new, f_new, merit_new, vals_new
-            if step <= opts.step_tolerance:
-                if violation(x, vals_x) <= opts.feasibility_tolerance:
-                    converged = True
-                    break
-                if mu >= opts.penalty_cap:
-                    break
-                mu = min(mu * opts.penalty_growth, opts.penalty_cap)
-                delta = max(delta, opts.initial_trust_radius)
-                merit = fx + mu * float(np.sum(np.maximum(vals_x, 0.0)))
-        else:
-            if delta <= opts.min_trust_radius * 1.01:
-                break
-
-    f_final, _ = problem.objective(x)
-    final_vals = true_values(x)
-    eq_viol = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)) if a_eq.shape[0] else 0.0
-    ineq_viol = float(np.max(final_vals, initial=0.0)) if final_vals.size else 0.0
     return NlpSolution(
         point=x,
-        objective=f_final,
-        max_equality_violation=eq_viol,
-        max_inequality_violation=max(ineq_viol, 0.0),
+        objective=fx,
+        max_equality_violation=eq_violation(x),
+        max_inequality_violation=float(np.max(rows_vals, initial=0.0)),
         iterations=iterations,
         converged=converged,
         qp_nonoptimal=qp_stats.nonoptimal,
@@ -596,18 +573,15 @@ def segment_bounds(scenario: Scenario, layout: SegmentLayout) -> tuple[np.ndarra
     return lo, hi
 
 
-def _collision_evaluators(
-    scenario: Scenario, layout: SegmentLayout
-) -> tuple[InequalityFn, ValuesFn] | tuple[None, None]:
-    """Row evaluator (activation-filtered linearizations) and full values.
+def _collision_rows(scenario: Scenario, layout: SegmentLayout) -> InequalityFn | None:
+    """Row evaluator: activation-filtered linearizations of the clearances.
 
     Rows encode  margin - sd(q_k) <= 0  for each near-contact pair at each
-    waypoint, ordered by waypoint, then link, then obstacle; the full
-    evaluator reports every pair so merit accounting sees violations the
-    filter missed after a step.
+    waypoint, ordered by waypoint, then link, then obstacle.  The activation
+    distance exceeds the margin, so every violated pair is among the rows.
     """
     if not scenario.obstacles:
-        return None, None
+        return None
     margin = scenario.safety_margin
     activation = activation_distance(margin)
     # packed-vector columns of each waypoint's position block
@@ -620,10 +594,7 @@ def _collision_evaluators(
         jac[np.arange(waypoint.size)[:, None], columns[waypoint]] = -grad[waypoint, link, obstacle]
         return margin - sd[waypoint, link, obstacle], jac
 
-    def values(x: np.ndarray) -> np.ndarray:
-        return (margin - clearances(scenario, layout.positions(x))).ravel()
-
-    return rows, values
+    return rows
 
 
 def convexify_segment(
@@ -644,15 +615,13 @@ def convexify_segment(
     objective = build_segment_objective(scenario, first_index, last_index, couplings, rho)
     a_eq, b_eq = segment_equalities(scenario, first_index, last_index)
     lower, upper = segment_bounds(scenario, layout)
-    rows, values = _collision_evaluators(scenario, layout)
     return NlpProblem(
         dim=layout.size,
         objective=objective.value_and_grad,
         objective_hessian=objective.hessian,
         a_eq=a_eq,
         b_eq=b_eq,
-        inequalities=rows,
-        inequality_values=values,
+        inequalities=_collision_rows(scenario, layout),
         lower=lower,
         upper=upper,
         x0=np.array(x0, dtype=float),

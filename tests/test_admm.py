@@ -1,5 +1,6 @@
 """Consensus splitting: segment bookkeeping, the update rules, full runs."""
 
+import math
 import threading
 
 import numpy as np
@@ -122,6 +123,12 @@ class TestSplitConfig:
             SplitConfig(max_admm_iterations=0)
         with pytest.raises(ConfigError):
             SplitConfig(samples_per_edge=-1)
+
+    @pytest.mark.parametrize("name", ["rho", "eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            SplitConfig(**{name: value})
 
     def test_defaults(self):
         cfg = SplitConfig()

@@ -100,6 +100,13 @@ class TestSolveExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and "splits" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps", "nan"), ("--rho", "nan"), ("--eps", "inf"), ("--nlp-feas-tol", "nan"), ("--nlp-step-tol", "inf"),
+    ])
+    def test_non_finite_setting_rejected(self, corridor_file, flag, value, capsys):
+        assert main(["solve", str(corridor_file), flag, value]) == EXIT_INPUT
+        assert "must be finite and > 0" in capsys.readouterr().err
+
     def test_usage_error(self, capsys):
         assert main(["solve"]) == EXIT_INPUT
         assert main(["frobnicate"]) == EXIT_INPUT
@@ -157,6 +164,10 @@ class TestSweep:
             masked_a = [v for i, v in enumerate(row_a) if i != wall_column]
             masked_b = [v for i, v in enumerate(row_b) if i != wall_column]
             assert masked_a == masked_b
+
+    def test_non_finite_eps_rejected(self, corridor_file, capsys):
+        assert main(["sweep", str(corridor_file), "--splits-list", "1", "--eps-list", "nan"]) == EXIT_INPUT
+        assert "eps must be finite and > 0" in capsys.readouterr().err
 
     def test_bad_repeats(self, corridor_file, capsys):
         assert main(["sweep", str(corridor_file), "--repeats", "0"]) == EXIT_INPUT

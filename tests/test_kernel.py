@@ -166,6 +166,43 @@ def polygon_arm_scenario(num_waypoints):
     )
 
 
+def margin_values(scenario, layout, x):
+    """margin - sd of every (waypoint, link, obstacle) triple, in row order."""
+    return scenario.safety_margin - clearances(scenario, layout.positions(x)).ravel()
+
+
+@given(
+    st.one_of(
+        st.just(Point2D()),
+        st.builds(
+            PlanarArm,
+            link_lengths=st.lists(st.floats(0.3, 1.0), min_size=1, max_size=3).map(tuple),
+            link_radius=st.floats(0.0, 0.2),
+        ),
+    ),
+    st.lists(st.one_of(circles, polygons()), min_size=1, max_size=4),
+    st.floats(0.0, 0.5),
+    st.booleans(),
+    st.data(),
+)
+def test_rows_carry_every_violated_pair(robot, obstacles, margin, dynamics, data):
+    # The solver's merit and feasibility read only the rows at x, so their
+    # positive entries must be exactly those of margin - sd over all pairs.
+    count = data.draw(st.integers(2, 4))
+    scenario = Scenario(
+        robot=robot, obstacles=tuple(obstacles),
+        start=RobotState.resting(np.zeros(robot.dim)), goal=RobotState.resting(np.zeros(robot.dim)),
+        num_waypoints=count, dt=0.2, safety_margin=margin, dynamics_enabled=dynamics,
+    )
+    layout = segment_layout(scenario, 0, count - 1)
+    bound = 2.0 if isinstance(robot, Point2D) else math.pi
+    coords = st.floats(-bound, bound, allow_nan=False)
+    x = np.array(data.draw(st.lists(coords, min_size=layout.size, max_size=layout.size)))
+    rows, _ = convexify_segment(scenario, 0, count - 1, x).inequalities(x)
+    full = margin_values(scenario, layout, x)
+    np.testing.assert_array_equal(rows[rows > 0.0], full[full > 0.0])
+
+
 def test_clearances_match_per_pair_queries(rng):
     scenario = polygon_arm_scenario(4)
     qs = rng.uniform(-math.pi, math.pi, size=(5, 3))
@@ -208,12 +245,12 @@ def test_batched_rows_match_finite_differences_on_polygons(rng):
         x = rng.uniform(-math.pi, math.pi, size=layout.size)
         problem = convexify_segment(scenario, 0, 3, x)
         row_vals, row_jac = problem.inequalities(x)
-        full = problem.inequality_values(x)
+        full = margin_values(scenario, layout, x)
         active = np.nonzero(scenario.safety_margin - full <= activation)[0]
         np.testing.assert_array_equal(row_vals, full[active])
         if not active.size:
             continue
-        forward, backward = one_sided_jacobians(lambda y: problem.inequality_values(y)[active], x, 1e-7)
+        forward, backward = one_sided_jacobians(lambda y: margin_values(scenario, layout, y)[active], x, 1e-7)
         central = 0.5 * (forward + backward)
         for r in range(active.size):
             scale = max(1.0, float(np.abs(central[r]).max()))

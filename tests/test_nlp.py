@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trajsplit.collision import clearances, pair_distance
 from trajsplit.errors import ConfigError, EvaluatorError
 from trajsplit.geometry import Circle
 from trajsplit.model import PlanarArm, Point2D, RobotState, Scenario
@@ -263,6 +264,36 @@ class TestSolve:
             SolverOptions(feasibility_tolerance=-1.0)
         with pytest.raises(ConfigError):
             SolverOptions(initial_trust_radius=0.0)
+
+    @pytest.mark.parametrize("name", [
+        "feasibility_tolerance", "step_tolerance", "initial_trust_radius", "initial_penalty", "penalty_cap",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_options_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            SolverOptions(**{name: value})
+
+    def test_each_point_evaluated_once(self):
+        # One evaluation at x0 and one per trial point: no point is visited
+        # twice, and a stationary-model iteration evaluates nothing.
+        target = np.array([0.5, 0.0])
+        obj = QuadraticFunction(hessian_matrix=2.0 * np.eye(2), linear=-2.0 * target)
+        visited = []
+
+        def keepout(x):
+            visited.append(x.copy())
+            r = np.linalg.norm(x)
+            return np.array([1.0 - r]), (-x / r).reshape(1, 2)
+
+        problem = NlpProblem(
+            dim=2, objective=obj.value_and_grad, objective_hessian=obj.hessian,
+            inequalities=keepout, x0=np.array([2.0, 0.0]),
+        )
+        sol = solve(problem, SolverOptions(max_outer_iterations=100))
+        assert sol.converged
+        assert 2 <= len(visited) <= 1 + sol.iterations
+        assert len({p.tobytes() for p in visited}) == len(visited)
+        np.testing.assert_array_equal(visited[0], [2.0, 0.0])
 
     def test_bad_x0_shape_rejected(self):
         obj = QuadraticFunction(hessian_matrix=np.eye(2), linear=np.zeros(2))
@@ -530,14 +561,12 @@ class TestConvexifySegment:
         layout = segment_layout(scenario, 0, 2)
         pos = rng.normal(size=(3, 2))
         x = layout.pack(pos, np.zeros((3, 2)))
-        problem = convexify_segment(scenario, 0, 2, x)
-        from trajsplit.collision import pair_distance
-
         want = []
         for k in range(3):
             for j in range(2):
                 want.append(0.1 - pair_distance(scenario, pos[k], 0, j).value)
-        np.testing.assert_allclose(problem.inequality_values(x), want, atol=1e-12)
+        full = 0.1 - clearances(scenario, layout.positions(x)).ravel()
+        np.testing.assert_allclose(full, want, atol=1e-12)
 
     def test_row_values_exact_at_linearization_point(self, rng):
         scenario = point_scenario(n=3, obstacles=[Circle((1.0, 0.5), 0.6)], margin=0.1)
@@ -546,7 +575,7 @@ class TestConvexifySegment:
         x = layout.pack(pos, np.zeros((3, 2)))
         problem = convexify_segment(scenario, 0, 2, x)
         rows_vals, _ = problem.inequalities(x)
-        full = problem.inequality_values(x)
+        full = 0.1 - clearances(scenario, layout.positions(x)).ravel()
         active = full[full >= rows_vals.min() - 1e-12] if rows_vals.size else full
         # every emitted row value appears among the true constraint values
         for v in rows_vals:
