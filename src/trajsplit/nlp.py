@@ -1,10 +1,16 @@
-"""Trajectory NLP solver: sequential convexification over a dense QP.
+"""Trajectory NLP solver: sequential convexification over a factor-once QP.
 
 The nonlinear program  min f(x)  s.t.  A x = b,  g(x) <= 0,  lo <= x <= hi
 is solved by repeatedly minimizing a convex model: quadratic expansion of f,
 exact affine equalities, linearized inequalities with an l1 exact penalty on
 their violation, all inside an infinity-norm trust region.  The convex
-subproblems are solved by a primal active-set method.
+subproblems are solved by a Schur-complement primal active-set method.  The
+KKT matrix of the Hessian and the equalities is factored once per solve, and
+again only if the Hessian changes (for a trajectory segment it never does:
+the objective is quadratic and the dynamics affine).  The trust region and
+joint limits are bounds that fix variables, and the linearized rows are
+elastic: each row's penalty slack is fixed at zero or tied to the row, never
+a variable.
 
 Collision constraints enter as the inequality evaluator; dynamics and
 boundary pins are affine equalities and stay exactly satisfied at every
@@ -23,7 +29,7 @@ from .collision import linearize_collision_constraint, pair_distance  # noqa: F4
 from .errors import ConfigError, EvaluatorError
 from .model import Scenario
 
-# --- convex QP, dense primal active set ------------------------------------
+# --- convex QP: factor-once Schur-complement active set ----------------------
 
 
 @dataclass
@@ -31,31 +37,39 @@ class QpStats:
     """Tallies of QP outcomes that are not a clean optimum.
 
     ``nonoptimal`` counts ``solve_qp`` returns that hit the iteration cap;
-    ``kkt_fallbacks`` counts singular KKT systems answered by least squares.
+    ``kkt_fallbacks`` counts singular systems answered by least squares: a
+    base KKT matrix, a Schur system, or the Gram matrix of a projection.
     """
 
     nonoptimal: int = 0
     kkt_fallbacks: int = 0
 
 
-def _solve_kkt(
-    h: np.ndarray, a: np.ndarray, rhs_top: np.ndarray, rhs_bot: np.ndarray, stats: QpStats | None = None
-):
-    """Solve [[H, A^T], [A, 0]] [x; lam] = [rhs_top; rhs_bot]."""
-    n, m = h.shape[0], a.shape[0]
+def kkt_inverse(hessian: np.ndarray, a_eq: np.ndarray, stats: QpStats | None = None) -> np.ndarray:
+    """Inverse of the base KKT matrix [[H, A'], [A, 0]] of a QP, symmetrized.
+
+    Every active-set step of ``solve_qp`` reuses it: the optimum of the base
+    problem is one product with it, and a constraint row c entering the
+    working set needs only the column K^-1 [c; 0] (for a bound, a column of
+    the inverse itself).  A singular base is answered by the pseudo-inverse
+    and counted in ``stats.kkt_fallbacks``.
+    """
+    n, m = hessian.shape[0], a_eq.shape[0]
     kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = h
-    if m:
-        kkt[:n, n:] = a.T
-        kkt[n:, :n] = a
-    rhs = np.concatenate([rhs_top, rhs_bot])
+    kkt[:n, :n] = hessian
+    kkt[:n, n:] = a_eq.T
+    kkt[n:, :n] = a_eq
     try:
-        sol = np.linalg.solve(kkt, rhs)
+        inverse = np.linalg.inv(kkt)
     except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        inverse = np.linalg.pinv(kkt)
         if stats is not None:
             stats.kkt_fallbacks += 1
-    return sol[:n], sol[n:]
+    # symmetrized, so that row i is column i
+    return 0.5 * (inverse + inverse.T)
+
+
+_FREE, _TIGHT, _TIED = 0, 1, 2  # row states; only elastic rows are ever tied
 
 
 def solve_qp(
@@ -67,61 +81,176 @@ def solve_qp(
     b_in: np.ndarray,
     x0: np.ndarray,
     *,
+    lower: np.ndarray | None = None,
+    upper: np.ndarray | None = None,
+    penalty: np.ndarray | None = None,
+    base_inverse: np.ndarray | None = None,
     tol: float = 1e-11,
     max_iterations: int | None = None,
     stats: QpStats | None = None,
 ) -> tuple[np.ndarray, bool]:
-    """Minimize 1/2 x'Hx + g'x s.t. A_eq x = b_eq, A_in x <= b_in.
+    """Minimize 1/2 x'Hx + g'x + sum_r penalty_r max(0, a_r x - b_r)
+    s.t. A_eq x = b_eq, a_r x <= b_r for the hard rows, lower <= x <= upper.
 
-    H must be positive definite.  ``x0`` must satisfy the inequalities (the
-    equalities are restored by the first full step if slightly violated).
-    Returns (x, optimal); when the iteration cap is hit the best iterate so
-    far is returned with optimal=False.  ``stats``, when given, tallies
-    non-optimal returns and least-squares KKT fallbacks.
+    ``penalty`` gives each row of A_in an l1 weight >= 0, or inf for a hard
+    row (the default for every row).  A finite weight makes the row elastic,
+    as in Fletcher's Sl1QP: it stands for a slack s_r >= 0 with
+    a_r x - s_r <= b_r at cost penalty_r s_r, but the slack is never a
+    variable.  It is either fixed at 0 (the row acts as a hard inequality)
+    or tied to its row (s_r = a_r x - b_r > 0, and the weight moves into the
+    gradient).
+
+    Primal active set over one inverted base KKT matrix [[H, A_eq'], [A_eq,
+    0]] (``base_inverse`` from ``kkt_inverse``, or built here): each step
+    solves only the Schur system of the working set, whose entries are
+    active bounds (the variable is fixed exactly at the bound value) and
+    tight rows.  H must be positive definite on the nullspace of A_eq.  ``x0`` must satisfy the hard rows
+    and the bounds (the equalities are restored by the first full step if
+    slightly violated).  Returns (x, optimal); when the iteration cap is hit
+    the iterate reached so far is returned with optimal=False.  ``stats``,
+    when given, tallies non-optimal returns and least-squares fallbacks.
     """
-    n = gradient.shape[0]
-    m_in = a_in.shape[0]
-    x = np.array(x0, dtype=float)
+    n, m = gradient.shape[0], a_in.shape[0]
+    lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+    hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    weight = np.full(m, np.inf) if penalty is None else np.asarray(penalty, dtype=float)
+    elastic = weight < np.inf
     if max_iterations is None:
-        max_iterations = 3 * (n + m_in) + 100
+        max_iterations = 3 * (n + m + np.count_nonzero(np.isfinite(lo)) + np.count_nonzero(np.isfinite(hi))) + 100
+    kinv = kkt_inverse(hessian, a_eq, stats) if base_inverse is None else base_inverse
+    b = np.asarray(b_in, dtype=float)
+    row_norms = np.sqrt(np.einsum("ij,ij->i", a_in, a_in))
 
-    slack0 = b_in - a_in @ x if m_in else np.zeros(0)
-    active: list[int] = [int(i) for i in np.nonzero(slack0 <= 1e-11)[0]]
-    row_norms = np.linalg.norm(a_in, axis=1) if m_in else np.zeros(0)
+    # optimum of the base problem, K^-1 rhs; tying a row subtracts weight * [a_r; 0] from rhs
+    rhs = np.concatenate([-gradient, b_eq])
+    free_opt = kinv @ rhs
+    columns: dict[int, np.ndarray] = {}
+
+    def row_column(r: int) -> np.ndarray:
+        if r not in columns:
+            nz = np.flatnonzero(a_in[r])
+            columns[r] = a_in[r, nz] @ kinv[nz]
+        return columns[r]
+
+    # working set: entries (variable j for a bound, n + r for row r), their
+    # columns K^-1 [c; 0], the Schur matrix and the right-hand sides
+    entries: list[int] = []
+    cols = np.zeros((kinv.shape[0], 0))
+    schur = np.zeros((0, 0))
+    values = np.zeros(0)
+
+    def add(e: int) -> None:
+        nonlocal cols, schur, values
+        if e < n:
+            col, cross, value, pivot = kinv[e], cols[e], fixed_at[e], kinv[e, e]
+        else:
+            r = e - n
+            nz = np.flatnonzero(a_in[r])
+            col = row_column(r)
+            cross = a_in[r, nz] @ cols[nz]
+            value = b[r]
+            pivot = a_in[r, nz] @ col[nz]
+        k = len(entries)
+        grown = np.empty((k + 1, k + 1))
+        grown[:k, :k] = schur
+        grown[k, :k] = grown[:k, k] = cross
+        grown[k, k] = pivot
+        cols, schur, values = np.column_stack([cols, col]), grown, np.append(values, value)
+        entries.append(e)
+
+    def remove(pos: int) -> None:
+        nonlocal cols, schur, values
+        keep = np.arange(len(entries)) != pos
+        cols, schur, values = cols[:, keep], schur[np.ix_(keep, keep)], values[keep]
+        entries.pop(pos)
+
+    def tie(r: int, sign: float) -> None:
+        """Tie (sign=1) or untie (sign=-1, the row turns tight) elastic row r's slack."""
+        state[r] = _TIED if sign > 0 else _TIGHT
+        rhs[:n] -= sign * weight[r] * a_in[r]
+        free_opt[:] -= sign * weight[r] * row_column(r)
+
+    x = np.array(x0, dtype=float)
+    fixed = np.zeros(n, dtype=bool)
+    fixed_at = np.zeros(n)
+    upper_side = np.zeros(n, dtype=bool)
+    state = np.full(m, _FREE)
+    for r in np.flatnonzero(elastic & (a_in @ x > b)):
+        tie(int(r), 1.0)
 
     for _ in range(max_iterations):
-        a_act = np.vstack([a_eq] + [a_in[active]]) if active else a_eq
-        b_act = np.concatenate([b_eq] + [b_in[active]]) if active else b_eq
-        target, lam = _solve_kkt(hessian, a_act, -gradient, b_act, stats)
+        if entries:
+            lhs = cols.T @ rhs - values
+            try:
+                lam = np.linalg.solve(schur, lhs)
+            except np.linalg.LinAlgError:
+                lam = np.linalg.lstsq(schur, lhs, rcond=None)[0]
+                if stats is not None:
+                    stats.kkt_fallbacks += 1
+            target = free_opt[:n] - cols[:n] @ lam
+            np.copyto(target, fixed_at, where=fixed)
+        else:
+            target = free_opt[:n].copy()
         p = target - x
-        if float(np.max(np.abs(p), initial=0.0)) <= tol:
-            if not active:
-                return target, True
-            lam_in = lam[a_eq.shape[0]:]
-            worst = int(np.argmin(lam_in))
-            if lam_in[worst] >= -1e-9:
-                return target, True
-            active.pop(worst)
+        if not n or np.abs(p).max() <= tol:
+            x = target
+            if not entries:
+                return x, True
+            # multipliers signed so that >= 0 is optimal; a tight elastic row
+            # also needs weight - lam >= 0, else its slack is released (tied)
+            index = np.array(entries)
+            bound = index < n
+            signed = lam.copy()
+            signed[bound] *= np.where(upper_side[index[bound]], 1.0, -1.0)
+            release = np.full(lam.size, np.inf)
+            row = ~bound
+            row[row] = elastic[index[row] - n]
+            release[row] = weight[index[row] - n] - lam[row]
+            if min(signed.min(), release.min()) >= -1e-9:
+                return x, True
+            untie = release.min() < signed.min()
+            drop = int(np.argmin(release if untie else signed))
+            e = entries[drop]
+            remove(drop)
+            if e < n:
+                fixed[e] = False
+            elif untie:
+                tie(e - n, 1.0)
+            else:
+                state[e - n] = _FREE
             continue
-        # longest feasible step toward the subproblem optimum
-        alpha, blocker = 1.0, -1
-        if m_in:
-            mask = np.ones(m_in, dtype=bool)
-            mask[active] = False
-            idx = np.nonzero(mask)[0]
-            if idx.size:
-                s = a_in[idx] @ p
-                pn = float(np.linalg.norm(p))
-                pos = s > 1e-12 * np.maximum(1.0, row_norms[idx] * pn)
-                cand = idx[pos]
-                if cand.size:
-                    limits = np.maximum((b_in[cand] - a_in[cand] @ x) / s[pos], 0.0)
-                    k = int(np.argmin(limits))
-                    if limits[k] < alpha:
-                        alpha, blocker = float(limits[k]), int(cand[k])
+        # longest feasible step toward the working-set optimum (fixed
+        # variables have p = 0 exactly, so no bound of theirs can block)
+        pn = float(np.sqrt(p @ p))
+        thresh = 1e-12 * max(1.0, pn)
+        bound_limit = np.full(n, np.inf)
+        np.divide(hi - x, p, out=bound_limit, where=p > thresh)
+        np.divide(lo - x, p, out=bound_limit, where=p < -thresh)
+        j = int(np.argmin(bound_limit))
+        alpha, r = min(float(bound_limit[j]), 1.0), -1
+        if m:
+            ap = a_in @ p
+            row_thresh = 1e-12 * np.maximum(1.0, row_norms * pn)
+            # a free row rising to its bound, or a tied slack falling to 0
+            blocks = np.where(state == _TIED, -ap, np.where(state == _FREE, ap, 0.0)) > row_thresh
+            row_limit = np.full(m, np.inf)
+            np.divide(b - a_in @ x, ap, out=row_limit, where=blocks)
+            r = int(np.argmin(row_limit))
+            if row_limit[r] < alpha:
+                alpha = float(row_limit[r])
+            else:
+                r = -1
+        alpha = max(alpha, 0.0)
         x = x + alpha * p
-        if blocker >= 0:
-            active.append(blocker)
+        if r >= 0:
+            if state[r] == _TIED:
+                tie(r, -1.0)
+            state[r] = _TIGHT
+            add(n + r)
+        elif alpha < 1.0:
+            fixed[j], upper_side[j] = True, p[j] > 0
+            fixed_at[j] = x[j] = hi[j] if upper_side[j] else lo[j]
+            add(j)
     if stats is not None:
         stats.nonoptimal += 1
     return x, False
@@ -200,9 +329,20 @@ class SolverOptions:
         if self.max_outer_iterations < 1:
             raise ConfigError("max_outer_iterations must be >= 1")
         for name in ("feasibility_tolerance", "step_tolerance", "initial_trust_radius",
-                     "initial_penalty", "penalty_cap"):
+                     "initial_penalty", "penalty_cap", "prox_regularization"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and > 0")
+        # comparisons are written so that NaN fails them
+        if not self.trust_expand >= 1.0:
+            raise ConfigError("trust_expand must be >= 1")
+        if not 0.0 < self.trust_shrink < 1.0:
+            raise ConfigError("trust_shrink must be in (0, 1)")
+        if not 0.0 < self.ratio_bad <= self.ratio_good < 1.0:
+            raise ConfigError("need 0 < ratio_bad <= ratio_good < 1")
+        if not 0.0 < self.min_trust_radius <= self.max_trust_radius < np.inf:
+            raise ConfigError("need 0 < min_trust_radius <= max_trust_radius < inf")
+        if not self.penalty_growth > 1.0:
+            raise ConfigError("penalty_growth must be > 1")
 
 
 @dataclass(frozen=True)
@@ -222,8 +362,14 @@ def _check_finite(value, what: str) -> None:
         raise EvaluatorError(f"{what} produced a non-finite value")
 
 
-def project_to_affine(x: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
-    """Least-norm correction onto the affine set A x = b."""
+def project_to_affine(
+    x: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, stats: QpStats | None = None
+) -> np.ndarray:
+    """Least-norm correction onto the affine set A x = b.
+
+    Redundant rows make the Gram matrix singular; the correction is then
+    taken by least squares and counted in ``stats.kkt_fallbacks``.
+    """
     r = b_eq - a_eq @ x
     if float(np.max(np.abs(r), initial=0.0)) <= 1e-12:
         return x
@@ -231,8 +377,9 @@ def project_to_affine(x: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> np.n
     try:
         w = np.linalg.solve(gram, r)
     except np.linalg.LinAlgError:
-        w = np.linalg.lstsq(a_eq, r, rcond=None)[0]
-        return x + w
+        if stats is not None:
+            stats.kkt_fallbacks += 1
+        return x + np.linalg.lstsq(a_eq, r, rcond=None)[0]
     return x + a_eq.T @ w
 
 
@@ -256,8 +403,9 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     lower = problem.lower if problem.lower is not None else np.full(n, -np.inf)
     upper = problem.upper if problem.upper is not None else np.full(n, np.inf)
 
+    qp_stats = QpStats()
     if a_eq.shape[0]:
-        x = project_to_affine(x, a_eq, b_eq)
+        x = project_to_affine(x, a_eq, b_eq, qp_stats)
     x = np.clip(x, lower, upper)
 
     def evaluate(point: np.ndarray):
@@ -295,46 +443,22 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
 
     converged = False
     iterations = 0
-    qp_stats = QpStats()
+    base = base_hessian = None  # kkt_inverse of H + prox I and A_eq, kept while H is unchanged
     for _ in range(opts.max_outer_iterations):
         iterations += 1
-        m_s = rows_vals.shape[0]
+        if base is None or not np.array_equal(h, base_hessian):
+            base_hessian, hprox = h, h + prox * np.eye(n)
+            base = kkt_inverse(hprox, a_eq, qp_stats)
 
-        # convex subproblem over [x; slacks]
-        nq = n + m_s
-        hqp = np.zeros((nq, nq))
-        hqp[:n, :n] = h
-        hqp[np.arange(nq), np.arange(nq)] += prox
-        gqp = np.zeros(nq)
-        gqp[:n] = gx - h @ x - prox * x
-        gqp[n:] = mu
-
-        aeq_qp = np.hstack([a_eq, np.zeros((a_eq.shape[0], m_s))]) if a_eq.shape[0] else np.zeros((0, nq))
-
+        # convex subproblem: the quadratic model, the linearized rows as
+        # elastic rows at weight mu, the trust region as bounds
         lo_eff = np.maximum(lower, x - delta)
         hi_eff = np.minimum(upper, x + delta)
-        rows = []
-        rhs = []
-        eye = np.eye(nq)
-        for i in range(n):
-            rows.append(eye[i])
-            rhs.append(hi_eff[i])
-            rows.append(-eye[i])
-            rhs.append(-lo_eff[i])
-        for r in range(m_s):
-            row = np.zeros(nq)
-            row[:n] = rows_jac[r]
-            row[n + r] = -1.0
-            rows.append(row)
-            rhs.append(float(rows_jac[r] @ x - rows_vals[r]))
-            rows.append(-eye[n + r])
-            rhs.append(0.0)
-        a_in = np.array(rows)
-        b_in = np.array(rhs)
-
-        x0_qp = np.concatenate([x, np.maximum(rows_vals, 0.0)])
-        sol, _ = solve_qp(hqp, gqp, aeq_qp, np.array(b_eq, dtype=float), a_in, b_in, x0_qp, stats=qp_stats)
-        x_new = np.clip(sol[:n], lo_eff, hi_eff)
+        sol, _ = solve_qp(
+            hprox, gx - hprox @ x, a_eq, b_eq, rows_jac, rows_jac @ x - rows_vals, x,
+            lower=lo_eff, upper=hi_eff, penalty=np.full(len(rows_vals), mu), base_inverse=base, stats=qp_stats,
+        )
+        x_new = np.clip(sol, lo_eff, hi_eff)
 
         dx = x_new - x
         model_obj = fx + gx @ dx + 0.5 * dx @ h @ dx

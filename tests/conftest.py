@@ -160,3 +160,62 @@ def enumerate_qp(hessian, gradient, a_eq, b_eq, a_in, b_in, tol=1e-9):
             if best is None or val < best[0] - 1e-12:
                 best = (val, x)
     return best
+
+
+def nonnegative_least_squares(a, b, tol=1e-13):
+    """min |a x - b| subject to x >= 0, by the Lawson-Hanson active set."""
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n + 10):
+        w = a.T @ (b - a @ x)
+        if passive.all() or np.max(w[~passive]) <= tol:
+            break
+        passive[np.flatnonzero(~passive)[np.argmax(w[~passive])]] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if np.all(z[passive] > 0.0):
+                x = z
+                break
+            shrink = passive & (z <= 0.0)
+            alpha = np.min(x[shrink] / (x[shrink] - z[shrink]))
+            x = x + alpha * (z - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+    return x
+
+
+def qp_kkt_residuals(hessian, gradient, a_eq, b_eq, a_in, b_in, lower, upper, x, active_tol=1e-9):
+    """Largest violations of the KKT conditions of a convex QP at x.
+
+    Returns (stationarity, primal feasibility).  Multipliers are supported on
+    the constraints active at x (within ``active_tol``, so complementarity
+    holds by construction) and found by nonnegative least squares, with the
+    equality multipliers free; any nonnegative choice that zeroes the
+    Lagrangian gradient certifies optimality.
+    """
+    grad = hessian @ x + gradient
+    ineq = a_in @ x - b_in
+    directions = [a_in[ineq >= -active_tol]]
+    directions.append(np.eye(x.size)[x >= upper - active_tol])
+    directions.append(-np.eye(x.size)[x <= lower + active_tol])
+    c = np.vstack(directions).T
+    # free equality multipliers: work in the orthogonal complement of range(A_eq')
+    if a_eq.shape[0]:
+        u, sv, _ = np.linalg.svd(a_eq.T, full_matrices=False)
+        basis = u[:, sv > 1e-12 * sv[0]]
+        project = np.eye(x.size) - basis @ basis.T
+    else:
+        project = np.eye(x.size)
+    lam = nonnegative_least_squares(project @ c, -project @ grad) if c.shape[1] else np.zeros(0)
+    rest = grad + c @ lam
+    if a_eq.shape[0]:
+        rest = rest - a_eq.T @ np.linalg.lstsq(a_eq.T, rest, rcond=None)[0]
+    feasibility = max(
+        float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)),
+        float(np.max(ineq, initial=0.0)),
+        float(np.max(lower - x, initial=0.0)),
+        float(np.max(x - upper, initial=0.0)),
+    )
+    return float(np.max(np.abs(rest), initial=0.0)), feasibility

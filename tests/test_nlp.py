@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trajsplit import nlp
 from trajsplit.collision import clearances, pair_distance
 from trajsplit.errors import ConfigError, EvaluatorError
 from trajsplit.geometry import Circle
@@ -272,6 +273,101 @@ class TestSolve:
     def test_non_finite_options_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             SolverOptions(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1e-10, math.inf, math.nan])
+    def test_prox_regularization_range(self, value):
+        with pytest.raises(ConfigError, match="prox_regularization"):
+            SolverOptions(prox_regularization=value)
+
+    @pytest.mark.parametrize("value", [0.999, 0.0, -2.0, math.nan])
+    def test_trust_expand_range(self, value):
+        with pytest.raises(ConfigError, match="trust_expand"):
+            SolverOptions(trust_expand=value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 2.0, -0.5, math.nan])
+    def test_trust_shrink_range(self, value):
+        with pytest.raises(ConfigError, match="trust_shrink"):
+            SolverOptions(trust_shrink=value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, 0.8, math.nan])
+    def test_ratio_bad_range(self, value):
+        # 0.8 exceeds the default ratio_good 0.75
+        with pytest.raises(ConfigError, match="ratio_bad"):
+            SolverOptions(ratio_bad=value)
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, 0.2, math.nan])
+    def test_ratio_good_range(self, value):
+        # 0.2 is below the default ratio_bad 0.25
+        with pytest.raises(ConfigError, match="ratio_good"):
+            SolverOptions(ratio_good=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, 20.0, math.nan])
+    def test_min_trust_radius_range(self, value):
+        # 20 exceeds the default max_trust_radius 16
+        with pytest.raises(ConfigError, match="min_trust_radius"):
+            SolverOptions(min_trust_radius=value)
+
+    @pytest.mark.parametrize("value", [math.inf, 1e-11, math.nan])
+    def test_max_trust_radius_range(self, value):
+        # 1e-11 is below the default min_trust_radius 1e-10
+        with pytest.raises(ConfigError, match="max_trust_radius"):
+            SolverOptions(max_trust_radius=value)
+
+    @pytest.mark.parametrize("value", [1.0, 0.5, -10.0, math.nan])
+    def test_penalty_growth_range(self, value):
+        with pytest.raises(ConfigError, match="penalty_growth"):
+            SolverOptions(penalty_growth=value)
+
+    def test_range_edges_accepted(self):
+        SolverOptions(trust_expand=1.0, ratio_bad=0.5, ratio_good=0.5, min_trust_radius=2.0, max_trust_radius=2.0)
+
+    def test_base_factored_once_per_solve(self, monkeypatch):
+        # A QuadraticFunction returns the same Hessian at every point, so the
+        # base KKT matrix is factored once however many SCP iterations run.
+        factored = []
+        real = nlp.kkt_inverse
+
+        def counting(hessian, *args, **kwargs):
+            factored.append(hessian.shape)
+            return real(hessian, *args, **kwargs)
+
+        monkeypatch.setattr(nlp, "kkt_inverse", counting)
+        target = np.array([0.5, 0.0])
+        obj = QuadraticFunction(hessian_matrix=2.0 * np.eye(2), linear=-2.0 * target)
+
+        def keepout(x):
+            r = np.linalg.norm(x)
+            return np.array([1.0 - r]), (-x / r).reshape(1, 2)
+
+        problem = NlpProblem(
+            dim=2, objective=obj.value_and_grad, objective_hessian=obj.hessian,
+            inequalities=keepout, x0=np.array([2.0, 0.0]),
+        )
+        sol = solve(problem, SolverOptions(max_outer_iterations=100))
+        assert sol.converged
+        assert sol.iterations > 1
+        assert factored == [(2, 2)]
+
+    def test_changed_hessian_is_refactored(self, monkeypatch):
+        factored = []
+        real = nlp.kkt_inverse
+
+        def counting(hessian, *args, **kwargs):
+            factored.append(hessian.copy())
+            return real(hessian, *args, **kwargs)
+
+        monkeypatch.setattr(nlp, "kkt_inverse", counting)
+        # f(x) = x^4 / 4 - x, modelled with the Hessian 3x^2 + 1, which differs
+        # at every accepted point
+        problem = NlpProblem(
+            dim=1, objective=lambda x: (float(x[0] ** 4 / 4 - x[0]), np.array([x[0] ** 3 - 1.0])),
+            objective_hessian=lambda x: np.array([[3.0 * x[0] ** 2 + 1.0]]), x0=np.array([3.0]),
+        )
+        sol = solve(problem, SolverOptions(max_outer_iterations=200))
+        assert sol.converged
+        assert sol.point[0] == pytest.approx(1.0, abs=1e-4)
+        assert len(factored) > 1
+        assert len({float(h[0, 0]) for h in factored}) == len(factored)
 
     def test_each_point_evaluated_once(self):
         # One evaluation at x0 and one per trial point: no point is visited

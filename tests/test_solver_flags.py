@@ -9,8 +9,9 @@ import numpy as np
 from trajsplit import admm, nlp
 from trajsplit.admm import SplitConfig, run
 from trajsplit.model import Point2D, RobotState, Scenario
-from trajsplit.nlp import NlpProblem, QpStats, QuadraticFunction, solve, solve_qp
-from trajsplit.scenario_io import report_to_dict
+from trajsplit.cli import bundled_scenario_dir
+from trajsplit.nlp import NlpProblem, QpStats, QuadraticFunction, project_to_affine, solve, solve_qp
+from trajsplit.scenario_io import load_scenario, report_to_dict
 
 NO_ROWS = (np.zeros((0, 2)), np.zeros(0))
 
@@ -57,6 +58,35 @@ def test_nlp_solution_carries_fallbacks():
     assert solution.converged
     assert solution.kkt_fallbacks >= 1
     assert solve(quadratic_problem()).kkt_fallbacks == 0
+
+
+def test_singular_projection_counts_as_fallback():
+    # the redundant rows of quadratic_problem: A A' is singular
+    a_eq, b_eq = np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([1.0, 1.0])
+    stats = QpStats()
+    x = project_to_affine(np.zeros(2), a_eq, b_eq, stats)
+    np.testing.assert_allclose(x, [0.0, 1.0], atol=1e-12)
+    assert stats == QpStats(kkt_fallbacks=1)
+
+
+def test_nlp_solution_carries_projection_fallback():
+    # off the affine set, x0 is projected first: one more fallback than on it
+    on_set = solve(quadratic_problem(np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([0.0, 0.0])))
+    off_set = solve(quadratic_problem(np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([1.0, 1.0])))
+    assert on_set.converged and off_set.converged
+    np.testing.assert_allclose(off_set.point, [10.0, 1.0], atol=1e-6)
+    assert off_set.kkt_fallbacks == on_set.kkt_fallbacks + 1
+
+
+def test_long_monolithic_horizon_is_clean():
+    # circle_blocked stretched to N = 160, solved in one piece: the active
+    # set must neither cycle to the iteration cap nor meet a singular system
+    base = load_scenario(bundled_scenario_dir() / "circle_blocked.yaml")
+    horizon = base.dt * (base.num_waypoints - 1)
+    scenario = replace(base, num_waypoints=160, dt=horizon / 159)
+    report = run(scenario, SplitConfig(num_splits=0, rho=2.0, eps=0.05))
+    assert report.converged
+    assert (report.qp_nonoptimal, report.kkt_fallbacks) == (0, 0)
 
 
 def test_nlp_solution_carries_nonoptimal_returns(monkeypatch):
