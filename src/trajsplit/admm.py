@@ -6,12 +6,14 @@ pair ties the copies together.  Each round solves the segments one after
 another, averages the split copies into the consensus targets, and pushes
 the duals by rho times the remaining disagreement.  The loop stops when the
 mean position disagreement across splits drops below the splitting
-tolerance.
+tolerance.  Rounds change only the consensus linear terms and warm starts:
+a run's ``FactorCache`` builds each segment's Hessian, equalities, bounds
+and rows once, and inverts its base KKT matrix once per segment shape
+(waypoint count, pinned start, pinned goal).
 
 The gain of splitting is that each segment's cost grows with its own
-waypoints, not the whole trajectory's.  Running the segments on threads adds
-nothing to that: the work is GIL-bound numpy with small LAPACK calls, and a
-thread pool measured slower than this serial loop on every benchmark workload.
+waypoints, not the whole trajectory's.  Threads add nothing to that: the
+work is GIL-bound numpy, and a pool measured slower on every workload.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import ConfigError
 from .model import Scenario, Trajectory, path_length, straight_line_init
 from .nlp import (
     ConsensusCoupling,
+    FactorCache,
     NlpSolution,
     SegmentLayout,
     SolverOptions,
@@ -111,9 +114,7 @@ class ConsensusState:
         )
 
     def imbalance(self) -> float:
-        if len(self.split_indices) == 0:
-            return 0.0
-        return float(np.max(np.abs(self.dual_end + self.dual_start)))
+        return float(np.max(np.abs(self.dual_end + self.dual_start), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -162,36 +163,21 @@ def split_uniform(num_waypoints: int, num_splits: int) -> tuple[int, ...]:
 
 def build_segments(scenario: Scenario, splits: tuple[int, ...], x_full: np.ndarray) -> list[SegmentProblem]:
     """Slice the packed full trajectory into per-segment subproblems."""
-    full = segment_layout(scenario, 0, scenario.num_waypoints - 1)
+    sd = segment_layout(scenario, 0, scenario.num_waypoints - 1).state_dim
     edges = [0, *splits, scenario.num_waypoints - 1]
-    segments = []
-    for i in range(len(edges) - 1):
-        first = edges[i]
-        last = edges[i + 1]
-        layout = segment_layout(scenario, first, last)
-        x = x_full[full.state_slice(first).start : full.state_slice(last).stop].copy()
-        segments.append(SegmentProblem(index=i, first=first, last=last, layout=layout, x=x))
-    return segments
+    return [
+        SegmentProblem(i, a, b, segment_layout(scenario, a, b), x_full[a * sd : (b + 1) * sd].copy())
+        for i, (a, b) in enumerate(zip(edges, edges[1:]))
+    ]
 
 
 def segment_couplings(segment: SegmentProblem, consensus: ConsensusState) -> list[ConsensusCoupling]:
     """Consensus terms touching this segment: its lead copy and trail split."""
-    couplings = []
-    m = len(consensus.split_indices)
-    if segment.index > 0:
-        j = segment.index - 1
-        couplings.append(
-            ConsensusCoupling(waypoint=0, dual=consensus.dual_start[j], target=consensus.targets[j])
-        )
-    if segment.index < m:
-        j = segment.index
-        couplings.append(
-            ConsensusCoupling(
-                waypoint=segment.layout.count - 1,
-                dual=consensus.dual_end[j],
-                target=consensus.targets[j],
-            )
-        )
+    couplings, j, last = [], segment.index, segment.layout.count - 1
+    if j > 0:
+        couplings.append(ConsensusCoupling(0, consensus.dual_start[j - 1], consensus.targets[j - 1]))
+    if j < len(consensus.split_indices):
+        couplings.append(ConsensusCoupling(last, consensus.dual_end[j], consensus.targets[j]))
     return couplings
 
 
@@ -200,11 +186,15 @@ def primal_update(
     segments: list[SegmentProblem],
     consensus: ConsensusState,
     config: SplitConfig,
+    factors: FactorCache | None = None,
+    deadline: float | None = None,
 ) -> list[NlpSolution]:
     """Solve every segment, in segment order, from its warm start.
 
     Each solve sees only the consensus state of the previous round, so the
     order does not change the result; the new iterates are written back.
+    ``factors`` (the run's cache) and ``deadline`` go to every segment
+    problem (see ``convexify_segment``).
     """
     solutions = []
     for segment in segments:
@@ -215,6 +205,8 @@ def primal_update(
             segment.x,
             segment_couplings(segment, consensus),
             config.rho,
+            factors,
+            deadline,
         )
         solution = solve(problem, config.nlp_options)
         segment.x = solution.point
@@ -241,16 +233,9 @@ def consensus_update(segments: list[SegmentProblem], consensus: ConsensusState, 
 
 def splitting_residual(segments: list[SegmentProblem], scenario: Scenario) -> float:
     """Mean position disagreement across splits: sqrt(sum |dq|^2) / M."""
-    m = len(segments) - 1
-    if m == 0:
-        return 0.0
-    d = scenario.dim
-    total = 0.0
-    for j in range(m):
-        ql = segments[j].end_state()[:d]
-        qr = segments[j + 1].start_state()[:d]
-        total += float(np.sum((ql - qr) ** 2))
-    return float(np.sqrt(total)) / m
+    m, d = len(segments) - 1, scenario.dim
+    gaps = [a.end_state()[:d] - b.start_state()[:d] for a, b in zip(segments, segments[1:])]
+    return float(np.sqrt(sum(float(np.sum(gap**2)) for gap in gaps))) / m if m else 0.0
 
 
 def assemble_trajectory(
@@ -264,26 +249,15 @@ def assemble_trajectory(
     """
     n, d = scenario.num_waypoints, scenario.dim
     dt = scenario.dt
-    positions = np.zeros((n, d))
-    velocities = np.zeros((n, d))
+    states = np.zeros((n, segments[0].layout.state_dim))
     for segment in segments:
-        for k in range(segment.layout.count):
-            state = segment.x[segment.layout.state_slice(k)]
-            gi = segment.first + k
-            positions[gi] = state[:d]
-            if scenario.dynamics_enabled:
-                velocities[gi] = state[d:]
-    for j, s in enumerate(consensus.split_indices):
-        z = consensus.targets[j]
-        positions[s] = z[:d]
-        if scenario.dynamics_enabled:
-            velocities[s] = z[d:]
+        states[segment.first : segment.last + 1] = segment.x.reshape(segment.layout.count, -1)
+    states[list(consensus.split_indices)] = consensus.targets
     # boundary states are pinned constraints; stamp them to drop KKT roundoff
-    positions[0] = scenario.start.position
-    positions[-1] = scenario.goal.position
-    if scenario.dynamics_enabled:
-        velocities[0] = scenario.start.velocity
-        velocities[-1] = scenario.goal.velocity
+    for k, end in ((0, scenario.start), (-1, scenario.goal)):
+        states[k] = np.concatenate([end.position, end.velocity])[: states.shape[1]]
+    positions = states[:, :d]
+    velocities = states[:, d:] if scenario.dynamics_enabled else np.zeros((n, d))
     if not scenario.dynamics_enabled:
         velocities[:-1] = (positions[1:] - positions[:-1]) / dt
         velocities[-1] = velocities[-2] if n > 1 else 0.0
@@ -317,11 +291,13 @@ def run(
     """Full splitting solve of one scenario.
 
     With ``num_splits == 0`` this is exactly one monolithic NLP solve.  A
-    deadline, when given, is checked between rounds; hitting it ends the run
-    with ``converged=False`` and ``deadline_reached=True``.
+    deadline, when given, is checked in every SCP iteration of every segment
+    solve and between rounds; hitting it ends the run with
+    ``converged=False`` and ``deadline_reached=True``.
     """
     cfg = config or SplitConfig()
     t0 = time.perf_counter()
+    deadline = None if deadline_seconds is None else t0 + deadline_seconds
     splits = split_uniform(scenario.num_waypoints, cfg.num_splits)
     x_full = initial_point(scenario)
     full_layout = segment_layout(scenario, 0, scenario.num_waypoints - 1)
@@ -341,11 +317,12 @@ def run(
     deadline_reached = False
     iterations = 0
     solutions: list[NlpSolution] = []
+    factors = FactorCache(scenario)
 
     for it in range(1, cfg.max_admm_iterations + 1):
         iterations = it
         tp = time.perf_counter()
-        solutions = primal_update(scenario, segments, consensus, cfg)
+        solutions = primal_update(scenario, segments, consensus, cfg, factors, deadline)
         primal_seconds += time.perf_counter() - tp
         nonconverged += sum(1 for s in solutions if not s.converged)
         qp_nonoptimal += sum(s.qp_nonoptimal for s in solutions)
@@ -356,12 +333,12 @@ def run(
         consensus_seconds += time.perf_counter() - tc
         residual_history.append(residual)
         iteration_seconds.append(time.perf_counter() - t0)
-        if residual <= cfg.eps:
-            converged = all(s.converged for s in solutions)
+        out_of_time = deadline is not None and time.perf_counter() >= deadline
+        if residual <= cfg.eps or out_of_time:
+            converged = residual <= cfg.eps and all(s.converged for s in solutions)
+            deadline_reached = out_of_time and not converged
             break
-        if deadline_seconds is not None and time.perf_counter() - t0 >= deadline_seconds:
-            deadline_reached = True
-            break
+    del factors  # the factors serve the rounds only; the final check runs without them
 
     trajectory = assemble_trajectory(scenario, segments, consensus)
     collision_free = trajectory_collision_free(scenario, trajectory, cfg.samples_per_edge)

@@ -106,13 +106,6 @@ def dynamics_residual(trajectory: Trajectory) -> float:
     between the stored next state and ``dynamics_step`` of the current one.
     Zero for a single-waypoint trajectory.
     """
-    worst = 0.0
-    for i in range(len(trajectory) - 1):
-        pred_pos, pred_vel = dynamics_step(trajectory.states[i], trajectory.dt)
-        nxt = trajectory.states[i + 1]
-        gap = max(
-            float(np.max(np.abs(nxt.position - pred_pos))),
-            float(np.max(np.abs(nxt.velocity - pred_vel))),
-        )
-        worst = max(worst, gap)
-    return worst
+    q, v, a, dt = trajectory.positions(), trajectory.velocities(), trajectory.accelerations(), trajectory.dt
+    gaps = np.maximum(np.abs(q[1:] - (q[:-1] + dt * v[:-1])), np.abs(v[1:] - (v[:-1] + dt * a[:-1])))
+    return float(np.max(gaps, initial=0.0))

@@ -5,12 +5,12 @@ is solved by repeatedly minimizing a convex model: quadratic expansion of f,
 exact affine equalities, linearized inequalities with an l1 exact penalty on
 their violation, all inside an infinity-norm trust region.  The convex
 subproblems are solved by a Schur-complement primal active-set method.  The
-KKT matrix of the Hessian and the equalities is factored once per solve, and
-again only if the Hessian changes (for a trajectory segment it never does:
-the objective is quadratic and the dynamics affine).  The trust region and
-joint limits are bounds that fix variables, and the linearized rows are
-elastic: each row's penalty slack is fixed at zero or tied to the row, never
-a variable.
+KKT matrix of the Hessian and the equalities is factored once per run per
+segment shape (a ``FactorCache`` keeps it), and again only if the Hessian
+changes: for a trajectory segment it never does, since the objective is
+quadratic and the dynamics affine.  The trust region and joint limits are
+bounds that fix variables, and the linearized rows are elastic: each row's
+penalty slack is fixed at zero or tied to the row, never a variable.
 
 Collision constraints enter as the inequality evaluator; dynamics and
 boundary pins are affine equalities and stay exactly satisfied at every
@@ -19,6 +19,7 @@ iterate, so the penalty only ever acts on collision violation.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -67,6 +68,32 @@ def kkt_inverse(hessian: np.ndarray, a_eq: np.ndarray, stats: QpStats | None = N
             stats.kkt_fallbacks += 1
     # symmetrized, so that row i is column i
     return 0.5 * (inverse + inverse.T)
+
+
+class FactorCache:
+    """Base KKT inverses and segment parts shared by the NLP solves of one run.
+
+    ``inverse`` finds a base by its exact matrices, so equal segments share
+    one factorization and no hand-in can change an answer; a shared
+    pseudo-inverse counts one ``kkt_fallbacks`` in each solve that uses it.
+    ``segments`` keeps the fixed parts of ``scenario``'s segment NLPs.
+    """
+
+    def __init__(self, scenario: Scenario | None = None) -> None:
+        self.scenario, self.segments, self._bases = scenario, {}, []
+
+    def inverse(self, hessian: np.ndarray, a_eq: np.ndarray, stats: QpStats) -> np.ndarray:
+        """``kkt_inverse`` of a base, factored on first use; ``hessian`` is kept uncopied."""
+        for h, a, inverse, fallbacks in self._bases:
+            if np.array_equal(h, hessian) and np.array_equal(a, a_eq):
+                break
+        else:
+            own = QpStats()
+            inverse = kkt_inverse(hessian, a_eq, own)
+            fallbacks = own.kkt_fallbacks
+            self._bases.append((hessian, a_eq.copy(), inverse, fallbacks))
+        stats.kkt_fallbacks += fallbacks
+        return inverse
 
 
 _FREE, _TIGHT, _TIED = 0, 1, 2  # row states; only elastic rows are ever tied
@@ -292,7 +319,8 @@ class NlpProblem:
     its rows serve both the convex model and the merit and feasibility
     accounting.  It may return a different number of rows each time: rows
     may omit constraints that are satisfied at x (e.g. collision pairs far
-    from contact), never violated ones.
+    from contact), never violated ones.  Solves sharing ``factors`` factor
+    each base once; ``deadline`` is a ``time.perf_counter`` value.
     """
 
     dim: int
@@ -304,6 +332,8 @@ class NlpProblem:
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     x0: np.ndarray | None = None
+    factors: FactorCache | None = None
+    deadline: float | None = None
 
 
 @dataclass(frozen=True)
@@ -388,9 +418,10 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
 
     Every point visited (``x0`` and each trial step) is evaluated exactly
     once; an accepted trial's evaluation is the next iteration's model.
-    Never raises on non-convergence: the iteration limit returns the best
-    iterate found with ``converged=False``.  Non-finite evaluator output
-    raises ``EvaluatorError``.
+    Never raises on non-convergence: the iteration limit, or the problem's
+    ``deadline`` reached first, returns the iterate reached with
+    ``converged=False``.  Non-finite evaluator output raises
+    ``EvaluatorError``.
     """
     opts = options or SolverOptions()
     n = problem.dim
@@ -404,6 +435,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     upper = problem.upper if problem.upper is not None else np.full(n, np.inf)
 
     qp_stats = QpStats()
+    factors = problem.factors if problem.factors is not None else FactorCache()
     if a_eq.shape[0]:
         x = project_to_affine(x, a_eq, b_eq, qp_stats)
     x = np.clip(x, lower, upper)
@@ -448,7 +480,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         iterations += 1
         if base is None or not np.array_equal(h, base_hessian):
             base_hessian, hprox = h, h + prox * np.eye(n)
-            base = kkt_inverse(hprox, a_eq, qp_stats)
+            base = factors.inverse(hprox, a_eq, qp_stats)
 
         # convex subproblem: the quadratic model, the linearized rows as
         # elastic rows at weight mu, the trust region as bounds
@@ -495,6 +527,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
             mu = min(mu * opts.penalty_growth, opts.penalty_cap)
             delta = max(delta, opts.initial_trust_radius)
             merit = fx + mu * penalty(rows_vals)
+        if problem.deadline is not None and time.perf_counter() >= problem.deadline:
+            break
 
     return NlpSolution(
         point=x,
@@ -549,17 +583,18 @@ class SegmentLayout:
         return slice(i, i + self.dim)
 
     def pack(self, positions: np.ndarray, velocities: np.ndarray) -> np.ndarray:
+        blocks = [np.asarray(positions, dtype=float)[: self.count]]
         if self.dynamics:
-            return np.concatenate(
-                [np.concatenate([positions[k], velocities[k]]) for k in range(self.count)]
-            )
-        return np.asarray(positions, dtype=float)[: self.count].reshape(-1).copy()
+            blocks.append(np.asarray(velocities, dtype=float)[: self.count])
+        return np.hstack(blocks).reshape(-1)
 
     def positions(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.count, self.state_dim)[:, : self.dim].copy()
 
     def velocities(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([x[self.velocity_slice(k)] for k in range(self.count)])
+        if not self.dynamics:
+            raise ConfigError("path-only layout has no velocity block")
+        return x.reshape(self.count, self.state_dim)[:, self.dim :].copy()
 
 
 def segment_layout(scenario: Scenario, first_index: int, last_index: int) -> SegmentLayout:
@@ -567,12 +602,7 @@ def segment_layout(scenario: Scenario, first_index: int, last_index: int) -> Seg
         raise ConfigError(
             f"segment [{first_index}, {last_index}] out of range for {scenario.num_waypoints} waypoints"
         )
-    return SegmentLayout(
-        count=last_index - first_index + 1,
-        dim=scenario.dim,
-        dynamics=scenario.dynamics_enabled,
-        dt=scenario.dt,
-    )
+    return SegmentLayout(last_index - first_index + 1, scenario.dim, scenario.dynamics_enabled, scenario.dt)
 
 
 @dataclass(frozen=True)
@@ -586,6 +616,22 @@ class ConsensusCoupling:
     waypoint: int
     dual: np.ndarray
     target: np.ndarray
+
+
+def _consensus_linear(layout: SegmentLayout, couplings, rho: float) -> tuple[np.ndarray, float]:
+    """Linear term and constant of the consensus terms; checks each coupling."""
+    g = np.zeros(layout.size)
+    c = 0.0
+    for cp in couplings:
+        if not 0 <= cp.waypoint < layout.count:
+            raise ConfigError(f"coupling waypoint {cp.waypoint} outside segment")
+        y = np.asarray(cp.dual, dtype=float)
+        z = np.asarray(cp.target, dtype=float)
+        if y.shape != (layout.state_dim,) or z.shape != (layout.state_dim,):
+            raise ConfigError("coupling dual/target must match the state dimension")
+        g[layout.state_slice(cp.waypoint)] += y - rho * z
+        c += float(-y @ z + 0.5 * rho * z @ z)
+    return g, c
 
 
 def build_segment_objective(
@@ -604,36 +650,24 @@ def build_segment_objective(
     by exactly one segment so no halving is needed.
     """
     layout = segment_layout(scenario, first_index, last_index)
-    n = layout.size
+    n, d, count = layout.size, layout.dim, layout.count
+    g, c = _consensus_linear(layout, couplings, rho)
     h = np.zeros((n, n))
-    g = np.zeros(n)
-    c = 0.0
-    coupled = {cp.waypoint for cp in couplings}
     if layout.dynamics:
-        for k in range(layout.count):
-            w = 0.5 if k in coupled else 1.0
-            sl = layout.velocity_slice(k)
-            h[sl, sl] += 2.0 * w * np.eye(layout.dim)
+        weight = np.ones(count)
+        weight[[cp.waypoint for cp in couplings]] = 0.5
+        velocity = layout.state_dim * np.arange(count)[:, None] + d + np.arange(d)
+        h[velocity, velocity] = 2.0 * weight[:, None]
     else:
+        # squared edge differences: a path-graph Laplacian on each coordinate
         scale = 2.0 / (layout.dt * layout.dt)
-        for k in range(layout.count - 1):
-            a = layout.position_slice(k)
-            b = layout.position_slice(k + 1)
-            h[a, a] += scale * np.eye(layout.dim)
-            h[b, b] += scale * np.eye(layout.dim)
-            h[a, b] -= scale * np.eye(layout.dim)
-            h[b, a] -= scale * np.eye(layout.dim)
+        degree = (np.arange(count) > 0).astype(float) + (np.arange(count) < count - 1)
+        np.fill_diagonal(h, scale * np.repeat(degree, d))
+        edge = np.arange(n - d)
+        h[edge, edge + d] = h[edge + d, edge] = -scale
     for cp in couplings:
-        if not 0 <= cp.waypoint < layout.count:
-            raise ConfigError(f"coupling waypoint {cp.waypoint} outside segment")
-        y = np.asarray(cp.dual, dtype=float)
-        z = np.asarray(cp.target, dtype=float)
-        if y.shape != (layout.state_dim,) or z.shape != (layout.state_dim,):
-            raise ConfigError("coupling dual/target must match the state dimension")
-        sl = layout.state_slice(cp.waypoint)
-        h[sl, sl] += rho * np.eye(layout.state_dim)
-        g[sl] += y - rho * z
-        c += float(-y @ z + 0.5 * rho * z @ z)
+        diagonal = np.arange(n)[layout.state_slice(cp.waypoint)]
+        h[diagonal, diagonal] += rho
     return QuadraticFunction(hessian_matrix=h, linear=g, constant=c)
 
 
@@ -647,40 +681,22 @@ def segment_equalities(
     pinned, consensus terms steer them instead.
     """
     layout = segment_layout(scenario, first_index, last_index)
-    n, d = layout.size, layout.dim
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def pin(sl: slice, values: np.ndarray) -> None:
-        for off, v in zip(range(sl.start, sl.stop), values):
-            row = np.zeros(n)
-            row[off] = 1.0
-            rows.append(row)
-            rhs.append(float(v))
-
-    if layout.dynamics:
-        dt = layout.dt
-        for k in range(layout.count - 1):
-            qa, qb = layout.position_slice(k), layout.position_slice(k + 1)
-            va = layout.velocity_slice(k)
-            for i in range(d):
-                row = np.zeros(n)
-                row[qb.start + i] = 1.0
-                row[qa.start + i] = -1.0
-                row[va.start + i] = -dt
-                rows.append(row)
-                rhs.append(0.0)
-    if first_index == 0:
-        pin(layout.position_slice(0), scenario.start.position)
-        if layout.dynamics:
-            pin(layout.velocity_slice(0), scenario.start.velocity)
+    n, d, sd = layout.size, layout.dim, layout.state_dim
+    # q_{k+1} - q_k - dt v_k = 0 per waypoint pair and coordinate; q holds the q_k columns
+    edges = layout.count - 1 if layout.dynamics else 0
+    q = (sd * np.arange(edges)[:, None] + np.arange(d)).reshape(-1)
+    pins = [(0, scenario.start)] if first_index == 0 else []
     if last_index == scenario.num_waypoints - 1:
-        pin(layout.position_slice(layout.count - 1), scenario.goal.position)
-        if layout.dynamics:
-            pin(layout.velocity_slice(layout.count - 1), scenario.goal.velocity)
-    if not rows:
-        return np.zeros((0, n)), np.zeros(0)
-    return np.array(rows), np.array(rhs)
+        pins.append((layout.count - 1, scenario.goal))
+    pinned = (sd * np.array([k for k, _ in pins], dtype=int)[:, None] + np.arange(sd)).reshape(-1)
+    rows = np.arange(q.size)
+    a_eq = np.zeros((q.size + pinned.size, n))
+    a_eq[rows, q + sd] = 1.0
+    a_eq[rows, q] = -1.0
+    a_eq[rows, q + d] = -layout.dt
+    a_eq[q.size + np.arange(pinned.size), pinned] = 1.0
+    values = [np.concatenate([state.position, state.velocity])[:sd] for _, state in pins]
+    return a_eq, np.concatenate([np.zeros(q.size), *values])
 
 
 def segment_bounds(scenario: Scenario, layout: SegmentLayout) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -690,10 +706,8 @@ def segment_bounds(scenario: Scenario, layout: SegmentLayout) -> tuple[np.ndarra
         return None, None
     lo = np.full(layout.size, -np.inf)
     hi = np.full(layout.size, np.inf)
-    for k in range(layout.count):
-        sl = layout.position_slice(k)
-        lo[sl] = limits[:, 0]
-        hi[sl] = limits[:, 1]
+    lo.reshape(layout.count, layout.state_dim)[:, : layout.dim] = limits[:, 0]
+    hi.reshape(layout.count, layout.state_dim)[:, : layout.dim] = limits[:, 1]
     return lo, hi
 
 
@@ -728,25 +742,40 @@ def convexify_segment(
     x0: np.ndarray,
     couplings: Sequence[ConsensusCoupling] = (),
     rho: float = 0.0,
+    factors: FactorCache | None = None,
+    deadline: float | None = None,
 ) -> NlpProblem:
     """Assemble the NLP for one trajectory segment.
 
     ``x0`` is the packed warm-start vector (see SegmentLayout).  With an
     empty coupling list and the full waypoint range this is exactly the
-    monolithic problem.
+    monolithic problem.  A ``factors`` cache built for this scenario keeps
+    each segment's Hessian, equalities, bounds and row evaluator, so later
+    calls build only the consensus term; it and ``deadline`` go to ``solve``.
     """
     layout = segment_layout(scenario, first_index, last_index)
-    objective = build_segment_objective(scenario, first_index, last_index, couplings, rho)
-    a_eq, b_eq = segment_equalities(scenario, first_index, last_index)
-    lower, upper = segment_bounds(scenario, layout)
+    g, c = _consensus_linear(layout, couplings, rho)
+    held = factors.segments if factors is not None and factors.scenario is scenario else {}
+    key = (first_index, last_index, tuple(cp.waypoint for cp in couplings), rho)
+    if key not in held:
+        held[key] = (
+            build_segment_objective(scenario, first_index, last_index, couplings, rho).hessian_matrix,
+            *segment_equalities(scenario, first_index, last_index),
+            *segment_bounds(scenario, layout),
+            _collision_rows(scenario, layout),
+        )
+    hessian, a_eq, b_eq, lower, upper, rows = held[key]
+    objective = QuadraticFunction(hessian_matrix=hessian, linear=g, constant=c)
     return NlpProblem(
         dim=layout.size,
         objective=objective.value_and_grad,
         objective_hessian=objective.hessian,
         a_eq=a_eq,
         b_eq=b_eq,
-        inequalities=_collision_rows(scenario, layout),
+        inequalities=rows,
         lower=lower,
         upper=upper,
         x0=np.array(x0, dtype=float),
+        factors=factors,
+        deadline=deadline,
     )
