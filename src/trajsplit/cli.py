@@ -1,7 +1,8 @@
 """Command line front end: solve one scenario, sweep parameters, or bench.
 
 Exit codes for ``solve``: 0 converged and collision-free, 2 not converged,
-3 converged but the assembled trajectory still collides, 1 bad input.
+3 converged but the assembled trajectory still collides (the first contact is
+printed), 1 bad input.
 Non-convergence wins over collision since nothing about a non-converged
 trajectory is trustworthy.  ``sweep`` and ``bench`` exit 0 once all their
 runs completed, 1 on bad input.
@@ -17,6 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import admm
+from .collision import first_contact
 from .errors import TrajsplitError
 from .nlp import SolverOptions
 from .scenario_io import load_scenario, write_report
@@ -149,6 +151,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not report.converged:
         return EXIT_NOT_CONVERGED
     if not report.collision_free:
+        contact = first_contact(scenario, report.trajectory, config.samples_per_edge)
+        print(f"first contact: {contact} (safety margin {scenario.safety_margin!r})")
         return EXIT_COLLISION
     return EXIT_OK
 

@@ -3,7 +3,10 @@
 The robot body is a set of convex shapes placed by forward kinematics: one
 capsule per arm link, or a zero-radius disc for a point robot.  Every
 clearance query goes through ``clearances``, which evaluates all
-(configuration, link, obstacle) triples of a configuration stack in one call
+(configuration, link, obstacle) triples of a configuration stack.  A broad
+phase bounds each pair by the distance from the obstacle's bounding circle
+to the link, and callers that need exact values only up to a cutoff (the
+solver's rows, the final check) send only the pairs within it to one call
 of the batched signed-distance kernel.
 """
 
@@ -22,7 +25,6 @@ from .geometry import (
     core_clearance,
     core_signed_distance,
     signed_distance,
-    stack_cores,
 )
 from .kinematics import forward_kinematics, link_segments
 from .kinematics import point_jacobian  # noqa: F401  (wrapped here by benchmark/tracing.py)
@@ -32,6 +34,9 @@ from .model import PlanarArm, Point2D, RobotState, Scenario, Trajectory
 # generous enough that anything able to collide within a trust step is kept.
 ACTIVATION_OFFSET = 0.2
 ACTIVATION_FACTOR = 3.0
+# Broad-phase bounds are compared with a cutoff after this relative slack,
+# so that their roundoff can never turn away a pair the kernel would keep.
+CUTOFF_SLACK = 1e-9
 
 
 def activation_distance(safety_margin: float) -> float:
@@ -63,7 +68,23 @@ def link_count(scenario: Scenario) -> int:
     return 1 if isinstance(scenario.robot, Point2D) else scenario.robot.dim
 
 
-def clearances(scenario: Scenario, configs, with_gradients: bool = False):
+def clearance_bounds(scenario: Scenario, origins, endpoints) -> np.ndarray:
+    """Lower bounds on the signed distance of every (configuration, link,
+    obstacle) triple, given the link segments (m, links, 2) of ``link_segments``.
+
+    Each bound is the signed distance from the link to the obstacle's
+    bounding circle, which contains the obstacle: exact for a disc.
+    """
+    obstacles = scenario.obstacle_cores
+    edge = (endpoints - origins)[:, :, None, :]
+    rel = obstacles.centers - origins[:, :, None, :]
+    length2 = np.sum(edge * edge, axis=-1)
+    t = np.clip(np.sum(rel * edge, axis=-1) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
+    gap = rel - t[..., None] * edge
+    return np.hypot(gap[..., 0], gap[..., 1]) - obstacles.reach - getattr(scenario.robot, "link_radius", 0.0)
+
+
+def clearances(scenario: Scenario, configs, with_gradients: bool = False, cutoff: float | None = None):
     """Signed distance of every (configuration, link, obstacle) triple.
 
     ``configs`` is an (m, n) stack of configurations; the values come back
@@ -71,29 +92,44 @@ def clearances(scenario: Scenario, configs, with_gradients: bool = False):
     respect to each configuration, (m, links, obstacles, n), come back too:
     the contact normal pulled back through the Jacobian of the robot-side
     witness, taken as rigidly attached to its link.
+
+    With a ``cutoff``, a broad phase first bounds each pair from below by
+    the distance from the obstacle's bounding circle to the link.  Only
+    pairs whose bound is within the cutoff reach the exact kernel; the
+    others read their bound, which exceeds the cutoff, and a zero gradient.
+    Every value at or below the cutoff is exact.
     """
     configs = np.asarray(configs, dtype=float)
     model = scenario.robot
     links = link_count(scenario)
-    if not scenario.obstacles:
-        values = np.zeros((len(configs), links, 0))
-        return (values, np.zeros(values.shape + (model.dim,))) if with_gradients else values
-    origins, endpoints = link_segments(model, configs)
-    if isinstance(model, Point2D):
-        body, radius = origins[:, :, None, None, :], 0.0
-    else:
-        body, radius = np.stack([origins, endpoints], axis=2)[:, :, None], model.link_radius
-    obstacles, obstacle_radii = stack_cores(scenario.obstacles)
-    if not with_gradients:
-        return core_clearance(body, radius, obstacles, obstacle_radii)
-    values, witness, _, normal = core_signed_distance(body, radius, obstacles, obstacle_radii)
-    if isinstance(model, Point2D):
-        return values, normal
-    # d sd / d q_j = cross(witness - origin_j, normal) for joints j <= link
-    r = witness[:, :, :, None, :] - origins[:, None, None, :, :]
-    cross = r[..., 0] * normal[..., None, 1] - r[..., 1] * normal[..., None, 0]
-    chain = np.tril(np.ones((links, links)))[None, :, None, :]
-    return values, cross * chain
+    values = np.zeros((len(configs), links, len(scenario.obstacles)))
+    gradients = np.zeros(values.shape + (model.dim,)) if with_gradients else None
+    if scenario.obstacles:
+        obstacles = scenario.obstacle_cores
+        origins, endpoints = link_segments(model, configs)
+        if cutoff is None:
+            near = np.ones(values.shape, dtype=bool)
+        else:
+            values[:] = clearance_bounds(scenario, origins, endpoints)
+            near = values <= cutoff + CUTOFF_SLACK * max(1.0, abs(cutoff))
+        config, link, obstacle = np.nonzero(near)
+        if config.size:
+            body = origins[config, link, None] if isinstance(model, Point2D) else np.stack(
+                [origins[config, link], endpoints[config, link]], axis=1)
+            radius = getattr(model, "link_radius", 0.0)
+            pairs = (body, radius, obstacles.cores[obstacle], obstacles.radii[obstacle])
+            if not with_gradients:
+                values[near] = core_clearance(*pairs)
+            else:
+                values[near], witness, _, normal = core_signed_distance(*pairs)
+                if isinstance(model, Point2D):
+                    gradients[near] = normal
+                else:
+                    # d sd / d q_j = cross(witness - origin_j, normal) for joints j <= link
+                    r = witness[:, None, :] - origins[config]
+                    cross = r[..., 0] * normal[:, None, 1] - r[..., 1] * normal[:, None, 0]
+                    gradients[near] = cross * (np.arange(links) <= link[:, None])
+    return (values, gradients) if with_gradients else values
 
 
 def min_scenario_clearance(scenario: Scenario, state: RobotState) -> float:
@@ -101,9 +137,7 @@ def min_scenario_clearance(scenario: Scenario, state: RobotState) -> float:
 
     +inf for an obstacle-free scenario.  Negative values mean penetration.
     """
-    if not scenario.obstacles:
-        return math.inf
-    return float(clearances(scenario, state.position[None, :]).min())
+    return float(clearances(scenario, state.position[None, :]).min(initial=math.inf))
 
 
 @dataclass(frozen=True)
@@ -143,17 +177,51 @@ def linearize_collision_constraint(
     )
 
 
-def trajectory_collision_free(
-    scenario: Scenario, trajectory: Trajectory, samples_per_edge: int = 5
-) -> bool:
-    """Whether clearance exceeds the safety margin along the whole path.
+@dataclass(frozen=True)
+class Contact:
+    """A checked configuration within the safety margin of an obstacle.
+
+    ``sample`` 0 is waypoint ``waypoint`` itself; ``sample`` s > 0 is the
+    s-th interpolated configuration inside the edge that starts there.
+    """
+
+    waypoint: int
+    sample: int
+    link: int
+    obstacle: int
+    clearance: float
+
+    def __str__(self) -> str:
+        where = (f"waypoint {self.waypoint}" if self.sample == 0
+                 else f"edge {self.waypoint}-{self.waypoint + 1} sample {self.sample}")
+        return f"{where}, link {self.link}, obstacle {self.obstacle}, clearance {self.clearance!r}"
+
+
+def first_contact(scenario: Scenario, trajectory: Trajectory, samples_per_edge: int = 5) -> Contact | None:
+    """First checked configuration along the path within the safety margin.
 
     Checks every waypoint plus ``samples_per_edge`` linearly interpolated
     configurations strictly inside each edge, so a pair of waypoints
-    straddling a thin obstacle is still caught.
+    straddling a thin obstacle is still caught.  The contact is the pair of
+    least clearance at the first offending configuration; None if there is
+    none.
     """
     pos = trajectory.positions()
-    t = (np.arange(1, samples_per_edge + 1) / (samples_per_edge + 1))[None, :, None]
-    inner = (1.0 - t) * pos[:-1, None, :] + t * pos[1:, None, :]
-    configs = np.concatenate([pos, inner.reshape(-1, trajectory.dim)])
-    return not bool(np.any(clearances(scenario, configs) <= scenario.safety_margin))
+    steps = samples_per_edge + 1
+    t = (np.arange(steps) / steps)[None, :, None]
+    path = ((1.0 - t) * pos[:-1, None, :] + t * pos[1:, None, :]).reshape(-1, trajectory.dim)
+    values = clearances(scenario, np.concatenate([path, pos[-1:]]), cutoff=scenario.safety_margin)
+    hits = np.flatnonzero(np.any(values <= scenario.safety_margin, axis=(1, 2)))
+    if not hits.size:
+        return None
+    i = hits[0]
+    link, obstacle = np.unravel_index(np.argmin(values[i]), values[i].shape)
+    return Contact(int(i // steps), int(i % steps), int(link), int(obstacle), float(values[i, link, obstacle]))
+
+
+def trajectory_collision_free(
+    scenario: Scenario, trajectory: Trajectory, samples_per_edge: int = 5
+) -> bool:
+    """Whether clearance exceeds the safety margin along the whole path
+    (see ``first_contact``)."""
+    return first_contact(scenario, trajectory, samples_per_edge) is None

@@ -146,6 +146,18 @@ def stack_cores(shapes) -> tuple[np.ndarray, np.ndarray]:
     return stacked, np.array([radius for _, radius in cores])
 
 
+def bounding_circles(shapes) -> tuple[np.ndarray, np.ndarray]:
+    """Centres (count, 2) and radii (count,) of circles enclosing swept shapes.
+
+    Each circle is centred at the mean of its core's vertices and reaches the
+    farthest vertex plus the sweep radius: exact for a circle.
+    """
+    cores = [_core(shape) for shape in shapes]
+    centers = np.array([core.mean(axis=0) for core, _ in cores]).reshape(-1, 2)
+    reach = [np.hypot(*(core - c).T).max() + radius for (core, radius), c in zip(cores, centers)]
+    return centers, np.array(reach)
+
+
 def support_point(shape: ConvexShape, direction: np.ndarray) -> np.ndarray:
     """Farthest point of the full (swept) shape along ``direction``."""
     core, radius = _core(shape)

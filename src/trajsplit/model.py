@@ -7,21 +7,32 @@ read-only float64 arrays so a value handed out cannot be changed in place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ScenarioError, ShapeError
-from .geometry import Circle, ConvexPolygon
+from .geometry import Circle, ConvexPolygon, bounding_circles, stack_cores
 
 Obstacle = Circle | ConvexPolygon
 
 
-def _frozen_array(value, name: str, *, dim: int | None = None) -> np.ndarray:
+class ObstacleCores(NamedTuple):
+    """A scenario's obstacles as the kernel takes them (``stack_cores``),
+    with one enclosing circle each (``bounding_circles``)."""
+
+    cores: np.ndarray
+    radii: np.ndarray
+    centers: np.ndarray
+    reach: np.ndarray
+
+
+def _frozen_array(value, name: str, *, ndim: int = 1, shape: tuple[int, ...] | None = None) -> np.ndarray:
     a = np.asarray(value, dtype=float)
-    if a.ndim != 1:
-        raise ScenarioError(f"{name} must be a 1D vector, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
-        raise ScenarioError(f"{name} must have dimension {dim}, got {a.shape[0]}")
+    if shape is not None and a.shape != shape:
+        raise ScenarioError(f"{name} must have shape {shape}, got {a.shape}")
+    if a.ndim != ndim and shape is None:
+        raise ScenarioError(f"{name} must be a {ndim}D array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ScenarioError(f"{name} must be finite, got {a}")
     a = a.copy()
@@ -34,7 +45,8 @@ class RobotState:
     """Configuration-space state: position, velocity, acceleration.
 
     For a point robot the position is its planar location; for an arm it is
-    the joint angle vector.  All three fields share one dimension.
+    the joint angle vector.  All three fields share one dimension.  A
+    scenario's start and goal are states; a trajectory holds arrays.
     """
 
     position: np.ndarray
@@ -43,8 +55,8 @@ class RobotState:
 
     def __post_init__(self) -> None:
         pos = _frozen_array(self.position, "position")
-        vel = _frozen_array(self.velocity, "velocity", dim=pos.shape[0])
-        acc = _frozen_array(self.acceleration, "acceleration", dim=pos.shape[0])
+        vel = _frozen_array(self.velocity, "velocity", shape=pos.shape)
+        acc = _frozen_array(self.acceleration, "acceleration", shape=pos.shape)
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
         object.__setattr__(self, "acceleration", acc)
@@ -62,48 +74,46 @@ class RobotState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered waypoint states with a fixed timestep between them."""
+    """Waypoint positions, velocities and accelerations with a fixed timestep.
 
-    states: tuple[RobotState, ...]
+    ``pos``, ``vel`` and ``acc`` are read-only (N, d) arrays, one row per
+    waypoint; ``positions()`` and its siblings hand out those arrays.
+    """
+
+    pos: np.ndarray
+    vel: np.ndarray
+    acc: np.ndarray
     dt: float
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
-        if len(states) < 1:
+        pos = _frozen_array(self.pos, "trajectory positions", ndim=2)
+        if pos.shape[0] < 1:
             raise ScenarioError("trajectory needs at least one state")
-        dim = states[0].dim
-        if any(s.dim != dim for s in states):
-            raise ScenarioError("trajectory states must share one dimension")
+        object.__setattr__(self, "pos", pos)
+        for name, what in (("vel", "velocities"), ("acc", "accelerations")):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), f"trajectory {what}", shape=pos.shape))
         if not np.isfinite(self.dt) or self.dt <= 0.0:
             raise ScenarioError(f"trajectory dt must be > 0, got {self.dt}")
-        object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.pos.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.pos.shape[1]
 
     def positions(self) -> np.ndarray:
-        """Waypoint positions stacked as an (N, d) array."""
-        return np.stack([s.position for s in self.states])
+        return self.pos
 
     def velocities(self) -> np.ndarray:
-        return np.stack([s.velocity for s in self.states])
+        return self.vel
 
     def accelerations(self) -> np.ndarray:
-        return np.stack([s.acceleration for s in self.states])
+        return self.acc
 
     @staticmethod
     def from_arrays(positions, velocities, accelerations, dt: float) -> "Trajectory":
-        pos = np.asarray(positions, dtype=float)
-        vel = np.asarray(velocities, dtype=float)
-        acc = np.asarray(accelerations, dtype=float)
-        states = tuple(
-            RobotState(pos[i], vel[i], acc[i]) for i in range(pos.shape[0])
-        )
-        return Trajectory(states=states, dt=dt)
+        return Trajectory(positions, velocities, accelerations, dt)
 
 
 @dataclass(frozen=True)
@@ -194,11 +204,16 @@ class Scenario:
     dt: float
     safety_margin: float
     dynamics_enabled: bool = True
+    # built once from ``obstacles``; None without obstacles
+    obstacle_cores: ObstacleCores | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        for obs in self.obstacles:
+        obstacles = tuple(self.obstacles)
+        for obs in obstacles:
             validate_obstacle(obs)
+        object.__setattr__(self, "obstacles", obstacles)
+        cores = ObstacleCores(*stack_cores(obstacles), *bounding_circles(obstacles)) if obstacles else None
+        object.__setattr__(self, "obstacle_cores", cores)
         d = self.robot.dim
         if self.start.dim != d:
             raise ScenarioError(f"start state has dimension {self.start.dim}, robot expects {d}")

@@ -716,7 +716,9 @@ def _collision_rows(scenario: Scenario, layout: SegmentLayout) -> InequalityFn |
 
     Rows encode  margin - sd(q_k) <= 0  for each near-contact pair at each
     waypoint, ordered by waypoint, then link, then obstacle.  The activation
-    distance exceeds the margin, so every violated pair is among the rows.
+    distance exceeds the margin, so every violated pair is among the rows;
+    it is also the cutoff of ``clearances``, so only pairs that can become
+    rows reach the exact kernel.
     """
     if not scenario.obstacles:
         return None
@@ -726,7 +728,7 @@ def _collision_rows(scenario: Scenario, layout: SegmentLayout) -> InequalityFn |
     columns = layout.state_dim * np.arange(layout.count)[:, None] + np.arange(layout.dim)
 
     def rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sd, grad = clearances(scenario, layout.positions(x), with_gradients=True)
+        sd, grad = clearances(scenario, layout.positions(x), with_gradients=True, cutoff=activation)
         waypoint, link, obstacle = np.nonzero(sd <= activation)
         jac = np.zeros((waypoint.size, layout.size))
         jac[np.arange(waypoint.size)[:, None], columns[waypoint]] = -grad[waypoint, link, obstacle]

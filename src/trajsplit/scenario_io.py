@@ -275,12 +275,8 @@ def _trajectory_to_dict(trajectory: Trajectory) -> dict:
     return {
         "dt": float(trajectory.dt),
         "waypoints": [
-            {
-                "position": [float(v) for v in state.position],
-                "velocity": [float(v) for v in state.velocity],
-                "acceleration": [float(v) for v in state.acceleration],
-            }
-            for state in trajectory.states
+            {"position": q, "velocity": v, "acceleration": a}
+            for q, v, a in zip(trajectory.pos.tolist(), trajectory.vel.tolist(), trajectory.acc.tolist())
         ],
     }
 

@@ -78,6 +78,15 @@ class TestSolveExitCodes:
         code = main(["solve", str(scenario), "--eps", "0.5"])
         assert code == EXIT_COLLISION
 
+    @pytest.mark.parametrize("name, splits", [("thin_wall.yaml", "2"), ("arm_two_link.yaml", "2")])
+    def test_collision_names_first_contact(self, name, splits, capsys):
+        code = main(["solve", str(bundled_scenario_dir() / name), "--splits", splits, "--eps", "0.5"])
+        assert code == EXIT_COLLISION
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("first contact: ")
+        assert ", link " in line and ", obstacle " in line and ", clearance " in line
+        assert line.endswith(" (safety margin 0.05)") == (name == "thin_wall.yaml")
+
     def test_non_convergence_outranks_collision(self):
         # The same blocked scenario at an impossible tolerance: both flags
         # are bad, the exit code reports the non-convergence.

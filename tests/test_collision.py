@@ -6,10 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from trajsplit.admm import SplitConfig, run
+from trajsplit.cli import bundled_scenario_dir
 from trajsplit.collision import (
     ACTIVATION_FACTOR,
     ACTIVATION_OFFSET,
+    Contact,
     activation_distance,
+    clearances,
+    first_contact,
     link_count,
     linearize_collision_constraint,
     min_scenario_clearance,
@@ -27,6 +32,7 @@ from trajsplit.model import (
     Trajectory,
 )
 from trajsplit.nlp import convexify_segment, segment_layout
+from trajsplit.scenario_io import load_scenario
 
 from conftest import oracle_signed_distance
 
@@ -231,3 +237,65 @@ class TestTrajectoryCollisionFree:
         assert not trajectory_collision_free(scenario, traj, samples_per_edge=1)
         relaxed = point_scenario([Circle((2.0, 0.0), 1.0)], margin=0.5)
         assert trajectory_collision_free(relaxed, traj, samples_per_edge=1)
+
+
+def checked_configuration(trajectory, contact, samples_per_edge):
+    pos = trajectory.positions()
+    if contact.sample == 0:
+        return pos[contact.waypoint]
+    t = contact.sample / (samples_per_edge + 1)
+    return (1.0 - t) * pos[contact.waypoint] + t * pos[contact.waypoint + 1]
+
+
+def assert_first_contact(scenario, trajectory, samples_per_edge):
+    """The contact is within the margin, is the least clearance of its
+    configuration, and every configuration checked before it is clear."""
+    contact = first_contact(scenario, trajectory, samples_per_edge)
+    assert contact is not None
+    assert not trajectory_collision_free(scenario, trajectory, samples_per_edge)
+    exact = clearances(scenario, checked_configuration(trajectory, contact, samples_per_edge)[None])[0]
+    assert contact.clearance == exact[contact.link, contact.obstacle] == exact.min()
+    assert contact.clearance <= scenario.safety_margin
+    for k in range(contact.waypoint + 1):
+        for sample in range(samples_per_edge + 1 if k < contact.waypoint else contact.sample):
+            before = checked_configuration(trajectory, Contact(k, sample, 0, 0, 0.0), samples_per_edge)
+            assert clearances(scenario, before[None]).min() > scenario.safety_margin
+    return contact
+
+
+class TestFirstContact:
+    def test_none_when_clear(self):
+        scenario = point_scenario([Circle((0.0, 10.0), 1.0)])
+        traj = still_trajectory([[-2.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+        assert first_contact(scenario, traj, samples_per_edge=3) is None
+
+    def test_waypoint_contact(self):
+        scenario = point_scenario([Circle((10.0, 0.0), 1.0), Circle((0.0, 0.0), 1.0)])
+        traj = still_trajectory([[-2.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+        contact = first_contact(scenario, traj, samples_per_edge=0)
+        assert contact == Contact(1, 0, 0, 1, -1.0)
+        assert str(contact) == "waypoint 1, link 0, obstacle 1, clearance -1.0"
+
+    def test_edge_sample_contact(self):
+        # only the second of three samples inside the edge meets the wall
+        scenario = point_scenario([THIN_WALL])
+        traj = still_trajectory([[-1.0, 0.0], [1.0, 0.0]])
+        contact = assert_first_contact(scenario, traj, samples_per_edge=3)
+        assert (contact.waypoint, contact.sample, contact.link, contact.obstacle) == (0, 2, 0, 0)
+        assert contact.clearance == pytest.approx(-0.05)
+        assert str(contact) == f"edge 0-1 sample 2, link 0, obstacle 0, clearance {contact.clearance!r}"
+
+    def test_thin_wall_exhibit(self):
+        # the split run of acceptance criterion 09, which exits 3
+        scenario = load_scenario(bundled_scenario_dir() / "thin_wall.yaml")
+        config = SplitConfig(num_splits=2, eps=0.5)
+        report = run(scenario, config)
+        assert report.converged and not report.collision_free
+        assert_first_contact(scenario, report.trajectory, config.samples_per_edge)
+
+    def test_arm_two_link_exhibit(self):
+        scenario = load_scenario(bundled_scenario_dir() / "arm_two_link.yaml")
+        config = SplitConfig(num_splits=2)
+        report = run(scenario, config)
+        assert report.converged and not report.collision_free
+        assert_first_contact(scenario, report.trajectory, config.samples_per_edge)

@@ -1,6 +1,7 @@
 """Batched closed-form signed-distance kernel: property tests against the
-per-pair query and the sampling oracle, batched forward kinematics, and
-finite-difference checks of the batched collision rows on a polygon world."""
+per-pair query and the sampling oracle, the broad phase ahead of it, batched
+forward kinematics, and finite-difference checks of the batched collision
+rows on a polygon world."""
 
 import math
 
@@ -11,7 +12,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from conftest import oracle_signed_distance  # noqa: E402
-from trajsplit.collision import activation_distance, clearances, link_count, pair_distance  # noqa: E402
+from trajsplit.collision import (  # noqa: E402
+    activation_distance,
+    clearance_bounds,
+    clearances,
+    link_count,
+    pair_distance,
+)
 from trajsplit.geometry import (  # noqa: E402
     Capsule,
     Circle,
@@ -201,6 +208,64 @@ def test_rows_carry_every_violated_pair(robot, obstacles, margin, dynamics, data
     rows, _ = convexify_segment(scenario, 0, count - 1, x).inequalities(x)
     full = margin_values(scenario, layout, x)
     np.testing.assert_array_equal(rows[rows > 0.0], full[full > 0.0])
+
+
+@st.composite
+def worlds(draw):
+    """A point or arm robot (capsule links) among circles and polygons and a
+    stack of configurations; the arm reaches into the obstacles."""
+    robot = draw(st.one_of(
+        st.just(Point2D()),
+        st.builds(
+            PlanarArm,
+            link_lengths=st.lists(st.floats(0.3, 1.0), min_size=1, max_size=3).map(tuple),
+            link_radius=st.floats(0.0, 0.3),
+        ),
+    ))
+    obstacles = tuple(draw(st.lists(st.one_of(circles, polygons()), min_size=1, max_size=4)))
+    scenario = Scenario(
+        robot=robot, obstacles=obstacles,
+        start=RobotState.resting(np.zeros(robot.dim)), goal=RobotState.resting(np.zeros(robot.dim)),
+        num_waypoints=2, dt=0.2, safety_margin=0.0,
+    )
+    bound = 2.0 if isinstance(robot, Point2D) else math.pi
+    config = st.lists(st.floats(-bound, bound), min_size=robot.dim, max_size=robot.dim)
+    return scenario, np.array(draw(st.lists(config, min_size=1, max_size=5)))
+
+
+@given(worlds(), st.data())
+def test_broad_phase_bounds_and_cutoff(world, data):
+    scenario, configs = world
+    exact, exact_gradients = clearances(scenario, configs, with_gradients=True)
+    # a disc's bound equals its signed distance up to roundoff
+    bounds = clearance_bounds(scenario, *link_segments(scenario.robot, configs))
+    assert np.all(bounds <= exact + 1e-12)
+
+    # cutoffs at a pair's exact value probe the edge of the near set
+    cutoff = data.draw(st.one_of(st.floats(-0.5, 1.0), st.sampled_from(exact.ravel().tolist())))
+    values, gradients = clearances(scenario, configs, with_gradients=True, cutoff=cutoff)
+    near = exact <= cutoff
+    assert values[near].tobytes() == exact[near].tobytes()
+    assert gradients[near].tobytes() == exact_gradients[near].tobytes()
+    assert np.all(values[~near] > cutoff)
+    # a pair left to its bound has no gradient
+    assert np.all(gradients[values != exact] == 0.0)
+    assert clearances(scenario, configs, cutoff=cutoff).tobytes() == values.tobytes()
+
+
+def test_broad_phase_worlds_draw_overlaps():
+    # the property test above sees penetrating pairs, not only disjoint ones
+    pairs, overlapping = [], []
+
+    @given(worlds())
+    def record(world):
+        scenario, configs = world
+        exact = clearances(scenario, configs)
+        pairs.append(exact.size)
+        overlapping.append(int(np.sum(exact < 0.0)))
+
+    record()
+    assert sum(overlapping) >= 0.05 * sum(pairs)
 
 
 def test_clearances_match_per_pair_queries(rng):

@@ -149,11 +149,12 @@ class TestDynamicsResidual:
     def test_rollout_is_exact(self, rng):
         dt = 0.2
         accelerations = rng.uniform(-1.0, 1.0, size=(8, 2))
-        states = [RobotState(np.zeros(2), np.array([0.5, -0.2]), accelerations[0])]
+        positions, velocities = [np.zeros(2)], [np.array([0.5, -0.2])]
         for k in range(1, 8):
-            pos, vel = dynamics_step(states[-1], dt)
-            states.append(RobotState(pos, vel, accelerations[k]))
-        traj = Trajectory(states=tuple(states), dt=dt)
+            pos, vel = dynamics_step(RobotState(positions[-1], velocities[-1], accelerations[k - 1]), dt)
+            positions.append(pos)
+            velocities.append(vel)
+        traj = Trajectory.from_arrays(positions, velocities, accelerations, dt)
         assert dynamics_residual(traj) == 0.0
 
     def test_straight_line_init_is_feasible(self):
@@ -173,8 +174,7 @@ class TestDynamicsResidual:
 
     def test_perturbed_waypoint_measured_exactly(self):
         dt = 0.5
-        states = [RobotState(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2)) for _ in range(4)]
-        bumped = RobotState(np.array([0.01, 0.0]), np.zeros(2), np.zeros(2))
-        states[2] = bumped
-        traj = Trajectory(states=tuple(states), dt=dt)
+        positions = np.zeros((4, 2))
+        positions[2] = (0.01, 0.0)
+        traj = Trajectory.from_arrays(positions, np.zeros((4, 2)), np.zeros((4, 2)), dt)
         assert dynamics_residual(traj) == pytest.approx(0.01, abs=1e-15)

@@ -167,18 +167,22 @@ class TestValidation:
             state.position[0] = 9.0
 
     def test_trajectory_mixed_dimensions(self):
-        with pytest.raises(ScenarioError):
-            Trajectory(
-                states=(RobotState.resting((0.0, 0.0)), RobotState.resting((0.0, 0.0, 0.0))),
-                dt=0.1,
-            )
+        # a 3D velocity row set against 2D positions is a shape mismatch
+        with pytest.raises(ScenarioError, match="shape"):
+            Trajectory.from_arrays(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)), dt=0.1)
+
+    def test_trajectory_arrays_readonly(self):
+        traj = Trajectory.from_arrays(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), dt=0.1)
+        for array in (traj.positions(), traj.velocities(), traj.accelerations()):
+            with pytest.raises(ValueError):
+                array[0, 0] = 9.0
 
     def test_trajectory_bad_dt(self):
-        states = (RobotState.resting((0.0, 0.0)),)
+        pos = np.zeros((1, 2))
         with pytest.raises(ScenarioError):
-            Trajectory(states=states, dt=0.0)
+            Trajectory.from_arrays(pos, pos, pos, dt=0.0)
         with pytest.raises(ScenarioError):
-            Trajectory(states=states, dt=-1.0)
+            Trajectory.from_arrays(pos, pos, pos, dt=-1.0)
 
     def test_scenario_dimension_mismatch(self):
         with pytest.raises(ScenarioError):
