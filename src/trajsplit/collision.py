@@ -3,10 +3,10 @@
 The robot body is a set of convex shapes placed by forward kinematics: one
 capsule per arm link, or a zero-radius disc for a point robot.  Every
 clearance query goes through ``clearances``, which evaluates all
-(configuration, link, obstacle) triples of a configuration stack.  A broad
-phase bounds each pair by the distance from the obstacle's bounding circle
-to the link, and callers that need exact values only up to a cutoff (the
-solver's rows, the final check) send only the pairs within it to one call
+(configuration, link, obstacle) triples of a configuration stack.  Each pair
+is bounded by the distance from the obstacle's bounding circle to the link,
+which for a disc is the exact value.  Only polygon pairs, and with a cutoff
+(the solver's rows, the final check) only those within it, reach one call
 of the batched signed-distance kernel.
 """
 
@@ -68,20 +68,36 @@ def link_count(scenario: Scenario) -> int:
     return 1 if isinstance(scenario.robot, Point2D) else scenario.robot.dim
 
 
-def clearance_bounds(scenario: Scenario, origins, endpoints) -> np.ndarray:
-    """Lower bounds on the signed distance of every (configuration, link,
-    obstacle) triple, given the link segments (m, links, 2) of ``link_segments``.
-
-    Each bound is the signed distance from the link to the obstacle's
-    bounding circle, which contains the obstacle: exact for a disc.
-    """
+def _broad_phase(scenario: Scenario, origins, endpoints):
+    """``clearance_bounds`` plus the link-core parameter t closest to each centre and the gap to it."""
     obstacles = scenario.obstacle_cores
     edge = (endpoints - origins)[:, :, None, :]
     rel = obstacles.centers - origins[:, :, None, :]
     length2 = np.sum(edge * edge, axis=-1)
     t = np.clip(np.sum(rel * edge, axis=-1) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
     gap = rel - t[..., None] * edge
-    return np.hypot(gap[..., 0], gap[..., 1]) - obstacles.reach - getattr(scenario.robot, "link_radius", 0.0)
+    bounds = np.hypot(gap[..., 0], gap[..., 1]) - obstacles.reach - getattr(scenario.robot, "link_radius", 0.0)
+    return bounds, t, gap
+
+
+def clearance_bounds(scenario: Scenario, origins, endpoints) -> np.ndarray:
+    """Lower bounds on the signed distance of every (configuration, link,
+    obstacle) triple, given the link segments (m, links, 2) of ``link_segments``.
+
+    Each bound is the signed distance from the link to the obstacle's
+    bounding circle, which contains the obstacle: for a disc it is the exact
+    signed distance, disjoint or penetrating.
+    """
+    return _broad_phase(scenario, origins, endpoints)[0]
+
+
+def _pull_back(model, origins, config, link, witness, normal) -> np.ndarray:
+    """Gradients of gathered pairs: cross(witness - origin_j, normal) for arm joints j <= link."""
+    if isinstance(model, Point2D):
+        return normal
+    r = witness[:, None, :] - origins[config]
+    cross = r[..., 0] * normal[:, None, 1] - r[..., 1] * normal[:, None, 0]
+    return cross * (np.arange(origins.shape[1]) <= link[:, None])
 
 
 def clearances(scenario: Scenario, configs, with_gradients: bool = False, cutoff: float | None = None):
@@ -89,46 +105,47 @@ def clearances(scenario: Scenario, configs, with_gradients: bool = False, cutoff
 
     ``configs`` is an (m, n) stack of configurations; the values come back
     as (m, links, obstacles).  With ``with_gradients`` the derivatives with
-    respect to each configuration, (m, links, obstacles, n), come back too:
-    the contact normal pulled back through the Jacobian of the robot-side
-    witness, taken as rigidly attached to its link.
+    respect to each configuration, (m, links, obstacles, n), come back too,
+    with the robot-side witness taken as rigidly attached to its link.
 
-    With a ``cutoff``, a broad phase first bounds each pair from below by
-    the distance from the obstacle's bounding circle to the link.  Only
-    pairs whose bound is within the cutoff reach the exact kernel; the
-    others read their bound, which exceeds the cutoff, and a zero gradient.
-    Every value at or below the cutoff is exact.
+    A disc pair's value is its exact bound from ``clearance_bounds``; its
+    normal points from the disc centre to the witness, the closest point of
+    the link core (the kernel's fixed axis (1, 0) when they are within 1e-12,
+    its own threshold).  Only polygon pairs reach the exact kernel; with a
+    ``cutoff``, only those whose bound is within it.  Pairs beyond the cutoff
+    read their bound and a zero gradient, so every value up to it is exact.
     """
     configs = np.asarray(configs, dtype=float)
     model = scenario.robot
-    links = link_count(scenario)
-    values = np.zeros((len(configs), links, len(scenario.obstacles)))
+    values = np.zeros((len(configs), link_count(scenario), len(scenario.obstacles)))
     gradients = np.zeros(values.shape + (model.dim,)) if with_gradients else None
     if scenario.obstacles:
         obstacles = scenario.obstacle_cores
         origins, endpoints = link_segments(model, configs)
-        if cutoff is None:
-            near = np.ones(values.shape, dtype=bool)
-        else:
-            values[:] = clearance_bounds(scenario, origins, endpoints)
-            near = values <= cutoff + CUTOFF_SLACK * max(1.0, abs(cutoff))
-        config, link, obstacle = np.nonzero(near)
+        values[:], t, gap = _broad_phase(scenario, origins, endpoints)
+        near = (np.ones(values.shape, dtype=bool) if cutoff is None
+                else values <= cutoff + CUTOFF_SLACK * max(1.0, abs(cutoff)))
+        polygon = near if obstacles.disc is None else near & ~obstacles.disc
+        config, link, obstacle = np.nonzero(polygon)
         if config.size:
             body = origins[config, link, None] if isinstance(model, Point2D) else np.stack(
                 [origins[config, link], endpoints[config, link]], axis=1)
             radius = getattr(model, "link_radius", 0.0)
             pairs = (body, radius, obstacles.cores[obstacle], obstacles.radii[obstacle])
             if not with_gradients:
-                values[near] = core_clearance(*pairs)
+                values[polygon] = core_clearance(*pairs)
             else:
-                values[near], witness, _, normal = core_signed_distance(*pairs)
-                if isinstance(model, Point2D):
-                    gradients[near] = normal
-                else:
-                    # d sd / d q_j = cross(witness - origin_j, normal) for joints j <= link
-                    r = witness[:, None, :] - origins[config]
-                    cross = r[..., 0] * normal[:, None, 1] - r[..., 1] * normal[:, None, 0]
-                    gradients[near] = cross * (np.arange(links) <= link[:, None])
+                values[polygon], witness, _, normal = core_signed_distance(*pairs)
+                gradients[polygon] = _pull_back(model, origins, config, link, witness, normal)
+        if with_gradients and obstacles.disc is not None:
+            disc = near & obstacles.disc
+            config, link, _ = np.nonzero(disc)
+            if config.size:
+                gap = gap[disc]
+                length = np.hypot(gap[:, 0], gap[:, 1])[:, None]
+                normal = np.where(length <= 1e-12, [1.0, 0.0], -gap / np.maximum(length, 1e-12))
+                witness = origins[config, link] + t[disc][:, None] * (endpoints - origins)[config, link]
+                gradients[disc] = _pull_back(model, origins, config, link, witness, normal)
     return (values, gradients) if with_gradients else values
 
 

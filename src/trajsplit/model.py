@@ -18,13 +18,14 @@ Obstacle = Circle | ConvexPolygon
 
 
 class ObstacleCores(NamedTuple):
-    """A scenario's obstacles as the kernel takes them (``stack_cores``),
-    with one enclosing circle each (``bounding_circles``)."""
+    """A scenario's obstacles as the kernel takes them (``stack_cores``), one
+    enclosing circle each (``bounding_circles``) and a disc mask, None without discs."""
 
     cores: np.ndarray
     radii: np.ndarray
     centers: np.ndarray
     reach: np.ndarray
+    disc: np.ndarray | None
 
 
 def _frozen_array(value, name: str, *, ndim: int = 1, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -212,7 +213,9 @@ class Scenario:
         for obs in obstacles:
             validate_obstacle(obs)
         object.__setattr__(self, "obstacles", obstacles)
-        cores = ObstacleCores(*stack_cores(obstacles), *bounding_circles(obstacles)) if obstacles else None
+        disc = np.array([isinstance(o, Circle) for o in obstacles])
+        cores = ObstacleCores(*stack_cores(obstacles), *bounding_circles(obstacles),
+                              disc if disc.any() else None) if obstacles else None
         object.__setattr__(self, "obstacle_cores", cores)
         d = self.robot.dim
         if self.start.dim != d:

@@ -1,9 +1,11 @@
 """Batched closed-form signed-distance kernel: property tests against the
-per-pair query and the sampling oracle, the broad phase ahead of it, batched
-forward kinematics, and finite-difference checks of the batched collision
-rows on a polygon world."""
+per-pair query and the sampling oracle, the broad phase ahead of it, the
+closed-form disc pairs that bypass it, batched forward kinematics, and
+finite-difference checks of the batched collision rows on a polygon world
+and on the bundled disc worlds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from conftest import oracle_signed_distance  # noqa: E402
+from trajsplit.cli import bundled_scenario_dir  # noqa: E402
 from trajsplit.collision import (  # noqa: E402
     activation_distance,
     clearance_bounds,
@@ -31,6 +34,7 @@ from trajsplit.geometry import (  # noqa: E402
 from trajsplit.kinematics import forward_kinematics, link_segments  # noqa: E402
 from trajsplit.model import BasePose, PlanarArm, Point2D, RobotState, Scenario  # noqa: E402
 from trajsplit.nlp import convexify_segment, segment_layout  # noqa: E402
+from trajsplit.scenario_io import load_scenario  # noqa: E402
 
 coord = st.floats(-2.0, 2.0, allow_nan=False)
 points = st.tuples(coord, coord).map(np.array)
@@ -268,6 +272,103 @@ def test_broad_phase_worlds_draw_overlaps():
     assert sum(overlapping) >= 0.05 * sum(pairs)
 
 
+@st.composite
+def disc_worlds(draw):
+    """A point robot or a 1-3 link arm (link radius 0-0.3, base anywhere)
+    and a stack of configurations among discs, some of them centred on a
+    link core; the discs reach into the links as often as not."""
+    robot = draw(st.one_of(
+        st.just(Point2D()),
+        st.builds(
+            PlanarArm,
+            link_lengths=st.lists(st.floats(0.3, 1.0), min_size=1, max_size=3).map(tuple),
+            link_radius=st.floats(0.0, 0.3),
+            base=st.builds(BasePose, x=coord, y=coord, angle=st.floats(-math.pi, math.pi)),
+        ),
+    ))
+    bound = 2.0 if isinstance(robot, Point2D) else math.pi
+    config = st.lists(st.floats(-bound, bound), min_size=robot.dim, max_size=robot.dim)
+    configs = np.array(draw(st.lists(config, min_size=1, max_size=4)))
+    origins, endpoints = link_segments(robot, configs)
+    discs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(configs) - 1))
+            k = draw(st.integers(0, origins.shape[1] - 1))
+            center = origins[i, k] + draw(st.floats(0.0, 1.0)) * (endpoints[i, k] - origins[i, k])
+        else:
+            center = draw(points)
+        discs.append(Circle(center, draw(st.floats(0.05, 1.0))))
+    scenario = Scenario(
+        robot=robot, obstacles=tuple(discs),
+        start=RobotState.resting(np.zeros(robot.dim)), goal=RobotState.resting(np.zeros(robot.dim)),
+        num_waypoints=2, dt=0.2, safety_margin=0.0,
+    )
+    return scenario, configs
+
+
+def kernel_clearances(scenario, configs):
+    """Values and gradients of every pair through the general kernel."""
+    robot = scenario.robot
+    origins, endpoints = link_segments(robot, configs)
+    body = origins[:, :, None, None] if isinstance(robot, Point2D) else np.stack([origins, endpoints], axis=2)[:, :, None]
+    cores, radii = stack_cores(scenario.obstacles)
+    link_radius = getattr(robot, "link_radius", 0.0)
+    values, witness, _, normal = core_signed_distance(body, link_radius, cores, radii)
+    core_gap, _, _, _ = core_signed_distance(body, 0.0, cores[:, :1], 0.0)
+    if isinstance(robot, Point2D):
+        return values, normal, core_gap
+    links = origins.shape[1]
+    r = witness[:, :, :, None, :] - origins[:, None, None, :, :]
+    cross = r[..., 0] * normal[..., None, 1] - r[..., 1] * normal[..., None, 0]
+    return values, cross * (np.arange(links)[None, :] <= np.arange(links)[:, None])[:, None], core_gap
+
+
+@given(disc_worlds())
+def test_disc_pairs_match_the_kernel(world):
+    scenario, configs = world
+    values, gradients = clearances(scenario, configs, with_gradients=True)
+    kernel_values, kernel_gradients, core_gap = kernel_clearances(scenario, configs)
+    # the kernel reads a core gap within its 1e-12 threshold as contact,
+    # the closed form keeps it: 1e-12 plus the roundoff of the values
+    np.testing.assert_allclose(values, kernel_values, rtol=0.0, atol=1e-12 + 1e-15)
+    # Closer than about 1e-6, the kernel's own witness can slip: its axis
+    # turns by roundoff over the gap, its 1e-9 face tolerance then drops
+    # the far vertex of the link, and the witness moves half way to the
+    # foot of the centre (a 2e-8 gap at a link's base gave half the true
+    # gradient, which central differences confirm for the closed form).
+    apart = core_gap > 1e-6
+    np.testing.assert_allclose(gradients[apart], kernel_gradients[apart], rtol=0.0, atol=1e-9)
+    # a centre on the core takes the fixed axis (1, 0): finite and unit length
+    # (well inside the 1e-12 threshold, where roundoff cannot flip a side)
+    on_core = core_gap <= 1e-13
+    assert np.all(np.isfinite(gradients))
+    if isinstance(scenario.robot, Point2D):
+        np.testing.assert_array_equal(gradients[on_core], np.broadcast_to([1.0, 0.0], gradients[on_core].shape))
+    else:
+        config, link, obstacle = np.nonzero(on_core)
+        origins, _ = link_segments(scenario.robot, configs)
+        center = scenario.obstacle_cores.centers[obstacle]
+        r = center[:, None, :] - origins[config]
+        expected = -r[..., 1] * (np.arange(origins.shape[1]) <= link[:, None])
+        np.testing.assert_allclose(gradients[on_core], expected, rtol=0.0, atol=1e-9)
+
+
+def test_disc_worlds_draw_every_regime():
+    # the property test above sees disjoint, penetrating and centre-on-core pairs
+    seen = {"disjoint": 0, "penetrating": 0, "on core": 0}
+
+    @given(disc_worlds())
+    def record(world):
+        values, _, core_gap = kernel_clearances(*world)
+        seen["disjoint"] += int(np.sum(values > 0.0))
+        seen["penetrating"] += int(np.sum((values < 0.0) & (core_gap > 1e-12)))
+        seen["on core"] += int(np.sum(core_gap <= 1e-13))
+
+    record()
+    assert min(seen.values()) >= 10, seen
+
+
 def test_clearances_match_per_pair_queries(rng):
     scenario = polygon_arm_scenario(4)
     qs = rng.uniform(-math.pi, math.pi, size=(5, 3))
@@ -297,16 +398,15 @@ def one_sided_jacobians(func, x, step):
     return forward, backward
 
 
-def test_batched_rows_match_finite_differences_on_polygons(rng):
-    # The convexified rows of a polygon world must be the derivatives of
-    # the merit values.  A row whose one-sided differences disagree sits
-    # where its witness switches features; the value is not differentiable
-    # there and such rows are skipped, as in criterion 06.
-    scenario = polygon_arm_scenario(4)
+def assert_rows_match_finite_differences(scenario, rng, draws=200):
+    # The convexified rows must be the derivatives of the merit values.  A
+    # row whose one-sided differences disagree sits where its witness
+    # switches features; the value is not differentiable there and such
+    # rows are skipped, as in criterion 06.
     layout = segment_layout(scenario, 0, 3)
     activation = activation_distance(scenario.safety_margin)
     checked = 0
-    for _ in range(200):
+    for _ in range(draws):
         x = rng.uniform(-math.pi, math.pi, size=layout.size)
         problem = convexify_segment(scenario, 0, 3, x)
         row_vals, row_jac = problem.inequalities(x)
@@ -326,3 +426,16 @@ def test_batched_rows_match_finite_differences_on_polygons(rng):
         if checked >= 100:
             break
     assert checked >= 100
+
+
+def test_batched_rows_match_finite_differences_on_polygons(rng):
+    assert_rows_match_finite_differences(polygon_arm_scenario(4), rng)
+
+
+@pytest.mark.parametrize("name", ["arm_three_link.yaml", "arm_two_link.yaml"])
+def test_batched_rows_match_finite_differences_on_discs(rng, name):
+    # the bundled arms among discs: every row comes from a disc's closed form;
+    # random poses come near a disc less often than near the hexagons above
+    scenario = load_scenario(bundled_scenario_dir() / name)
+    assert scenario.obstacle_cores.disc.all()
+    assert_rows_match_finite_differences(replace(scenario, num_waypoints=4), rng, draws=1000)
