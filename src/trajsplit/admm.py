@@ -2,22 +2,31 @@
 
 The trajectory is cut at split waypoints; each split waypoint is duplicated
 into the two adjacent segments and a consensus variable with a scaled dual
-pair ties the copies together.  Each round solves the segments one after
-another, averages the split copies into the consensus targets, and pushes
-the duals by rho times the remaining disagreement.  The loop stops when the
-mean position disagreement across splits drops below the splitting
-tolerance.  Rounds change only the consensus linear terms and warm starts:
-a run's ``FactorCache`` builds each segment's Hessian, equalities, bounds
-and rows once, and inverts its base KKT matrix once per segment shape
-(waypoint count, pinned start, pinned goal).
+pair ties the copies together.  Each round solves every segment, averages
+the split copies into the consensus targets, and pushes the duals by rho
+times the remaining disagreement.  The loop stops when the mean position
+disagreement across splits drops below the splitting tolerance.  Rounds
+change only the consensus linear terms and warm starts: a run's
+``FactorCache`` builds each segment's Hessian, equalities, bounds and rows
+once, and inverts its base KKT matrix once per segment shape (waypoint
+count, pinned start, pinned goal).
 
 The gain of splitting is that each segment's cost grows with its own
-waypoints, not the whole trajectory's.  Threads add nothing to that: the
-work is GIL-bound numpy, and a pool measured slower on every workload.
+waypoints, not the whole trajectory's, and that the segments of a round are
+independent.  On two or more CPUs a split run deals each round's segments in
+two contiguous blocks: the first to this process, the rest to one worker
+process (see ``worker``), forked on the first such run and kept until this
+process exits; each process keeps its own ``FactorCache``.  Only the
+consensus state goes out and the worker's iterates and solve outcomes come
+back, so the outcome is bit-identical to solving every segment here.
+Threads would add nothing: the work is GIL-bound numpy.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (wrapped by benchmark/tracing.py)
 from dataclasses import dataclass, field
@@ -119,7 +128,12 @@ class ConsensusState:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Everything one run produced, timings split by phase."""
+    """Everything one run produced, timings split by phase.
+
+    ``factorizations`` totals the base KKT inverses the run built, in every
+    process; ``failed_segments`` lists the segments whose last solve did not
+    converge.
+    """
 
     trajectory: Trajectory
     converged: bool
@@ -141,6 +155,8 @@ class SolveReport:
     deadline_reached: bool = False
     qp_nonoptimal: int = 0
     kkt_fallbacks: int = 0
+    factorizations: int = 0
+    failed_segments: tuple[int, ...] = ()
 
 
 def split_uniform(num_waypoints: int, num_splits: int) -> tuple[int, ...]:
@@ -285,6 +301,77 @@ def initial_point(scenario: Scenario) -> np.ndarray:
     return x
 
 
+# --- the segment worker ----------------------------------------------------------
+#
+# The worker's protocol lives in ``worker``, imported with ``multiprocessing``
+# by the first run that starts a worker; ``import trajsplit`` loads neither.
+
+
+def _parent_share(num_segments: int) -> int:
+    """Segments the parent solves when a worker takes the rest."""
+    return (num_segments + 1) // 2
+
+
+_worker = None  # the parent's ``worker.Worker``
+_worker_lock = threading.Lock()  # one run at a time talks to the worker
+
+
+def _forget_worker() -> None:
+    """In a forked child: the inherited worker is the parent's, never ours."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _in_daemon_process() -> bool:
+    """A daemonic ``multiprocessing`` process (every ``Pool`` worker) may not
+    start children."""
+    mp = sys.modules.get("multiprocessing")
+    return mp is not None and mp.current_process().daemon
+
+
+def _claim_worker(num_segments: int):
+    """The worker, started if need be, for a split run on two or more CPUs.
+
+    None for a mono run, where ``fork`` or the CPU affinity is not available,
+    on one CPU, in a daemonic process, while another thread's run holds the
+    worker, and when the system refuses the fork: the run then solves every
+    segment here, with the same outcome.
+    """
+    global _worker
+    if num_segments < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return None
+    if len(os.sched_getaffinity(0)) < 2 or _in_daemon_process() or not _worker_lock.acquire(blocking=False):
+        return None
+    try:
+        if _worker is None or not _worker.process.is_alive():
+            from .worker import Worker
+
+            _stop_worker()
+            _worker = Worker()
+    except OSError:  # EAGAIN, ENOMEM: no process to be had
+        _worker_lock.release()
+        return None
+    except BaseException:
+        _worker_lock.release()
+        raise
+    return _worker
+
+
+def _stop_worker() -> None:
+    """End the segment worker process, if any, between runs; the next split
+    run on two or more CPUs forks a new one."""
+    global _worker
+    if _worker is not None:
+        _worker.conn.close()
+        _worker.process.terminate()
+        _worker.process.join()
+        _worker = None
+
+
 def run(
     scenario: Scenario, config: SplitConfig | None = None, *, deadline_seconds: float | None = None
 ) -> SolveReport:
@@ -293,7 +380,9 @@ def run(
     With ``num_splits == 0`` this is exactly one monolithic NLP solve.  A
     deadline, when given, is checked in every SCP iteration of every segment
     solve and between rounds; hitting it ends the run with
-    ``converged=False`` and ``deadline_reached=True``.
+    ``converged=False`` and ``deadline_reached=True``.  The worker process
+    (see the module docstring) solves its share of every round; its death
+    during the run raises ``WorkerError``.
     """
     cfg = config or SplitConfig()
     t0 = time.perf_counter()
@@ -312,32 +401,52 @@ def run(
     iteration_seconds: list[float] = []
     primal_seconds = 0.0
     consensus_seconds = 0.0
-    nonconverged = qp_nonoptimal = kkt_fallbacks = 0
+    nonconverged = qp_nonoptimal = kkt_fallbacks = factorizations = 0
     converged = False
     deadline_reached = False
     iterations = 0
     solutions: list[NlpSolution] = []
     factors = FactorCache(scenario)
+    worker = _claim_worker(len(segments))
+    mine = segments[: _parent_share(len(segments))] if worker else segments
+    theirs = segments[len(mine) :]
 
-    for it in range(1, cfg.max_admm_iterations + 1):
-        iterations = it
-        tp = time.perf_counter()
-        solutions = primal_update(scenario, segments, consensus, cfg, factors, deadline)
-        primal_seconds += time.perf_counter() - tp
-        nonconverged += sum(1 for s in solutions if not s.converged)
-        qp_nonoptimal += sum(s.qp_nonoptimal for s in solutions)
-        kkt_fallbacks += sum(s.kkt_fallbacks for s in solutions)
-        tc = time.perf_counter()
-        consensus_update(segments, consensus, cfg.rho)
-        residual = splitting_residual(segments, scenario)
-        consensus_seconds += time.perf_counter() - tc
-        residual_history.append(residual)
-        iteration_seconds.append(time.perf_counter() - t0)
-        out_of_time = deadline is not None and time.perf_counter() >= deadline
-        if residual <= cfg.eps or out_of_time:
-            converged = residual <= cfg.eps and all(s.converged for s in solutions)
-            deadline_reached = out_of_time and not converged
-            break
+    try:
+        if worker:
+            worker.start_run(scenario, cfg, splits, theirs)
+        for it in range(1, cfg.max_admm_iterations + 1):
+            iterations = it
+            tp = time.perf_counter()
+            if worker:
+                worker.send_round(consensus, deadline)
+            solutions = primal_update(scenario, mine, consensus, cfg, factors, deadline)
+            if worker:
+                solutions += worker.receive_round(theirs)
+            primal_seconds += time.perf_counter() - tp
+            nonconverged += sum(1 for s in solutions if not s.converged)
+            qp_nonoptimal += sum(s.qp_nonoptimal for s in solutions)
+            kkt_fallbacks += sum(s.kkt_fallbacks for s in solutions)
+            factorizations += sum(s.factorizations for s in solutions)
+            tc = time.perf_counter()
+            consensus_update(segments, consensus, cfg.rho)
+            residual = splitting_residual(segments, scenario)
+            consensus_seconds += time.perf_counter() - tc
+            residual_history.append(residual)
+            iteration_seconds.append(time.perf_counter() - t0)
+            out_of_time = deadline is not None and time.perf_counter() >= deadline
+            if residual <= cfg.eps or out_of_time:
+                converged = residual <= cfg.eps and all(s.converged for s in solutions)
+                deadline_reached = out_of_time and not converged
+                break
+        if worker:
+            worker.end_run()
+    except BaseException:
+        if worker:
+            _stop_worker()  # it may be mid-round; the next run forks a new one
+        raise
+    finally:
+        if worker:
+            _worker_lock.release()
     del factors  # the factors serve the rounds only; the final check runs without them
 
     trajectory = assemble_trajectory(scenario, segments, consensus)
@@ -363,4 +472,6 @@ def run(
         deadline_reached=deadline_reached,
         qp_nonoptimal=qp_nonoptimal,
         kkt_fallbacks=kkt_fallbacks,
+        factorizations=factorizations,
+        failed_segments=tuple(s.index for s in segments if not s.last_solution.converged),
     )

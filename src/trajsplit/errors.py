@@ -31,3 +31,7 @@ class ConfigError(TrajsplitError, ValueError):
 
 class EvaluatorError(TrajsplitError, RuntimeError):
     """An objective or constraint evaluator produced a non-finite value."""
+
+
+class WorkerError(TrajsplitError, RuntimeError):
+    """The segment worker process died during a run."""

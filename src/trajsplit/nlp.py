@@ -76,11 +76,13 @@ class FactorCache:
     ``inverse`` finds a base by its exact matrices, so equal segments share
     one factorization and no hand-in can change an answer; a shared
     pseudo-inverse counts one ``kkt_fallbacks`` in each solve that uses it.
-    ``segments`` keeps the fixed parts of ``scenario``'s segment NLPs.
+    ``segments`` keeps the fixed parts of ``scenario``'s segment NLPs;
+    ``factorizations`` counts the bases inverted so far.
     """
 
     def __init__(self, scenario: Scenario | None = None) -> None:
         self.scenario, self.segments, self._bases = scenario, {}, []
+        self.factorizations = 0
 
     def inverse(self, hessian: np.ndarray, a_eq: np.ndarray, stats: QpStats) -> np.ndarray:
         """``kkt_inverse`` of a base, factored on first use; ``hessian`` is kept uncopied."""
@@ -92,6 +94,7 @@ class FactorCache:
             inverse = kkt_inverse(hessian, a_eq, own)
             fallbacks = own.kkt_fallbacks
             self._bases.append((hessian, a_eq.copy(), inverse, fallbacks))
+            self.factorizations += 1
         stats.kkt_fallbacks += fallbacks
         return inverse
 
@@ -377,6 +380,12 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class NlpSolution:
+    """An NLP solve's iterate and outcome.
+
+    ``factorizations`` counts the base KKT inverses this solve built; it is 0
+    when every base came from a shared ``FactorCache``.
+    """
+
     point: np.ndarray
     objective: float
     max_equality_violation: float
@@ -385,6 +394,7 @@ class NlpSolution:
     converged: bool
     qp_nonoptimal: int = 0
     kkt_fallbacks: int = 0
+    factorizations: int = 0
 
 
 def _check_finite(value, what: str) -> None:
@@ -436,6 +446,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
 
     qp_stats = QpStats()
     factors = problem.factors if problem.factors is not None else FactorCache()
+    factorizations = factors.factorizations
     if a_eq.shape[0]:
         x = project_to_affine(x, a_eq, b_eq, qp_stats)
     x = np.clip(x, lower, upper)
@@ -539,6 +550,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         converged=converged,
         qp_nonoptimal=qp_stats.nonoptimal,
         kkt_fallbacks=qp_stats.kkt_fallbacks,
+        factorizations=factors.factorizations - factorizations,
     )
 
 

@@ -313,6 +313,8 @@ def report_to_dict(report, scenario_path: str, config, seed: int | None = None) 
             "deadline_reached": report.deadline_reached,
             "qp_nonoptimal": report.qp_nonoptimal,
             "kkt_fallbacks": report.kkt_fallbacks,
+            "factorizations": report.factorizations,
+            "failed_segments": [int(i) for i in report.failed_segments],
         },
         "timing": {
             "wall_seconds_total": float(report.wall_seconds_total),

@@ -24,7 +24,8 @@ def bundled(name):
 
 def count_kernel_pairs(monkeypatch) -> list:
     """Spy on both exact-kernel entry points as collision calls them; the
-    list holds the number of pairs of each call."""
+    list holds the number of pairs of each call.  Split runs that are spied
+    on run under ``one_cpu``: the spy does not see the worker process."""
     batches = []
     for name in ("core_signed_distance", "core_clearance"):
         real = getattr(collision, name)
@@ -38,7 +39,7 @@ def count_kernel_pairs(monkeypatch) -> list:
     return batches
 
 
-def test_far_obstacles_make_no_kernel_call(monkeypatch):
+def test_far_obstacles_make_no_kernel_call(monkeypatch, one_cpu):
     scenario = bundled("arm_two_link.yaml")
     # the arm reaches at most the sum of its link lengths from its base
     reach = float(np.sum(scenario.robot.link_lengths))
@@ -108,13 +109,13 @@ def test_polygon_arm_outcomes_pinned(splits):
     ("arm_suite/prob_00.yaml", 0, 50.0),
     ("arm_suite/prob_00.yaml", 3, 50.0),
 ])
-def test_disc_solves_make_no_kernel_call(monkeypatch, name, splits, rho):
+def test_disc_solves_make_no_kernel_call(monkeypatch, name, splits, rho, one_cpu):
     batches = count_kernel_pairs(monkeypatch)
     run(bundled(name), SplitConfig(num_splits=splits, rho=rho))
     assert batches == []
 
 
-def test_polygon_solve_still_reaches_the_kernel(monkeypatch):
+def test_polygon_solve_still_reaches_the_kernel(monkeypatch, one_cpu):
     scenario = bundled("arm_three_link.yaml")
     hexagons = tuple(inscribed_hexagon(o, phase) for o, phase in zip(scenario.obstacles, (0.2, 0.9)))
     batches = count_kernel_pairs(monkeypatch)

@@ -35,7 +35,7 @@ def count_factorizations(monkeypatch) -> list:
     return made
 
 
-def test_one_factorization_per_segment_shape(monkeypatch):
+def test_one_factorization_per_segment_shape(monkeypatch, one_cpu):
     scenario = bundled("circle_blocked.yaml")
     made = count_factorizations(monkeypatch)
     report = run(scenario, SplitConfig(num_splits=4, rho=2.0))
@@ -45,6 +45,20 @@ def test_one_factorization_per_segment_shape(monkeypatch):
     assert report.iterations > 1
     assert len(shapes) < report.num_segments
     assert len(made) == len(shapes)
+    assert report.factorizations == len(shapes)
+
+
+def test_one_factorization_per_segment_shape_in_each_process(two_cpus):
+    # the twin of the test above with the worker process: each process keeps
+    # its own cache, so a shape solved in both is factored in both
+    scenario = bundled("circle_blocked.yaml")
+    report = run(scenario, SplitConfig(num_splits=4, rho=2.0))
+    last = scenario.num_waypoints - 1
+    edges = [0, *split_uniform(scenario.num_waypoints, 4), last]
+    shapes = [(b - a + 1, a == 0, b == last) for a, b in zip(edges, edges[1:])]
+    share = admm._parent_share(len(shapes))
+    assert report.iterations > 1
+    assert report.factorizations == len(set(shapes[:share])) + len(set(shapes[share:])) > len(set(shapes))
 
 
 # values of the solver that inverted every segment's base in every round
@@ -72,7 +86,7 @@ def test_outcomes_match_per_round_factorization(name):
     assert (report.nonconverged_segment_solves, report.qp_nonoptimal, report.kkt_fallbacks) == (0, 0, 0)
 
 
-def test_run_leaves_no_factor_reachable(monkeypatch):
+def test_run_leaves_no_factor_reachable(monkeypatch, one_cpu):
     made = count_factorizations(monkeypatch)
     caches = []
     real_init = FactorCache.__init__

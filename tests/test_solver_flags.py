@@ -102,7 +102,16 @@ def test_nlp_solution_carries_nonoptimal_returns(monkeypatch):
     assert solution.qp_nonoptimal <= solution.iterations
 
 
-def test_report_totals_sum_over_segment_solves(monkeypatch, tmp_path):
+def test_report_totals_sum_over_segment_solves(monkeypatch, tmp_path, one_cpu):
+    assert_totals_sum_over_segment_solves(monkeypatch)
+
+
+def test_report_totals_sum_over_worker_segment_solves(monkeypatch, fresh_worker):
+    # patched before the run forks the worker, so its solves are flagged too
+    assert_totals_sum_over_segment_solves(monkeypatch)
+
+
+def assert_totals_sum_over_segment_solves(monkeypatch):
     real = admm.solve
 
     def flagged(problem, options=None):
