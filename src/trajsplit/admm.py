@@ -24,12 +24,14 @@ Threads would add nothing: the work is GIL-bound numpy.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (wrapped by benchmark/tracing.py)
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -52,12 +54,12 @@ from .nlp import (
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Knobs of the splitting solver.
+    """Settings of a split run; the CLI's solver flags default to these.
 
     ``num_splits`` is the number of cut points M, producing M+1 segments;
     zero means a single monolithic solve.  ``eps`` bounds the mean position
     disagreement across splits (radians for arms, length units for point
-    robots).
+    robots).  ``nlp_options`` holds the segment solver's three limits.
     """
 
     num_splits: int = 2
@@ -333,18 +335,39 @@ def _in_daemon_process() -> bool:
     return mp is not None and mp.current_process().daemon
 
 
+def _quota_cpus(text: str) -> float:
+    """CPUs a cgroup quota "QUOTA PERIOD" allows; inf for "max", -1 or a parse error."""
+    try:
+        quota, period = (int(part) for part in text.split())
+        return quota / period if quota > 0 else np.inf
+    except (ValueError, ZeroDivisionError):
+        return np.inf
+
+
+@functools.cache
+def _cpu_quota() -> float:
+    """The cgroup CPU quota in CPUs (v2, else v1, at the mount root); inf for none."""
+    for names in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+        try:
+            return _quota_cpus(" ".join(Path("/sys/fs/cgroup", name).read_text() for name in names))
+        except OSError:
+            pass
+    return np.inf
+
+
 def _claim_worker(num_segments: int):
-    """The worker, started if need be, for a split run on two or more CPUs.
+    """The worker, started if need be, for a split run on two or more CPUs,
+    counted as the fewer of the affinity's and the cgroup quota's.
 
     None for a mono run, where ``fork`` or the CPU affinity is not available,
     on one CPU, in a daemonic process, while another thread's run holds the
     worker, and when the system refuses the fork: the run then solves every
-    segment here, with the same outcome.
-    """
+    segment here, with the same outcome."""
     global _worker
     if num_segments < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
-    if len(os.sched_getaffinity(0)) < 2 or _in_daemon_process() or not _worker_lock.acquire(blocking=False):
+    cpus = min(len(os.sched_getaffinity(0)), _cpu_quota())
+    if cpus < 2 or _in_daemon_process() or not _worker_lock.acquire(blocking=False):
         return None
     try:
         if _worker is None or not _worker.process.is_alive():

@@ -69,19 +69,22 @@ def _planner_list(text: str) -> list[tuple[str, int]]:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--splits", type=int, default=2, metavar="M", help="number of split points (default 2)")
-    parser.add_argument("--rho", type=float, default=50.0, help="consensus penalty weight (default 50)")
-    parser.add_argument("--eps", type=float, default=0.1745, help="splitting tolerance (default 0.1745)")
-    parser.add_argument("--max-iters", type=int, default=100, metavar="K", help="consensus iteration cap (default 100)")
-    parser.add_argument("--samples-per-edge", type=int, default=5, metavar="S",
-                        help="interpolated collision checks per edge (default 5)")
+    config = admm.SplitConfig()
+    parser.add_argument("--splits", type=int, default=config.num_splits, metavar="M",
+                        help="number of split points (default %(default)s)")
+    parser.add_argument("--rho", type=float, default=config.rho, help="consensus penalty weight (default %(default)s)")
+    parser.add_argument("--eps", type=float, default=config.eps, help="splitting tolerance (default %(default)s)")
+    parser.add_argument("--max-iters", type=int, default=config.max_admm_iterations, metavar="K",
+                        help="consensus iteration cap (default %(default)s)")
+    parser.add_argument("--samples-per-edge", type=int, default=config.samples_per_edge, metavar="S",
+                        help="interpolated collision checks per edge (default %(default)s)")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed recorded in the report")
-    parser.add_argument("--nlp-max-outer", type=int, default=50, metavar="K",
-                        help="segment solver outer iteration cap (default 50)")
-    parser.add_argument("--nlp-feas-tol", type=float, default=1e-4, metavar="TOL",
-                        help="segment solver feasibility tolerance (default 1e-4)")
-    parser.add_argument("--nlp-step-tol", type=float, default=1e-6, metavar="TOL",
-                        help="segment solver step tolerance (default 1e-6)")
+    parser.add_argument("--nlp-max-outer", type=int, default=config.nlp_options.max_outer_iterations, metavar="K",
+                        help="segment solver outer iteration cap (default %(default)s)")
+    parser.add_argument("--nlp-feas-tol", type=float, default=config.nlp_options.feasibility_tolerance, metavar="TOL",
+                        help="segment solver feasibility tolerance (default %(default)s)")
+    parser.add_argument("--nlp-step-tol", type=float, default=config.nlp_options.step_tolerance, metavar="TOL",
+                        help="segment solver step tolerance (default %(default)s)")
 
 
 def _config_from_args(args: argparse.Namespace, num_splits: int | None = None) -> admm.SplitConfig:

@@ -158,18 +158,6 @@ def bounding_circles(shapes) -> tuple[np.ndarray, np.ndarray]:
     return centers, np.array(reach)
 
 
-def support_point(shape: ConvexShape, direction: np.ndarray) -> np.ndarray:
-    """Farthest point of the full (swept) shape along ``direction``."""
-    core, radius = _core(shape)
-    d = np.asarray(direction, dtype=float)
-    norm = float(np.hypot(d[0], d[1]))
-    if norm < _EPS:
-        d = np.array([1.0, 0.0])
-        norm = 1.0
-    u = d / norm
-    return core[int(np.argmax(core @ u))] + radius * u
-
-
 # --- batched closed-form kernel ---------------------------------------------
 
 

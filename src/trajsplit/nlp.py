@@ -14,7 +14,10 @@ penalty slack is fixed at zero or tied to the row, never a variable.
 
 Collision constraints enter as the inequality evaluator; dynamics and
 boundary pins are affine equalities and stay exactly satisfied at every
-iterate, so the penalty only ever acts on collision violation.
+iterate, so the penalty only ever acts on collision violation.  The
+trust-region and penalty schedule is fixed (``INITIAL_TRUST_RADIUS`` and the
+constants after it); ``SolverOptions`` sets only the iteration cap and the
+feasibility and step tolerances.
 """
 
 from __future__ import annotations
@@ -100,6 +103,7 @@ class FactorCache:
 
 
 _FREE, _TIGHT, _TIED = 0, 1, 2  # row states; only elastic rows are ever tied
+QP_TOLERANCE = 1e-11  # a step this short in every coordinate reaches the working-set optimum
 
 
 def solve_qp(
@@ -115,7 +119,6 @@ def solve_qp(
     upper: np.ndarray | None = None,
     penalty: np.ndarray | None = None,
     base_inverse: np.ndarray | None = None,
-    tol: float = 1e-11,
     max_iterations: int | None = None,
     stats: QpStats | None = None,
 ) -> tuple[np.ndarray, bool]:
@@ -222,7 +225,7 @@ def solve_qp(
         else:
             target = free_opt[:n].copy()
         p = target - x
-        if not n or np.abs(p).max() <= tol:
+        if not n or np.abs(p).max() <= QP_TOLERANCE:
             x = target
             if not entries:
                 return x, True
@@ -339,43 +342,27 @@ class NlpProblem:
     deadline: float | None = None
 
 
+# the fixed SCP schedule: trust region, l1 penalty and the proximal term
+INITIAL_TRUST_RADIUS, MIN_TRUST_RADIUS, MAX_TRUST_RADIUS = 0.1, 1e-10, 16.0
+TRUST_EXPAND, TRUST_SHRINK, RATIO_GOOD, RATIO_BAD = 1.5, 0.25, 0.75, 0.25  # radius factors, merit-ratio thresholds
+INITIAL_PENALTY, PENALTY_GROWTH, PENALTY_CAP = 10.0, 10.0, 1e6
+PROX_REGULARIZATION = 1e-10  # added to the Hessian's diagonal in every QP
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    """Convexification loop parameters."""
+    """Convexification loop limits; the schedule above is fixed."""
 
     max_outer_iterations: int = 50
     feasibility_tolerance: float = 1e-4
     step_tolerance: float = 1e-6
-    initial_trust_radius: float = 0.1
-    trust_expand: float = 1.5
-    trust_shrink: float = 0.25
-    ratio_good: float = 0.75
-    ratio_bad: float = 0.25
-    max_trust_radius: float = 16.0
-    min_trust_radius: float = 1e-10
-    initial_penalty: float = 10.0
-    penalty_growth: float = 10.0
-    penalty_cap: float = 1e6
-    prox_regularization: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.max_outer_iterations < 1:
             raise ConfigError("max_outer_iterations must be >= 1")
-        for name in ("feasibility_tolerance", "step_tolerance", "initial_trust_radius",
-                     "initial_penalty", "penalty_cap", "prox_regularization"):
+        for name in ("feasibility_tolerance", "step_tolerance"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and > 0")
-        # comparisons are written so that NaN fails them
-        if not self.trust_expand >= 1.0:
-            raise ConfigError("trust_expand must be >= 1")
-        if not 0.0 < self.trust_shrink < 1.0:
-            raise ConfigError("trust_shrink must be in (0, 1)")
-        if not 0.0 < self.ratio_bad <= self.ratio_good < 1.0:
-            raise ConfigError("need 0 < ratio_bad <= ratio_good < 1")
-        if not 0.0 < self.min_trust_radius <= self.max_trust_radius < np.inf:
-            raise ConfigError("need 0 < min_trust_radius <= max_trust_radius < inf")
-        if not self.penalty_growth > 1.0:
-            raise ConfigError("penalty_growth must be > 1")
 
 
 @dataclass(frozen=True)
@@ -477,9 +464,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     def eq_violation(point: np.ndarray) -> float:
         return float(np.max(np.abs(a_eq @ point - b_eq), initial=0.0)) if a_eq.shape[0] else 0.0
 
-    mu = opts.initial_penalty
-    delta = opts.initial_trust_radius
-    prox = opts.prox_regularization
+    mu, delta = INITIAL_PENALTY, INITIAL_TRUST_RADIUS
 
     fx, gx, h, rows_vals, rows_jac = evaluate(x)
     merit = fx + mu * penalty(rows_vals)
@@ -490,7 +475,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     for _ in range(opts.max_outer_iterations):
         iterations += 1
         if base is None or not np.array_equal(h, base_hessian):
-            base_hessian, hprox = h, h + prox * np.eye(n)
+            base_hessian, hprox = h, h + PROX_REGULARIZATION * np.eye(n)
             base = factors.inverse(hprox, a_eq, qp_stats)
 
         # convex subproblem: the quadratic model, the linearized rows as
@@ -518,25 +503,25 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
             merit_new = f_new + mu * penalty(vals_new)
             ratio = (merit - merit_new) / predicted
 
-            if ratio > opts.ratio_good:
-                delta = min(delta * opts.trust_expand, opts.max_trust_radius)
-            elif ratio < opts.ratio_bad:
-                delta = max(delta * opts.trust_shrink, opts.min_trust_radius)
+            if ratio > RATIO_GOOD:
+                delta = min(delta * TRUST_EXPAND, MAX_TRUST_RADIUS)
+            elif ratio < RATIO_BAD:
+                delta = max(delta * TRUST_SHRINK, MIN_TRUST_RADIUS)
 
             if merit_new < merit:
                 stalled = float(np.max(np.abs(dx), initial=0.0)) <= opts.step_tolerance
                 x, merit = x_new, merit_new
                 fx, gx, h, rows_vals, rows_jac = trial
-            elif delta <= opts.min_trust_radius * 1.01:
+            elif delta <= MIN_TRUST_RADIUS * 1.01:
                 break
         if stalled:
             if max(float(np.max(rows_vals, initial=0.0)), eq_violation(x)) <= opts.feasibility_tolerance:
                 converged = True
                 break
-            if mu >= opts.penalty_cap:
+            if mu >= PENALTY_CAP:
                 break
-            mu = min(mu * opts.penalty_growth, opts.penalty_cap)
-            delta = max(delta, opts.initial_trust_radius)
+            mu = min(mu * PENALTY_GROWTH, PENALTY_CAP)
+            delta = max(delta, INITIAL_TRUST_RADIUS)
             merit = fx + mu * penalty(rows_vals)
         if problem.deadline is not None and time.perf_counter() >= problem.deadline:
             break

@@ -54,10 +54,13 @@ def one_cpu(monkeypatch):
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Split runs deal part of every round to the worker process, even where
-    the machine has one CPU."""
+    the machine has one CPU or a CPU quota."""
     if not hasattr(os, "fork"):
         pytest.skip("the worker process needs fork")
+    from trajsplit import admm
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(admm, "_cpu_quota", lambda: math.inf)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from trajsplit.admm import SplitConfig
 from trajsplit.cli import (
     BENCH_COLUMNS,
     EXIT_COLLISION,
@@ -13,6 +14,8 @@ from trajsplit.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     SWEEP_COLUMNS,
+    _config_from_args,
+    build_parser,
     bundled_scenario_dir,
     main,
 )
@@ -268,3 +271,15 @@ class TestBundledScenarios:
         assert len(suite) == 25
         assert suite[0].name == "prob_00.yaml"
         assert suite[-1].name == "prob_24.yaml"
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("argv", [["solve", "s.yaml"], ["sweep", "s.yaml"], ["bench"]],
+                             ids=["solve", "sweep", "bench"])
+    def test_no_solver_flags_give_the_config_defaults(self, argv):
+        assert _config_from_args(build_parser().parse_args(argv)) == SplitConfig()
+
+    def test_bench_planners_differ_from_the_defaults_in_splits_only(self):
+        args = build_parser().parse_args(["bench"])
+        for _, num_splits in args.planners:
+            assert _config_from_args(args, num_splits=num_splits) == SplitConfig(num_splits=num_splits)

@@ -13,27 +13,9 @@ from trajsplit.geometry import (
     Circle,
     ConvexPolygon,
     signed_distance,
-    support_point,
 )
 
 UNIT_SQUARE = ConvexPolygon(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
-
-
-def test_support_point_circle():
-    c = Circle(np.array([1.0, 2.0]), 0.5)
-    np.testing.assert_allclose(support_point(c, np.array([1.0, 0.0])), [1.5, 2.0])
-    np.testing.assert_allclose(support_point(c, np.array([0.0, -2.0])), [1.0, 1.5])
-
-
-def test_support_point_polygon_picks_extreme_vertex():
-    np.testing.assert_allclose(support_point(UNIT_SQUARE, np.array([1.0, 0.5])), [1.0, 1.0])
-    np.testing.assert_allclose(support_point(UNIT_SQUARE, np.array([-1.0, -0.5])), [-1.0, -1.0])
-
-
-def test_support_point_capsule():
-    cap = Capsule(np.array([0.0, 0.0]), np.array([2.0, 0.0]), 0.25)
-    np.testing.assert_allclose(support_point(cap, np.array([1.0, 0.0])), [2.25, 0.0])
-    np.testing.assert_allclose(support_point(cap, np.array([0.0, 1.0]))[1], 0.25)
 
 
 def test_circle_circle_separated():

@@ -198,7 +198,7 @@ class TestSolve:
     def test_first_step_within_trust_radius(self):
         obj = QuadraticFunction(hessian_matrix=np.array([[2.0]]), linear=np.array([-20.0]))
         problem = NlpProblem(dim=1, objective=obj.value_and_grad, objective_hessian=obj.hessian, x0=np.zeros(1))
-        opts = SolverOptions(max_outer_iterations=1, initial_trust_radius=0.1)
+        opts = SolverOptions(max_outer_iterations=1)
         sol = solve(problem, opts)
         assert abs(sol.point[0]) <= 0.1 + 1e-9
 
@@ -263,63 +263,12 @@ class TestSolve:
             SolverOptions(max_outer_iterations=0)
         with pytest.raises(ConfigError):
             SolverOptions(feasibility_tolerance=-1.0)
-        with pytest.raises(ConfigError):
-            SolverOptions(initial_trust_radius=0.0)
 
-    @pytest.mark.parametrize("name", [
-        "feasibility_tolerance", "step_tolerance", "initial_trust_radius", "initial_penalty", "penalty_cap",
-    ])
+    @pytest.mark.parametrize("name", ["feasibility_tolerance", "step_tolerance"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_options_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             SolverOptions(**{name: value})
-
-    @pytest.mark.parametrize("value", [0.0, -1e-10, math.inf, math.nan])
-    def test_prox_regularization_range(self, value):
-        with pytest.raises(ConfigError, match="prox_regularization"):
-            SolverOptions(prox_regularization=value)
-
-    @pytest.mark.parametrize("value", [0.999, 0.0, -2.0, math.nan])
-    def test_trust_expand_range(self, value):
-        with pytest.raises(ConfigError, match="trust_expand"):
-            SolverOptions(trust_expand=value)
-
-    @pytest.mark.parametrize("value", [0.0, 1.0, 2.0, -0.5, math.nan])
-    def test_trust_shrink_range(self, value):
-        with pytest.raises(ConfigError, match="trust_shrink"):
-            SolverOptions(trust_shrink=value)
-
-    @pytest.mark.parametrize("value", [0.0, -0.1, 0.8, math.nan])
-    def test_ratio_bad_range(self, value):
-        # 0.8 exceeds the default ratio_good 0.75
-        with pytest.raises(ConfigError, match="ratio_bad"):
-            SolverOptions(ratio_bad=value)
-
-    @pytest.mark.parametrize("value", [1.0, 1.5, 0.2, math.nan])
-    def test_ratio_good_range(self, value):
-        # 0.2 is below the default ratio_bad 0.25
-        with pytest.raises(ConfigError, match="ratio_good"):
-            SolverOptions(ratio_good=value)
-
-    @pytest.mark.parametrize("value", [0.0, -1.0, 20.0, math.nan])
-    def test_min_trust_radius_range(self, value):
-        # 20 exceeds the default max_trust_radius 16
-        with pytest.raises(ConfigError, match="min_trust_radius"):
-            SolverOptions(min_trust_radius=value)
-
-    @pytest.mark.parametrize("value", [math.inf, 1e-11, math.nan])
-    def test_max_trust_radius_range(self, value):
-        # 1e-11 is below the default min_trust_radius 1e-10
-        with pytest.raises(ConfigError, match="max_trust_radius"):
-            SolverOptions(max_trust_radius=value)
-
-    @pytest.mark.parametrize("value", [1.0, 0.5, -10.0, math.nan])
-    def test_penalty_growth_range(self, value):
-        with pytest.raises(ConfigError, match="penalty_growth"):
-            SolverOptions(penalty_growth=value)
-
-    def test_range_edges_accepted(self):
-        SolverOptions(trust_expand=1.0, ratio_bad=0.5, ratio_good=0.5, min_trust_radius=2.0, max_trust_radius=2.0)
 
     def test_base_factored_once_per_solve(self, monkeypatch):
         # A QuadraticFunction returns the same Hessian at every point, so the

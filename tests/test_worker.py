@@ -1,17 +1,20 @@
 """The segment worker process: a split run on two CPUs solves part of every
 round in one forked worker.  Its outcome is bit-identical to solving every
-segment in this process; mono and one-CPU runs start no process, nor do
-runs in a daemonic process or when the fork is refused; deadlines
-cut the worker's solves too; a dead worker is an error, never a partial
-report, and is replaced by the next run; a worker exception surfaces here
-with its type and message."""
+segment in this process; mono and one-CPU runs (by affinity or by cgroup
+quota) start no process, nor do runs in a daemonic process or when the fork
+is refused; deadlines cut the worker's solves too; a dead worker is an
+error, never a partial report, and is replaced by the next run; a worker
+exception surfaces here with its type and message; the pipe's codec keeps
+every field of a solve outcome."""
 
+import math
 import os
 import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +24,9 @@ from trajsplit.admm import SplitConfig, _stop_worker, run
 from trajsplit.cli import bundled_scenario_dir
 from trajsplit.errors import ConfigError, EvaluatorError, WorkerError
 from trajsplit.geometry import ConvexPolygon
+from trajsplit.nlp import NlpSolution
 from trajsplit.scenario_io import load_scenario
+from trajsplit.worker import _pack_solutions, _unpack_solutions
 
 # seconds and counts of factorizations depend on where the segments ran
 PER_PROCESS = {"wall_seconds_total", "wall_seconds_primal", "wall_seconds_consensus", "iteration_seconds",
@@ -93,6 +98,65 @@ def test_one_cpu_run_starts_no_process(one_cpu, monkeypatch):
     refuse_fork(monkeypatch)
     report = run(bundled("circle_blocked.yaml"), SplitConfig(num_splits=4, rho=2.0))
     assert report.converged and admm._worker is None
+
+
+def test_one_cpu_quota_run_starts_no_process(two_cpus, monkeypatch):
+    _stop_worker()
+    monkeypatch.setattr(admm, "_cpu_quota", lambda: 1.0)
+    refuse_fork(monkeypatch)
+    report = run(bundled("circle_blocked.yaml"), SplitConfig(num_splits=4, rho=2.0))
+    assert report.converged and admm._worker is None
+
+
+@pytest.mark.parametrize("text, cpus", [
+    ("max 100000\n", math.inf),
+    ("50000 100000\n", 0.5),
+    ("150000 100000\n", 1.5),
+    ("-1\n", math.inf),
+    ("-1\n 100000\n", math.inf),  # v1: cpu.cfs_quota_us and cpu.cfs_period_us
+    ("50000 0\n", math.inf),
+    ("", math.inf),
+], ids=["v2-max", "half", "one-and-a-half", "v1-none", "v1-files-none", "zero-period", "empty"])
+def test_quota_parser(text, cpus):
+    assert admm._quota_cpus(text) == cpus
+
+
+@pytest.mark.parametrize("files, cpus", [
+    ({"cpu.max": "100000 100000\n", "cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1.0),
+    ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3.0),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, math.inf),
+    ({"cpu/cpu.cfs_quota_us": "300000\n"}, math.inf),
+    ({}, math.inf),
+], ids=["v2-before-v1", "v1", "v1-none", "v1-no-period", "no-files"])
+def test_quota_read_from_cgroup_files(tmp_path, monkeypatch, files, cpus):
+    # cgroup v2 first, else v1; a missing file means no quota
+    (tmp_path / "cpu").mkdir()
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(admm, "Path", lambda root, name: tmp_path / name)
+    assert admm._cpu_quota.__wrapped__() == cpus
+
+
+def test_solution_codec_keeps_every_field():
+    # distinct non-default values in every NlpSolution field, so that a field
+    # the pipe drops or mistypes fails here
+    def solution(size, k):
+        values = {}
+        for i, f in enumerate(fields(NlpSolution)):
+            value = 10 * k + i + 1
+            values[f.name] = {"np.ndarray": np.arange(size) + value + 0.25, "float": value + 0.5,
+                              "int": value, "bool": k == 0}[f.type]
+        return NlpSolution(**values)
+
+    sent = [solution(3, 0), solution(5, 1)]
+    segments = [SimpleNamespace(layout=SimpleNamespace(size=s.point.size)) for s in sent]
+    got = _unpack_solutions(_pack_solutions(sent).tobytes(), segments)
+    for want, back in zip(sent, got, strict=True):
+        for f in fields(NlpSolution):
+            a, b = getattr(want, f.name), getattr(back, f.name)
+            assert type(b) is type(a), f.name
+            assert np.array_equal(a, b), f.name
+        assert back.point.dtype == np.float64
 
 
 def test_busy_worker_leaves_the_run_here(two_cpus, monkeypatch):
