@@ -349,6 +349,26 @@ INITIAL_PENALTY, PENALTY_GROWTH, PENALTY_CAP = 10.0, 10.0, 1e6
 PROX_REGULARIZATION = 1e-10  # added to the Hessian's diagonal in every QP
 
 
+def check_schedule() -> None:
+    """Raise ConfigError if a schedule constant leaves the range the loop relies on; NaN fails every test."""
+    for name in ("INITIAL_TRUST_RADIUS", "INITIAL_PENALTY", "PENALTY_CAP", "PROX_REGULARIZATION"):
+        if not 0.0 < globals()[name] < np.inf:
+            raise ConfigError(f"{name} must be finite and > 0")
+    if not TRUST_EXPAND >= 1.0:
+        raise ConfigError("TRUST_EXPAND must be >= 1")
+    if not 0.0 < TRUST_SHRINK < 1.0:
+        raise ConfigError("TRUST_SHRINK must be in (0, 1)")
+    if not 0.0 < RATIO_BAD <= RATIO_GOOD < 1.0:
+        raise ConfigError("need 0 < RATIO_BAD <= RATIO_GOOD < 1")
+    if not 0.0 < MIN_TRUST_RADIUS <= MAX_TRUST_RADIUS < np.inf:
+        raise ConfigError("need 0 < MIN_TRUST_RADIUS <= MAX_TRUST_RADIUS < inf")
+    if not PENALTY_GROWTH > 1.0:
+        raise ConfigError("PENALTY_GROWTH must be > 1")
+
+
+check_schedule()
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Convexification loop limits; the schedule above is fixed."""

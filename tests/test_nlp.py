@@ -270,6 +270,74 @@ class TestSolve:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             SolverOptions(**{name: value})
 
+    # The SCP schedule is fixed, but nlp.check_schedule guards its ranges at
+    # import; each test below patches one constant and calls the check.
+    @pytest.mark.parametrize("value", [0.0, -1e-10, math.inf, math.nan])
+    def test_prox_regularization_range(self, value, monkeypatch):
+        monkeypatch.setattr(nlp, "PROX_REGULARIZATION", value)
+        with pytest.raises(ConfigError, match="PROX_REGULARIZATION"):
+            nlp.check_schedule()
+
+    @pytest.mark.parametrize("value", [0.999, 0.0, -2.0, math.nan])
+    def test_trust_expand_range(self, value, monkeypatch):
+        monkeypatch.setattr(nlp, "TRUST_EXPAND", value)
+        with pytest.raises(ConfigError, match="TRUST_EXPAND"):
+            nlp.check_schedule()
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 2.0, -0.5, math.nan])
+    def test_trust_shrink_range(self, value, monkeypatch):
+        monkeypatch.setattr(nlp, "TRUST_SHRINK", value)
+        with pytest.raises(ConfigError, match="TRUST_SHRINK"):
+            nlp.check_schedule()
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, 0.8, math.nan])
+    def test_ratio_bad_range(self, value, monkeypatch):
+        # 0.8 exceeds RATIO_GOOD 0.75
+        monkeypatch.setattr(nlp, "RATIO_BAD", value)
+        with pytest.raises(ConfigError, match="RATIO_BAD"):
+            nlp.check_schedule()
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, 0.2, math.nan])
+    def test_ratio_good_range(self, value, monkeypatch):
+        # 0.2 is below RATIO_BAD 0.25
+        monkeypatch.setattr(nlp, "RATIO_GOOD", value)
+        with pytest.raises(ConfigError, match="RATIO_GOOD"):
+            nlp.check_schedule()
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, 20.0, math.nan])
+    def test_min_trust_radius_range(self, value, monkeypatch):
+        # 20 exceeds MAX_TRUST_RADIUS 16
+        monkeypatch.setattr(nlp, "MIN_TRUST_RADIUS", value)
+        with pytest.raises(ConfigError, match="MIN_TRUST_RADIUS"):
+            nlp.check_schedule()
+
+    @pytest.mark.parametrize("value", [math.inf, 1e-11, math.nan])
+    def test_max_trust_radius_range(self, value, monkeypatch):
+        # 1e-11 is below MIN_TRUST_RADIUS 1e-10
+        monkeypatch.setattr(nlp, "MAX_TRUST_RADIUS", value)
+        with pytest.raises(ConfigError, match="MAX_TRUST_RADIUS"):
+            nlp.check_schedule()
+
+    @pytest.mark.parametrize("value", [1.0, 0.5, -10.0, math.nan])
+    def test_penalty_growth_range(self, value, monkeypatch):
+        monkeypatch.setattr(nlp, "PENALTY_GROWTH", value)
+        with pytest.raises(ConfigError, match="PENALTY_GROWTH"):
+            nlp.check_schedule()
+
+    @pytest.mark.parametrize("name", ["INITIAL_TRUST_RADIUS", "INITIAL_PENALTY", "PENALTY_CAP"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_schedule_rejected(self, name, value, monkeypatch):
+        monkeypatch.setattr(nlp, name, value)
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            nlp.check_schedule()
+
+    def test_range_edges_accepted(self, monkeypatch):
+        nlp.check_schedule()  # the shipped schedule
+        for name, value in (("TRUST_EXPAND", 1.0), ("RATIO_BAD", 0.5), ("RATIO_GOOD", 0.5),
+                            ("MIN_TRUST_RADIUS", 2.0), ("MAX_TRUST_RADIUS", 2.0)):
+            monkeypatch.setattr(nlp, name, value)
+        nlp.check_schedule()
+
     def test_base_factored_once_per_solve(self, monkeypatch):
         # A QuadraticFunction returns the same Hessian at every point, so the
         # base KKT matrix is factored once however many SCP iterations run.
