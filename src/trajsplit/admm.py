@@ -8,8 +8,9 @@ times the remaining disagreement.  The loop stops when the mean position
 disagreement across splits drops below the splitting tolerance.  Rounds
 change only the consensus linear terms and warm starts: a run's
 ``FactorCache`` builds each segment's Hessian, equalities, bounds and rows
-once, and inverts its base KKT matrix once per segment shape (waypoint
-count, pinned start, pinned goal).
+once, and factors its base KKT matrix once per segment shape (waypoint
+count, pinned start, pinned goal) as the inverse of one per-coordinate
+block.
 
 The gain of splitting is that each segment's cost grows with its own
 waypoints, not the whole trajectory's, and that the segments of a round are

@@ -8,9 +8,13 @@ subproblems are solved by a Schur-complement primal active-set method.  The
 KKT matrix of the Hessian and the equalities is factored once per run per
 segment shape (a ``FactorCache`` keeps it), and again only if the Hessian
 changes: for a trajectory segment it never does, since the objective is
-quadratic and the dynamics affine.  The trust region and joint limits are
-bounds that fix variables, and the linearized rows are elastic: each row's
-penalty slack is fixed at zero or tied to the row, never a variable.
+quadratic and the dynamics affine.  A segment's cost, dynamics and pins act
+on each coordinate alone and alike, so that matrix is one equal block per
+coordinate and only one block is inverted; the collision rows, the only
+ones that mix coordinates, enter through the Schur complement.  The trust
+region and joint limits are bounds that fix variables, and the linearized
+rows are elastic: each row's penalty slack is fixed at zero or tied to the
+row, never a variable.
 
 Collision constraints enter as the inequality evaluator; dynamics and
 boundary pins are affine equalities and stay exactly satisfied at every
@@ -49,54 +53,119 @@ class QpStats:
     kkt_fallbacks: int = 0
 
 
-def kkt_inverse(hessian: np.ndarray, a_eq: np.ndarray, stats: QpStats | None = None) -> np.ndarray:
-    """Inverse of the base KKT matrix [[H, A'], [A, 0]] of a QP, symmetrized.
+class KktInverse:
+    """Inverse of a base KKT matrix [[H, A'], [A, 0]] held as equal diagonal blocks.
+
+    KKT index t, a variable or an equality row, lies in block t mod
+    ``coordinates`` at position t // ``coordinates``; every block's inverse
+    is ``block``, and the entries between blocks are zero.  ``block`` is
+    symmetric, so a row of the inverse is also its column.
+    """
+
+    def __init__(self, block: np.ndarray, coordinates: int) -> None:
+        self.block, self.coordinates = block, coordinates
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """K^-1 rhs: one product of the block with a column per coordinate."""
+        return (self.block @ rhs.reshape(-1, self.coordinates)).reshape(-1)
+
+    def rows(self, idx) -> np.ndarray:
+        """K^-1[idx] for an index or an index array."""
+        d, flat = self.coordinates, np.ravel(idx)
+        out = np.zeros((flat.size, self.block.shape[0], d))
+        out[np.arange(flat.size), :, flat % d] = self.block[flat // d]
+        return out.reshape(np.shape(idx) + (-1,))
+
+    def entry(self, i: int) -> float:
+        """K^-1[i, i]."""
+        return self.block[i // self.coordinates, i // self.coordinates]
+
+
+def _diagonal_blocks(matrix: np.ndarray, d: int) -> np.ndarray:
+    """View of the d blocks of ``matrix`` taking rows and columns t mod d = c, stacked last."""
+    rows, cols = matrix.shape
+    return matrix.reshape(rows // d, d, cols // d, d).diagonal(0, 1, 3)
+
+
+def _coordinate_block(hessian: np.ndarray, a_eq: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Block 0 of H and A if [[H, A'], [A, 0]] is d equal blocks, index t in
+    block t mod d, with zeros between them; else None."""
+    if hessian.shape[0] % d or a_eq.shape[0] % d:
+        return None
+    hb, ab = _diagonal_blocks(hessian, d), _diagonal_blocks(a_eq, d)
+    h, a = hb[..., 0], ab[..., 0]
+    if (
+        np.count_nonzero(hessian) == d * np.count_nonzero(h)
+        and np.count_nonzero(a_eq) == d * np.count_nonzero(a)
+        and not np.count_nonzero(hb != h[..., None])
+        and not np.count_nonzero(ab != a[..., None])
+    ):
+        return h, a
+    return None
+
+
+def kkt_inverse(
+    hessian: np.ndarray, a_eq: np.ndarray, stats: QpStats | None = None, coordinates: int = 1, shift: float = 0.0
+) -> KktInverse:
+    """Inverse of the base KKT matrix [[H + shift I, A'], [A, 0]] of a QP, symmetrized.
 
     Every active-set step of ``solve_qp`` reuses it: the optimum of the base
     problem is one product with it, and a constraint row c entering the
     working set needs only the column K^-1 [c; 0] (for a bound, a column of
-    the inverse itself).  A singular base is answered by the pseudo-inverse
-    and counted in ``stats.kkt_fallbacks``.
+    the inverse itself).  ``coordinates`` claims that the matrix splits into
+    that many equal blocks, index t in block t mod ``coordinates``, as a
+    segment's waypoint-major packing does; the claim is checked exactly,
+    and a matrix it does not hold for is inverted as one block.  A singular
+    block is answered by the pseudo-inverse and counted in
+    ``stats.kkt_fallbacks``.
     """
-    n, m = hessian.shape[0], a_eq.shape[0]
+    block = _coordinate_block(hessian, a_eq, coordinates) if coordinates > 1 else None
+    h, a = (hessian, a_eq) if block is None else block
+    n, m = h.shape[0], a.shape[0]
     kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = hessian
-    kkt[:n, n:] = a_eq.T
-    kkt[n:, :n] = a_eq
+    kkt[:n, :n] = h
+    kkt[:n, n:] = a.T
+    kkt[n:, :n] = a
+    kkt.reshape(-1)[: n * (n + m) : n + m + 1] += shift  # the diagonal of H
     try:
         inverse = np.linalg.inv(kkt)
     except np.linalg.LinAlgError:
         inverse = np.linalg.pinv(kkt)
         if stats is not None:
             stats.kkt_fallbacks += 1
-    # symmetrized, so that row i is column i
-    return 0.5 * (inverse + inverse.T)
+    # symmetrized, so that row i is column i; kkt's buffer takes the result
+    np.add(inverse, inverse.T, out=kkt)
+    kkt *= 0.5
+    return KktInverse(kkt, 1 if block is None else coordinates)
 
 
 class FactorCache:
     """Base KKT inverses and segment parts shared by the NLP solves of one run.
 
-    ``inverse`` finds a base by its exact matrices, so equal segments share
-    one factorization and no hand-in can change an answer; a shared
-    pseudo-inverse counts one ``kkt_fallbacks`` in each solve that uses it.
-    ``segments`` keeps the fixed parts of ``scenario``'s segment NLPs;
-    ``factorizations`` counts the bases inverted so far.
+    ``inverse`` finds a base by its exact matrices and block count, so equal
+    segments share one factorization and no hand-in can change an answer; a
+    shared pseudo-inverse counts one ``kkt_fallbacks`` in each solve that
+    uses it.  A segment's base is factored as one inverse of a
+    per-coordinate block (see ``kkt_inverse``).  ``segments`` keeps the
+    fixed parts of ``scenario``'s segment NLPs; ``factorizations`` counts
+    the bases inverted so far.
     """
 
     def __init__(self, scenario: Scenario | None = None) -> None:
         self.scenario, self.segments, self._bases = scenario, {}, []
         self.factorizations = 0
 
-    def inverse(self, hessian: np.ndarray, a_eq: np.ndarray, stats: QpStats) -> np.ndarray:
-        """``kkt_inverse`` of a base, factored on first use; ``hessian`` is kept uncopied."""
-        for h, a, inverse, fallbacks in self._bases:
-            if np.array_equal(h, hessian) and np.array_equal(a, a_eq):
+    def inverse(self, hessian: np.ndarray, a_eq: np.ndarray, stats: QpStats, coordinates: int) -> KktInverse:
+        """``kkt_inverse`` of a base with ``PROX_REGULARIZATION`` on the Hessian's
+        diagonal, factored on first use; ``hessian`` is kept uncopied."""
+        for h, a, d, inverse, fallbacks in self._bases:
+            if d == coordinates and np.array_equal(h, hessian) and np.array_equal(a, a_eq):
                 break
         else:
             own = QpStats()
-            inverse = kkt_inverse(hessian, a_eq, own)
+            inverse = kkt_inverse(hessian, a_eq, own, coordinates, PROX_REGULARIZATION)
             fallbacks = own.kkt_fallbacks
-            self._bases.append((hessian, a_eq.copy(), inverse, fallbacks))
+            self._bases.append((hessian, a_eq.copy(), coordinates, inverse, fallbacks))
             self.factorizations += 1
         stats.kkt_fallbacks += fallbacks
         return inverse
@@ -118,7 +187,7 @@ def solve_qp(
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
     penalty: np.ndarray | None = None,
-    base_inverse: np.ndarray | None = None,
+    base_inverse: KktInverse | None = None,
     max_iterations: int | None = None,
     stats: QpStats | None = None,
 ) -> tuple[np.ndarray, bool]:
@@ -134,7 +203,8 @@ def solve_qp(
     gradient).
 
     Primal active set over one inverted base KKT matrix [[H, A_eq'], [A_eq,
-    0]] (``base_inverse`` from ``kkt_inverse``, or built here): each step
+    0]] (``base_inverse`` from ``kkt_inverse``, or built here from
+    ``hessian``, which is read for nothing else): each step
     solves only the Schur system of the working set, whose entries are
     active bounds (the variable is fixed exactly at the bound value) and
     tight rows.  H must be positive definite on the nullspace of A_eq.  ``x0`` must satisfy the hard rows
@@ -156,26 +226,26 @@ def solve_qp(
 
     # optimum of the base problem, K^-1 rhs; tying a row subtracts weight * [a_r; 0] from rhs
     rhs = np.concatenate([-gradient, b_eq])
-    free_opt = kinv @ rhs
+    free_opt = kinv.solve(rhs)
     columns: dict[int, np.ndarray] = {}
 
     def row_column(r: int) -> np.ndarray:
         if r not in columns:
             nz = np.flatnonzero(a_in[r])
-            columns[r] = a_in[r, nz] @ kinv[nz]
+            columns[r] = a_in[r, nz] @ kinv.rows(nz)
         return columns[r]
 
     # working set: entries (variable j for a bound, n + r for row r), their
     # columns K^-1 [c; 0], the Schur matrix and the right-hand sides
     entries: list[int] = []
-    cols = np.zeros((kinv.shape[0], 0))
+    cols = np.zeros((rhs.size, 0))
     schur = np.zeros((0, 0))
     values = np.zeros(0)
 
     def add(e: int) -> None:
         nonlocal cols, schur, values
         if e < n:
-            col, cross, value, pivot = kinv[e], cols[e], fixed_at[e], kinv[e, e]
+            col, cross, value, pivot = kinv.rows(e), cols[e], fixed_at[e], kinv.entry(e)
         else:
             r = e - n
             nz = np.flatnonzero(a_in[r])
@@ -327,6 +397,9 @@ class NlpProblem:
     may omit constraints that are satisfied at x (e.g. collision pairs far
     from contact), never violated ones.  Solves sharing ``factors`` factor
     each base once; ``deadline`` is a ``time.perf_counter`` value.
+    ``coordinates`` claims that the KKT matrix of the Hessian and ``a_eq``
+    splits into that many equal blocks (see ``kkt_inverse``, which checks
+    the claim before using it).
     """
 
     dim: int
@@ -340,6 +413,7 @@ class NlpProblem:
     x0: np.ndarray | None = None
     factors: FactorCache | None = None
     deadline: float | None = None
+    coordinates: int = 1
 
 
 # the fixed SCP schedule: trust region, l1 penalty and the proximal term
@@ -459,7 +533,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     x = np.clip(x, lower, upper)
 
     def evaluate(point: np.ndarray):
-        """Objective value, gradient, symmetrized Hessian, inequality rows."""
+        """Objective value, gradient, symmetric Hessian, inequality rows."""
         f, g = problem.objective(point)
         _check_finite(f, "objective")
         _check_finite(g, "objective gradient")
@@ -476,7 +550,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
             _check_finite(jac, "inequality jacobian")
         else:
             vals, jac = np.zeros(0), np.zeros((0, n))
-        return f, g, 0.5 * (h + h.T), vals, jac
+        symmetric = not np.count_nonzero(h != h.T)
+        return f, g, h if symmetric else 0.5 * (h + h.T), vals, jac
 
     def penalty(vals: np.ndarray) -> float:
         return float(np.sum(np.maximum(vals, 0.0)))
@@ -491,19 +566,21 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
 
     converged = False
     iterations = 0
-    base = base_hessian = None  # kkt_inverse of H + prox I and A_eq, kept while H is unchanged
+    # kkt_inverse of H + prox I and A_eq, kept while H is unchanged; the
+    # snapshot also sees a Hessian the evaluator changes in place
+    base = base_hessian = None
     for _ in range(opts.max_outer_iterations):
         iterations += 1
         if base is None or not np.array_equal(h, base_hessian):
-            base_hessian, hprox = h, h + PROX_REGULARIZATION * np.eye(n)
-            base = factors.inverse(hprox, a_eq, qp_stats)
+            base_hessian = h.copy()
+            base = factors.inverse(base_hessian, a_eq, qp_stats, problem.coordinates)
 
         # convex subproblem: the quadratic model, the linearized rows as
         # elastic rows at weight mu, the trust region as bounds
         lo_eff = np.maximum(lower, x - delta)
         hi_eff = np.minimum(upper, x + delta)
         sol, _ = solve_qp(
-            hprox, gx - hprox @ x, a_eq, b_eq, rows_jac, rows_jac @ x - rows_vals, x,
+            h, gx - h @ x - PROX_REGULARIZATION * x, a_eq, b_eq, rows_jac, rows_jac @ x - rows_vals, x,
             lower=lo_eff, upper=hi_eff, penalty=np.full(len(rows_vals), mu), base_inverse=base, stats=qp_stats,
         )
         x_new = np.clip(sol, lo_eff, hi_eff)
@@ -797,4 +874,5 @@ def convexify_segment(
         x0=np.array(x0, dtype=float),
         factors=factors,
         deadline=deadline,
+        coordinates=layout.dim,
     )
