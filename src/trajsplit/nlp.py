@@ -74,7 +74,7 @@ class KktInverse:
         d, flat = self.coordinates, np.ravel(idx)
         out = np.zeros((flat.size, self.block.shape[0], d))
         out[np.arange(flat.size), :, flat % d] = self.block[flat // d]
-        return out.reshape(np.shape(idx) + (-1,))
+        return out.reshape(np.shape(idx) + (self.block.shape[0] * d,))
 
     def entry(self, i: int) -> float:
         """K^-1[i, i]."""
@@ -155,20 +155,26 @@ class FactorCache:
         self.scenario, self.segments, self._bases = scenario, {}, []
         self.factorizations = 0
 
-    def inverse(self, hessian: np.ndarray, a_eq: np.ndarray, stats: QpStats, coordinates: int) -> KktInverse:
+    def inverse(
+        self, hessian: np.ndarray, a_eq: np.ndarray, stats: QpStats, coordinates: int
+    ) -> tuple[KktInverse, np.ndarray]:
         """``kkt_inverse`` of a base with ``PROX_REGULARIZATION`` on the Hessian's
-        diagonal, factored on first use; ``hessian`` is kept uncopied."""
+        diagonal, factored on first use, and the cache's copy of ``hessian``.
+
+        The copy is taken once per factorization; comparing a later Hessian
+        with it also finds a change the evaluator made in place.
+        """
         for h, a, d, inverse, fallbacks in self._bases:
             if d == coordinates and np.array_equal(h, hessian) and np.array_equal(a, a_eq):
                 break
         else:
-            own = QpStats()
-            inverse = kkt_inverse(hessian, a_eq, own, coordinates, PROX_REGULARIZATION)
+            h, own = hessian.copy(), QpStats()
+            inverse = kkt_inverse(h, a_eq, own, coordinates, PROX_REGULARIZATION)
             fallbacks = own.kkt_fallbacks
-            self._bases.append((hessian, a_eq.copy(), coordinates, inverse, fallbacks))
+            self._bases.append((h, a_eq.copy(), coordinates, inverse, fallbacks))
             self.factorizations += 1
         stats.kkt_fallbacks += fallbacks
-        return inverse
+        return inverse, h
 
 
 _FREE, _TIGHT, _TIED = 0, 1, 2  # row states; only elastic rows are ever tied
@@ -566,14 +572,12 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
 
     converged = False
     iterations = 0
-    # kkt_inverse of H + prox I and A_eq, kept while H is unchanged; the
-    # snapshot also sees a Hessian the evaluator changes in place
+    # kkt_inverse of H + prox I and A_eq, kept while H equals the cache's copy
     base = base_hessian = None
     for _ in range(opts.max_outer_iterations):
         iterations += 1
         if base is None or not np.array_equal(h, base_hessian):
-            base_hessian = h.copy()
-            base = factors.inverse(base_hessian, a_eq, qp_stats, problem.coordinates)
+            base, base_hessian = factors.inverse(h, a_eq, qp_stats, problem.coordinates)
 
         # convex subproblem: the quadratic model, the linearized rows as
         # elastic rows at weight mu, the trust region as bounds

@@ -26,6 +26,7 @@ from trajsplit.nlp import (  # noqa: E402
     kkt_inverse,
     segment_equalities,
     solve,
+    solve_qp,
 )
 from trajsplit.scenario_io import load_scenario  # noqa: E402
 
@@ -64,9 +65,11 @@ def segments(draw):
     first = draw(st.integers(0, count - 2))
     last = draw(st.integers(first + 1, count - 1))
     sd = 2 * scenario.dim if scenario.dynamics_enabled else scenario.dim
-    coupled = sorted(draw(st.sets(st.integers(0, last - first), max_size=2)))
+    # as in a split run, every unpinned end is coupled at rho > 0, which keeps
+    # the KKT matrix well conditioned enough to compare two inverses at 1e-10
+    coupled = [k for k, pinned in ((0, first == 0), (last - first, last == count - 1)) if not pinned]
     couplings = [ConsensusCoupling(k, np.zeros(sd), np.zeros(sd)) for k in coupled]
-    rho = draw(st.sampled_from([0.0, 2.0, 50.0]))
+    rho = draw(st.sampled_from([2.0, 50.0]))
     hessian = build_segment_objective(scenario, first, last, couplings, rho).hessian_matrix
     a_eq, _ = segment_equalities(scenario, first, last)
     return scenario.dim, hessian, a_eq, draw(st.integers(0, 2**32 - 1))
@@ -129,6 +132,42 @@ def test_solve_with_block_claim_matches_solve_without():
     assert whole.iterations == blocks.iterations
     assert blocks.objective == pytest.approx(whole.objective, rel=1e-12)
     np.testing.assert_allclose(blocks.point, whole.point, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_violated_elastic_row_of_zeros_changes_nothing(d):
+    # a row with a zero Jacobian at x0 (a collision gradient can be zero) is
+    # tied from the start: it adds a constant penalty and reads no row of the inverse
+    scenario = SCENARIOS["circle_blocked.yaml"]
+    hessian = build_segment_objective(scenario, 0, 9).hessian_matrix
+    a_eq, b_eq = segment_equalities(scenario, 0, 9)
+    n = hessian.shape[0]
+    gradient = np.linspace(-1.0, 1.0, n)
+    keepout = -np.eye(1, n, 4)
+    inverse = kkt_inverse(hessian, a_eq, None, d, SHIFT)
+    assert inverse.rows(np.zeros(0, dtype=int)).shape == (0, inverse.block.shape[0] * d)
+    args = dict(lower=np.full(n, -5.0), upper=np.full(n, 5.0), base_inverse=inverse)
+    want, want_optimal = solve_qp(hessian, gradient, a_eq, b_eq, keepout, np.array([-0.5]), np.zeros(n),
+                                  penalty=np.array([10.0]), **args)
+    got, optimal = solve_qp(hessian, gradient, a_eq, b_eq, np.vstack([np.zeros(n), keepout]),
+                            np.array([-1.0, -0.5]), np.zeros(n), penalty=np.array([10.0, 10.0]), **args)
+    assert optimal and want_optimal
+    np.testing.assert_array_equal(got, want)
+
+
+def test_solve_from_a_zero_gradient_row():
+    # stay outside the unit ball, starting at its centre, where the row's gradient is zero
+    target = np.array([2.0, 0.5, 1.0, 1.0])
+    objective = nlp.QuadraticFunction(hessian_matrix=np.eye(4), linear=-target)
+
+    def outside(x):
+        return np.array([1.0 - x @ x]), -2.0 * x[None, :]
+
+    problem = NlpProblem(dim=4, objective=objective.value_and_grad, objective_hessian=objective.hessian,
+                         inequalities=outside, coordinates=2)
+    sol = solve(problem, SolverOptions(max_outer_iterations=200))
+    assert sol.converged
+    np.testing.assert_allclose(sol.point, target, atol=1e-6)
 
 
 def test_hessian_changed_in_place_is_refactored(monkeypatch):
