@@ -21,6 +21,14 @@ process exits; each process keeps its own ``FactorCache``.  Only the
 consensus state goes out and the worker's iterates and solve outcomes come
 back, so the outcome is bit-identical to solving every segment here.
 Threads would add nothing: the work is GIL-bound numpy.
+
+The rounds a run takes come from its duals, not from its primal start.  A
+split run of at least 80 waypoints therefore first solves the same problem
+on a quarter-length grid over the same horizon, with the same splits, rho,
+eps and limits (``coarse_scenario``; recursively, so 640 -> 160 -> 40), then
+starts from that run's final duals, their position part scaled by dt_c / dt
+(``fine_duals``).  The targets still come from the fine initial point.  Both
+levels share the deadline and use the worker, one after the other.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (wrapped by benchmark/tracing.py)
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +59,12 @@ from .nlp import (
     segment_layout,
     solve,
 )
+
+
+# A split run of at least COARSE_FACTOR * COARSE_MIN_WAYPOINTS waypoints first
+# solves the same problem on a grid COARSE_FACTOR times coarser (see ``run``).
+COARSE_FACTOR = 4
+COARSE_MIN_WAYPOINTS = 20
 
 
 @dataclass(frozen=True)
@@ -135,7 +149,10 @@ class SolveReport:
 
     ``factorizations`` totals the base KKT inverses the run built, in every
     process; ``failed_segments`` lists the segments whose last solve did not
-    converge.
+    converge.  The ``coarse_*`` fields give the coarse level's waypoints (0
+    for none), rounds and verdicts (see ``run``).  Wall times and solve
+    counters cover both levels; the rounds, residuals and the rest are the
+    fine run's.
     """
 
     trajectory: Trajectory
@@ -160,6 +177,10 @@ class SolveReport:
     kkt_fallbacks: int = 0
     factorizations: int = 0
     failed_segments: tuple[int, ...] = ()
+    coarse_waypoints: int = 0
+    coarse_rounds: int = 0
+    coarse_converged: bool = False
+    coarse_collision_free: bool = False
 
 
 def split_uniform(num_waypoints: int, num_splits: int) -> tuple[int, ...]:
@@ -396,21 +417,56 @@ def _stop_worker() -> None:
         _worker = None
 
 
+def coarse_scenario(scenario: Scenario, num_splits: int) -> Scenario | None:
+    """The quarter-length grid over the same horizon whose duals start a long
+    split run; None for a mono run, below ``COARSE_FACTOR * COARSE_MIN_WAYPOINTS``
+    waypoints, or when the coarse grid cannot hold the splits."""
+    n = scenario.num_waypoints
+    n_c = n // COARSE_FACTOR
+    if num_splits == 0 or n_c < COARSE_MIN_WAYPOINTS or n_c < num_splits + 2:
+        return None
+    return replace(scenario, num_waypoints=n_c, dt=scenario.dt * (n - 1) / (n_c - 1))
+
+
+def fine_duals(dual: np.ndarray, dim: int, ratio: float) -> np.ndarray:
+    """Coarse dual rows as fine ones: positions times ``ratio`` = dt_c / dt.
+
+    The multiplier of q_{k+1} = q_k + dt v_k (or of a path edge) scales like
+    a costate over dt; the velocity part is kept as is.  In path-only mode a
+    state is its position, so the whole dual is scaled.
+    """
+    out = dual.copy()
+    out[:, :dim] *= ratio
+    return out
+
+
 def run(
     scenario: Scenario, config: SplitConfig | None = None, *, deadline_seconds: float | None = None
 ) -> SolveReport:
     """Full splitting solve of one scenario.
 
     With ``num_splits == 0`` this is exactly one monolithic NLP solve.  A
-    deadline, when given, is checked in every SCP iteration of every segment
-    solve and between rounds; hitting it ends the run with
-    ``converged=False`` and ``deadline_reached=True``.  The worker process
-    (see the module docstring) solves its share of every round; its death
-    during the run raises ``WorkerError``.
+    split run of at least 80 waypoints first solves ``coarse_scenario`` the
+    same way (recursively) and starts from its scaled final duals (see the
+    module docstring).  A deadline, when given, is checked in every SCP
+    iteration of every segment solve and between rounds, on both levels;
+    hitting it ends the run with ``converged=False`` and
+    ``deadline_reached=True``.  The worker process (see the module
+    docstring) solves its share of every round; its death during the run
+    raises ``WorkerError``.
     """
-    cfg = config or SplitConfig()
     t0 = time.perf_counter()
     deadline = None if deadline_seconds is None else t0 + deadline_seconds
+    return _run(scenario, config or SplitConfig(), t0, deadline)[0]
+
+
+def _run(
+    scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None
+) -> tuple[SolveReport, ConsensusState]:
+    """``run`` from its start time and absolute deadline; also hands back the
+    final consensus state, whose duals start the next finer level."""
+    coarse = coarse_scenario(scenario, cfg.num_splits)
+    level, warm = _run(coarse, cfg, time.perf_counter(), deadline) if coarse else (None, None)
     splits = split_uniform(scenario.num_waypoints, cfg.num_splits)
     x_full = initial_point(scenario)
     full_layout = segment_layout(scenario, 0, scenario.num_waypoints - 1)
@@ -426,6 +482,14 @@ def run(
     primal_seconds = 0.0
     consensus_seconds = 0.0
     nonconverged = qp_nonoptimal = kkt_fallbacks = factorizations = 0
+    if level:
+        ratio = coarse.dt / scenario.dt
+        consensus.dual_end = fine_duals(warm.dual_end, scenario.dim, ratio)
+        consensus.dual_start = fine_duals(warm.dual_start, scenario.dim, ratio)
+        # the counters and seconds of both levels add up
+        primal_seconds, consensus_seconds = level.wall_seconds_primal, level.wall_seconds_consensus
+        nonconverged, qp_nonoptimal = level.nonconverged_segment_solves, level.qp_nonoptimal
+        kkt_fallbacks, factorizations = level.kkt_fallbacks, level.factorizations
     converged = False
     deadline_reached = False
     iterations = 0
@@ -498,4 +562,8 @@ def run(
         kkt_fallbacks=kkt_fallbacks,
         factorizations=factorizations,
         failed_segments=tuple(s.index for s in segments if not s.last_solution.converged),
-    )
+        coarse_waypoints=coarse.num_waypoints if level else 0,
+        coarse_rounds=level.iterations if level else 0,
+        coarse_converged=level.converged if level else False,
+        coarse_collision_free=level.collision_free if level else False,
+    ), consensus

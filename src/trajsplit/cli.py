@@ -69,16 +69,15 @@ def _planner_list(text: str) -> list[tuple[str, int]]:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags every subcommand reads; ``solve`` alone adds ``--splits`` and
+    ``--seed``, as ``sweep`` and ``bench`` take their split counts elsewhere."""
     config = admm.SplitConfig()
-    parser.add_argument("--splits", type=int, default=config.num_splits, metavar="M",
-                        help="number of split points (default %(default)s)")
     parser.add_argument("--rho", type=float, default=config.rho, help="consensus penalty weight (default %(default)s)")
     parser.add_argument("--eps", type=float, default=config.eps, help="splitting tolerance (default %(default)s)")
     parser.add_argument("--max-iters", type=int, default=config.max_admm_iterations, metavar="K",
                         help="consensus iteration cap (default %(default)s)")
     parser.add_argument("--samples-per-edge", type=int, default=config.samples_per_edge, metavar="S",
                         help="interpolated collision checks per edge (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed recorded in the report")
     parser.add_argument("--nlp-max-outer", type=int, default=config.nlp_options.max_outer_iterations, metavar="K",
                         help="segment solver outer iteration cap (default %(default)s)")
     parser.add_argument("--nlp-feas-tol", type=float, default=config.nlp_options.feasibility_tolerance, metavar="TOL",
@@ -88,13 +87,15 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace, num_splits: int | None = None) -> admm.SplitConfig:
+    """The run's config; ``num_splits`` defaults to ``--splits`` where the
+    subcommand has it, else to the ``SplitConfig`` default."""
     options = SolverOptions(
         max_outer_iterations=args.nlp_max_outer,
         feasibility_tolerance=args.nlp_feas_tol,
         step_tolerance=args.nlp_step_tol,
     )
     return admm.SplitConfig(
-        num_splits=args.splits if num_splits is None else num_splits,
+        num_splits=getattr(args, "splits", admm.SplitConfig.num_splits) if num_splits is None else num_splits,
         rho=args.rho,
         eps=args.eps,
         max_admm_iterations=args.max_iters,
@@ -109,7 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one scenario and report the trajectory")
     solve.add_argument("scenario", help="scenario YAML file")
+    solve.add_argument("--splits", type=int, default=admm.SplitConfig.num_splits, metavar="M",
+                       help="number of split points (default %(default)s)")
     _add_solver_flags(solve)
+    solve.add_argument("--seed", type=int, default=None, help="RNG seed recorded in the report")
     solve.add_argument("--out", metavar="PATH", help="write a YAML report (plus .iters.csv) here")
     solve.set_defaults(handler=cmd_solve)
 
@@ -145,6 +149,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"segments: {report.num_segments}  splits at: {list(report.split_indices)}")
     print(f"converged: {report.converged}  collision_free: {report.collision_free}")
     print(f"iterations: {report.iterations}  residual: {report.residual:.3e}")
+    print(f"coarse_waypoints: {report.coarse_waypoints}  coarse_rounds: {report.coarse_rounds}  "
+          f"coarse_converged: {report.coarse_converged}  coarse_collision_free: {report.coarse_collision_free}")
     print(f"objective: {report.objective:.6f}  path_length: {report.path_length:.6f}")
     print(f"wall_seconds: {report.wall_seconds_total:.3f} "
           f"(primal {report.wall_seconds_primal:.3f}, consensus {report.wall_seconds_consensus:.3f})")

@@ -3,7 +3,10 @@
 Scenarios are YAML mappings validated against a fixed schema; every
 complaint carries a file:line:column location from the parsed node tree, and
 unknown keys are rejected rather than ignored.  Reports are written as a
-YAML summary plus a flat per-iteration CSV next to it.
+YAML summary plus a flat per-iteration CSV next to it.  Parsing and emitting
+go through libyaml when PyYAML was built with it (``CSafeLoader``,
+``CSafeDumper``), else through the pure-Python classes; both give the same
+nodes, marks and output.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from yaml.constructor import SafeConstructor
 from .errors import ScenarioError, ShapeError
 from .geometry import Circle, ConvexPolygon
 from .model import BasePose, PlanarArm, Point2D, RobotState, Scenario, Trajectory
+
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 _ROOT_KEYS = {
     "robot", "obstacles", "start", "goal",
@@ -184,7 +190,7 @@ def _parse_state(node: _Node, dim: int, what: str) -> RobotState:
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     """Parse and validate scenario YAML, raising located ScenarioError."""
     try:
-        node = yaml.compose(text, Loader=yaml.SafeLoader)
+        node = yaml.compose(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"invalid YAML: {exc}", location=source) from exc
     if node is None:
@@ -267,8 +273,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _dump(data: dict) -> str:
+    """``yaml.safe_dump(data, sort_keys=False)`` through ``_DUMPER``."""
+    return yaml.dump(data, Dumper=_DUMPER, sort_keys=False)
+
+
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(scenario_to_dict(scenario), sort_keys=False))
+    Path(path).write_text(_dump(scenario_to_dict(scenario)))
 
 
 def _trajectory_to_dict(trajectory: Trajectory) -> dict:
@@ -315,6 +326,10 @@ def report_to_dict(report, scenario_path: str, config, seed: int | None = None) 
             "kkt_fallbacks": report.kkt_fallbacks,
             "factorizations": report.factorizations,
             "failed_segments": [int(i) for i in report.failed_segments],
+            "coarse_waypoints": report.coarse_waypoints,
+            "coarse_rounds": report.coarse_rounds,
+            "coarse_converged": report.coarse_converged,
+            "coarse_collision_free": report.coarse_collision_free,
         },
         "timing": {
             "wall_seconds_total": float(report.wall_seconds_total),
@@ -330,7 +345,7 @@ def report_to_dict(report, scenario_path: str, config, seed: int | None = None) 
 def write_report(report, out_path: str | Path, scenario_path: str, config, seed: int | None = None) -> tuple[Path, Path]:
     """Write the YAML report and its .iters.csv companion; returns both paths."""
     out_path = Path(out_path)
-    out_path.write_text(yaml.safe_dump(report_to_dict(report, scenario_path, config, seed), sort_keys=False))
+    out_path.write_text(_dump(report_to_dict(report, scenario_path, config, seed)))
     csv_path = out_path.with_suffix(".iters.csv")
     with csv_path.open("w", newline="") as handle:
         writer = csv.writer(handle)

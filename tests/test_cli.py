@@ -166,7 +166,7 @@ class TestSweep:
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
             code = main([
-                "sweep", str(corridor_file), "--rho", "5", "--seed", "11",
+                "sweep", str(corridor_file), "--rho", "5",
                 "--splits-list", "1,2", "--eps-list", "0.3", "--out", str(out),
             ])
             assert code == EXIT_OK
@@ -283,3 +283,33 @@ class TestDefaults:
         args = build_parser().parse_args(["bench"])
         for _, num_splits in args.planners:
             assert _config_from_args(args, num_splits=num_splits) == SplitConfig(num_splits=num_splits)
+
+
+class TestFlagsPerSubcommand:
+    """Each subcommand takes only the flags it reads: ``sweep`` gets its split
+    counts from ``--splits-list`` and ``bench`` from its planners, and only
+    ``solve`` writes a seed into a report.  (``sweep --splits`` still parses,
+    as argparse's abbreviation of ``--splits-list``.)"""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--splits", "7"],
+        ["bench", "--seed", "1"],
+        ["sweep", "s.yaml", "--seed", "1"],
+    ], ids=["bench-splits", "bench-seed", "sweep-seed"])
+    def test_unread_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(argv) == EXIT_INPUT
+
+    def test_solve_reads_splits_and_seed(self, corridor_file, tmp_path):
+        args = build_parser().parse_args(["solve", "s.yaml", "--splits", "3", "--seed", "5"])
+        assert (args.splits, args.seed) == (3, 5)
+        assert _config_from_args(args) == SplitConfig(num_splits=3)
+        out = tmp_path / "run.yaml"
+        assert main(["solve", str(corridor_file), "--splits", "1", "--rho", "5", "--eps", "1e-2",
+                     "--seed", "5", "--out", str(out)]) == EXIT_OK
+        doc = yaml.safe_load(out.read_text())
+        assert (doc["solver"]["num_splits"], doc["solver"]["seed"]) == (1, 5)
+        assert doc["result"]["num_segments"] == 2

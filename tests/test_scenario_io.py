@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from trajsplit import scenario_io
 from trajsplit.admm import SplitConfig, run
 from trajsplit.cli import bundled_scenario_dir
 from trajsplit.errors import ScenarioError
@@ -245,3 +246,74 @@ class TestReports:
         doc = yaml.safe_load(yaml_path.read_text())
         assert doc["residual_history"] == [float(r) for r in report.residual_history]
         assert doc["result"]["residual"] == report.residual_history[-1]
+
+
+BAD_SCENARIOS = {
+    "unknown key": POINT_SCENARIO.replace("safety_margin: 0.05", "safety_margin: 0.05\nbogus_key: 1"),
+    "duplicate key": POINT_SCENARIO + "dt: 0.5\n",
+    "missing key": POINT_SCENARIO.replace("dt: 0.25\n", ""),
+    "robot type": POINT_SCENARIO.replace("type: point2d", "type: quadrotor"),
+    "dimension": POINT_SCENARIO.replace("position: [-3.0, 0.0]", "position: [-3.0, 0.0, 1.0]"),
+    "not a number": POINT_SCENARIO.replace("radius: 1.0", "radius: big"),
+    "not a pair": ARM_SCENARIO.replace("[-3.0, 3.0]]", "[-3.0, 3.0, 1.0]]"),
+    "flow mapping": ARM_SCENARIO.replace("angle: 0.3}", "angle: [0.3]}"),
+    "limits": ARM_SCENARIO.replace("position: [0.2, 0.1]", "position: [3.2, 0.1]"),
+}
+
+
+class TestPurePythonYaml:
+    """libyaml (``CSafeLoader``, ``CSafeDumper``) and the pure-Python classes
+    give the same scenarios, the same located errors and the same files."""
+
+    def both(self, monkeypatch, action):
+        first = action()
+        monkeypatch.setattr(scenario_io, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(scenario_io, "_DUMPER", yaml.SafeDumper)
+        second = action()
+        monkeypatch.undo()
+        return first, second
+
+    def test_libyaml_is_used_where_built(self):
+        assert scenario_io._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        assert scenario_io._DUMPER is getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+    def test_same_scenarios(self, monkeypatch):
+        files = sorted(bundled_scenario_dir().rglob("*.yaml"))
+        for text, source in [(POINT_SCENARIO, "p.yaml"), (ARM_SCENARIO, "a.yaml")] + [
+            (f.read_text(), str(f)) for f in files
+        ]:
+            first, second = self.both(monkeypatch, lambda: parse_scenario(text, source))
+            assert scenarios_equal(first, second)
+            assert scenario_to_dict(first) == scenario_to_dict(second)
+
+    @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+    def test_same_located_errors(self, monkeypatch, case):
+        def message():
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario(BAD_SCENARIOS[case], source="bad.yaml")
+            return str(err.value)
+
+        first, second = self.both(monkeypatch, message)
+        assert first == second
+        assert first.startswith("bad.yaml:")
+
+    def test_same_location_for_invalid_yaml(self, monkeypatch):
+        def location():
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario("robot: [unclosed", source="broken.yaml")
+            return err.value.location
+
+        assert self.both(monkeypatch, location) == ("broken.yaml", "broken.yaml")
+
+    def test_same_dumps(self, monkeypatch, tmp_path, solved):
+        report, _, _ = solved
+        scenario = parse_scenario(ARM_SCENARIO)
+        config = SplitConfig(num_splits=2, rho=5.0, eps=1e-3, max_admm_iterations=200)
+
+        def dumps():
+            save_scenario(scenario, tmp_path / "s.yaml")
+            write_report(report, tmp_path / "r.yaml", "corridor_free.yaml", config, seed=7)
+            return (tmp_path / "s.yaml").read_bytes(), (tmp_path / "r.yaml").read_bytes()
+
+        first, second = self.both(monkeypatch, dumps)
+        assert first == second
