@@ -24,11 +24,14 @@ Threads would add nothing: the work is GIL-bound numpy.
 
 The rounds a run takes come from its duals, not from its primal start.  A
 split run of at least 80 waypoints therefore first solves the same problem
-on a quarter-length grid over the same horizon, with the same splits, rho,
-eps and limits (``coarse_scenario``; recursively, so 640 -> 160 -> 40), then
-starts from that run's final duals, their position part scaled by dt_c / dt
-(``fine_duals``).  The targets still come from the fine initial point.  Both
-levels share the deadline and use the worker, one after the other.
+monolithically on a quarter-length grid over the same horizon, with the same
+limits (``coarse_scenario``).  At a mono optimum the duals a split at each
+interior waypoint would need are known in closed form from the trajectory
+(``split_duals``); the fine run starts from those duals, interpolated in
+time to its splits and their position part scaled by dt_c / dt
+(``fine_duals``), and from the interpolated coarse states as targets.  The
+segment warm starts still come from the fine initial point.  Both levels
+share the deadline.
 """
 
 from __future__ import annotations
@@ -150,9 +153,10 @@ class SolveReport:
     ``factorizations`` totals the base KKT inverses the run built, in every
     process; ``failed_segments`` lists the segments whose last solve did not
     converge.  The ``coarse_*`` fields give the coarse level's waypoints (0
-    for none), rounds and verdicts (see ``run``).  Wall times and solve
-    counters cover both levels; the rounds, residuals and the rest are the
-    fine run's.
+    for none), rounds and verdicts (see ``run``); that level is one mono
+    solve, so ``coarse_rounds`` reads 1 when it ran, as ``iterations`` does
+    for any mono run.  Wall times and solve counters cover both levels; the
+    rounds, residuals and the rest are the fine run's.
     """
 
     trajectory: Trajectory
@@ -418,14 +422,37 @@ def _stop_worker() -> None:
 
 
 def coarse_scenario(scenario: Scenario, num_splits: int) -> Scenario | None:
-    """The quarter-length grid over the same horizon whose duals start a long
-    split run; None for a mono run, below ``COARSE_FACTOR * COARSE_MIN_WAYPOINTS``
-    waypoints, or when the coarse grid cannot hold the splits."""
+    """The quarter-length grid over the same horizon whose mono solve starts a
+    long split run; None for a mono run, below ``COARSE_FACTOR *
+    COARSE_MIN_WAYPOINTS`` waypoints, or when the coarse grid cannot hold the
+    splits."""
     n = scenario.num_waypoints
     n_c = n // COARSE_FACTOR
     if num_splits == 0 or n_c < COARSE_MIN_WAYPOINTS or n_c < num_splits + 2:
         return None
     return replace(scenario, num_waypoints=n_c, dt=scenario.dt * (n - 1) / (n_c - 1))
+
+
+def split_duals(scenario: Scenario, trajectory: Trajectory) -> np.ndarray:
+    """``dual_end`` of a split at each interior waypoint of a mono optimum.
+
+    A split at waypoint k keeps the optimum when each segment's stationarity
+    holds there with the collision multiplier of q_k shared half and half:
+    with dynamics that gives (-(v_{k-1} + v_k)/dt, -v_k), in path-only mode
+    -(q_{k+1} - q_{k-1})/dt^2.  ``dual_start`` is the negation.  Row k-1 is
+    waypoint k's.
+    """
+    dt = scenario.dt
+    if not scenario.dynamics_enabled:
+        q = trajectory.positions()
+        return -(q[2:] - q[:-2]) / (dt * dt)
+    v = trajectory.velocities()
+    return np.hstack([-(v[:-2] + v[1:-1]) / dt, -v[1:-1]])
+
+
+def _at_times(times: np.ndarray, rows: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """``rows`` sampled at ``times``, linearly interpolated (clamped) at ``to``."""
+    return np.column_stack([np.interp(to, times, column) for column in rows.T])
 
 
 def fine_duals(dual: np.ndarray, dim: int, ratio: float) -> np.ndarray:
@@ -445,37 +472,54 @@ def run(
 ) -> SolveReport:
     """Full splitting solve of one scenario.
 
-    With ``num_splits == 0`` this is exactly one monolithic NLP solve.  A
-    split run of at least 80 waypoints first solves ``coarse_scenario`` the
-    same way (recursively) and starts from its scaled final duals (see the
-    module docstring).  A deadline, when given, is checked in every SCP
-    iteration of every segment solve and between rounds, on both levels;
-    hitting it ends the run with ``converged=False`` and
-    ``deadline_reached=True``.  The worker process (see the module
-    docstring) solves its share of every round; its death during the run
-    raises ``WorkerError``.
+    With ``num_splits == 0`` this is exactly one monolithic NLP solve, one
+    round.  A split run of at least 80 waypoints first solves
+    ``coarse_scenario`` that way and starts from the duals and targets its
+    trajectory gives (see the module docstring).  A deadline, when given, is
+    checked in every SCP iteration of every segment solve and between rounds,
+    on both levels; hitting it ends the run with ``converged=False`` and
+    ``deadline_reached=True``.  The worker process (see the module docstring)
+    solves its share of every split round; its death during the run raises
+    ``WorkerError``.
     """
     t0 = time.perf_counter()
     deadline = None if deadline_seconds is None else t0 + deadline_seconds
-    return _run(scenario, config or SplitConfig(), t0, deadline)[0]
+    return _run(scenario, config or SplitConfig(), t0, deadline)
 
 
-def _run(
-    scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None
-) -> tuple[SolveReport, ConsensusState]:
-    """``run`` from its start time and absolute deadline; also hands back the
-    final consensus state, whose duals start the next finer level."""
+def _coarse_consensus(
+    scenario: Scenario, splits: tuple[int, ...], coarse: Scenario, trajectory: Trajectory
+) -> ConsensusState:
+    """The fine run's first consensus state from a coarse mono trajectory:
+    its ``split_duals`` and its states, linearly interpolated in time to the
+    fine splits, the duals scaled by ``fine_duals``."""
+    times = coarse.dt * np.arange(coarse.num_waypoints)
+    to = scenario.dt * np.array(splits, dtype=float)
+    states = trajectory.positions()
+    if scenario.dynamics_enabled:
+        states = np.hstack([states, trajectory.velocities()])
+    dual_end = fine_duals(
+        _at_times(times[1:-1], split_duals(coarse, trajectory), to), scenario.dim, coarse.dt / scenario.dt
+    )
+    return ConsensusState(splits, _at_times(times, states, to), dual_end, -dual_end)
+
+
+def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None) -> SolveReport:
+    """``run`` from its start time and absolute deadline."""
     coarse = coarse_scenario(scenario, cfg.num_splits)
-    level, warm = _run(coarse, cfg, time.perf_counter(), deadline) if coarse else (None, None)
+    level = _run(coarse, replace(cfg, num_splits=0), time.perf_counter(), deadline) if coarse else None
     splits = split_uniform(scenario.num_waypoints, cfg.num_splits)
     x_full = initial_point(scenario)
     full_layout = segment_layout(scenario, 0, scenario.num_waypoints - 1)
     segments = build_segments(scenario, splits, x_full)
-    consensus = ConsensusState.initial(
-        splits,
-        [x_full[full_layout.state_slice(s)] for s in splits],
-        full_layout.state_dim,
-    )
+    if level:
+        consensus = _coarse_consensus(scenario, splits, coarse, level.trajectory)
+    else:
+        consensus = ConsensusState.initial(
+            splits,
+            [x_full[full_layout.state_slice(s)] for s in splits],
+            full_layout.state_dim,
+        )
 
     residual_history: list[float] = []
     iteration_seconds: list[float] = []
@@ -483,9 +527,6 @@ def _run(
     consensus_seconds = 0.0
     nonconverged = qp_nonoptimal = kkt_fallbacks = factorizations = 0
     if level:
-        ratio = coarse.dt / scenario.dt
-        consensus.dual_end = fine_duals(warm.dual_end, scenario.dim, ratio)
-        consensus.dual_start = fine_duals(warm.dual_start, scenario.dim, ratio)
         # the counters and seconds of both levels add up
         primal_seconds, consensus_seconds = level.wall_seconds_primal, level.wall_seconds_consensus
         nonconverged, qp_nonoptimal = level.nonconverged_segment_solves, level.qp_nonoptimal
@@ -566,4 +607,4 @@ def _run(
         coarse_rounds=level.iterations if level else 0,
         coarse_converged=level.converged if level else False,
         coarse_collision_free=level.collision_free if level else False,
-    ), consensus
+    )

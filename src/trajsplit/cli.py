@@ -105,10 +105,11 @@ def _config_from_args(args: argparse.Namespace, num_splits: int | None = None) -
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="trajsplit", description=__doc__.split("\n")[0])
+    # no prefix matching: ``sweep --splits 7`` must not parse as ``--splits-list 7``
+    parser = argparse.ArgumentParser(prog="trajsplit", description=__doc__.split("\n")[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve one scenario and report the trajectory")
+    solve = sub.add_parser("solve", help="solve one scenario and report the trajectory", allow_abbrev=False)
     solve.add_argument("scenario", help="scenario YAML file")
     solve.add_argument("--splits", type=int, default=admm.SplitConfig.num_splits, metavar="M",
                        help="number of split points (default %(default)s)")
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", metavar="PATH", help="write a YAML report (plus .iters.csv) here")
     solve.set_defaults(handler=cmd_solve)
 
-    sweep = sub.add_parser("sweep", help="grid over split counts and tolerances, one CSV row per run")
+    sweep = sub.add_parser("sweep", help="grid over split counts and tolerances, one CSV row per run", allow_abbrev=False)
     sweep.add_argument("scenario", help="scenario YAML file")
     _add_solver_flags(sweep)
     sweep.add_argument("--splits-list", type=_int_list, default=[1, 2, 4], metavar="LIST",
@@ -128,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", metavar="CSV", help="write rows to this CSV file")
     sweep.set_defaults(handler=cmd_sweep)
 
-    bench = sub.add_parser("bench", help="run planners across a scenario suite under a time limit")
+    bench = sub.add_parser("bench", help="run planners across a scenario suite under a time limit", allow_abbrev=False)
     bench.add_argument("--suite", metavar="DIR", default=None,
                        help="directory of scenario YAML files (default: bundled arm suite)")
     bench.add_argument("--planners", type=_planner_list, default=_planner_list("mono,split3"),

@@ -288,14 +288,14 @@ class TestDefaults:
 class TestFlagsPerSubcommand:
     """Each subcommand takes only the flags it reads: ``sweep`` gets its split
     counts from ``--splits-list`` and ``bench`` from its planners, and only
-    ``solve`` writes a seed into a report.  (``sweep --splits`` still parses,
-    as argparse's abbreviation of ``--splits-list``.)"""
+    ``solve`` writes a seed into a report."""
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--splits", "7"],
         ["bench", "--seed", "1"],
         ["sweep", "s.yaml", "--seed", "1"],
-    ], ids=["bench-splits", "bench-seed", "sweep-seed"])
+        ["sweep", "--splits", "7"],
+    ], ids=["bench-splits", "bench-seed", "sweep-seed", "sweep-splits"])
     def test_unread_flag_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)

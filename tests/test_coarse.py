@@ -1,5 +1,5 @@
-"""The coarse level of long split runs: a quarter-length split run of the
-same problem whose scaled final duals start the fine run."""
+"""The coarse level of long split runs: a quarter-length mono solve of the
+same problem whose trajectory gives the fine run's first duals and targets."""
 
 import os
 from dataclasses import replace
@@ -8,7 +8,19 @@ import numpy as np
 import pytest
 
 from trajsplit import admm
-from trajsplit.admm import SplitConfig, coarse_scenario, fine_duals, run
+from trajsplit.admm import (
+    ConsensusState,
+    SplitConfig,
+    assemble_trajectory,
+    build_segments,
+    coarse_scenario,
+    consensus_update,
+    fine_duals,
+    primal_update,
+    run,
+    split_duals,
+    split_uniform,
+)
 from trajsplit.cli import EXIT_OK, bundled_scenario_dir, main
 from trajsplit.scenario_io import load_scenario, report_to_dict, save_scenario
 
@@ -70,12 +82,11 @@ def test_coarse_grid(n, num_splits, coarse):
     assert replace(grid, num_waypoints=n, dt=scenario.dt) == scenario
 
 
-def test_long_runs_recurse_to_the_shortest_grid():
-    scenario = stretched("circle_blocked.yaml", 640)
-    grids = [scenario]
-    while (grid := coarse_scenario(grids[-1], 3)) is not None:
-        grids.append(grid)
-    assert [g.num_waypoints for g in grids] == [640, 160, 40]
+def test_long_runs_solve_one_coarse_level(monkeypatch):
+    seen = levels(monkeypatch)
+    report = run(stretched("circle_blocked.yaml", 640), replace(POINT, max_admm_iterations=1))
+    assert seen == [160, 640]  # the mono level has no coarse level of its own
+    assert (report.coarse_waypoints, report.coarse_rounds) == (160, 1)
 
 
 @pytest.mark.parametrize("n, config", [
@@ -106,6 +117,13 @@ def test_long_split_run_converges_in_few_rounds(monkeypatch):
     assert report.factorizations > 0
 
 
+def interpolated(rows, u):
+    """``rows`` (one per coarse waypoint index) at fractional indices ``u``."""
+    i = np.minimum(np.floor(u).astype(int), len(rows) - 2)
+    w = (u - i)[:, None]
+    return (1.0 - w) * rows[i] + w * rows[i + 1]
+
+
 @pytest.mark.parametrize("name, n, config", [
     ("circle_blocked.yaml", 160, POINT),
     ("arm_three_link.yaml", 120, SplitConfig(num_splits=2)),
@@ -114,23 +132,59 @@ def test_duals_hand_off_scaled_by_the_step_ratio(monkeypatch, one_cpu, name, n, 
     fine = stretched(name, n)
     calls = record_rounds(monkeypatch)
     run(fine, config)
-    coarse_calls = [c for c in calls if c[0].num_waypoints < n]
-    fine_calls = [c for c in calls if c[0] is fine]
-    assert [c[0] is fine for c in calls] == [False] * len(coarse_calls) + [True] * len(fine_calls)
-    coarse, final = coarse_calls[-1][0], coarse_calls[-1][1]
-    ratio = (n - 1) / (coarse.num_waypoints - 1)
-    d, sd = fine.dim, 2 * fine.dim if fine.dynamics_enabled else fine.dim
-    dual_end, dual_start, targets = fine_calls[0][2]
-    for coarse_dual, sent in ((final.dual_end, dual_end), (final.dual_start, dual_start)):
-        assert sent.shape == (config.num_splits, sd)
-        assert np.any(coarse_dual[:, :d] != 0.0)
-        np.testing.assert_allclose(sent[:, :d], ratio * coarse_dual[:, :d], rtol=1e-14, atol=0.0)
-        # velocities as they are; in path-only mode a state is its position
-        np.testing.assert_array_equal(sent[:, d:], coarse_dual[:, d:])
-    # the targets still come from the fine initial point
-    x = admm.initial_point(fine)
-    splits = admm.split_uniform(n, config.num_splits)
-    np.testing.assert_array_equal(targets, [x[s * sd : (s + 1) * sd] for s in splits])
+    coarse = coarse_scenario(fine, config.num_splits)
+    # one mono round on the coarse grid, then the fine rounds
+    assert calls[0][0] is not fine and calls[0][0].num_waypoints == coarse.num_waypoints
+    assert calls[0][1].split_indices == ()
+    assert len(calls) > 1 and all(c[0] is fine for c in calls[1:])
+    dual_end, dual_start, targets = calls[1][2]
+
+    mono = run(coarse, replace(config, num_splits=0)).trajectory
+    dt_c, d = coarse.dt, fine.dim
+    q = mono.positions()
+    if fine.dynamics_enabled:
+        v = mono.velocities()
+        closed = np.hstack([-(v[:-2] + v[1:-1]) / dt_c, -v[1:-1]])  # interior waypoints 1..N_c-2
+        states = np.hstack([q, v])
+    else:
+        closed = -(q[2:] - q[:-2]) / dt_c**2
+        states = q
+    u = fine.dt * np.array(split_uniform(n, config.num_splits)) / dt_c  # fine split times in coarse steps
+    expected = interpolated(closed, np.clip(u - 1.0, 0.0, len(closed) - 1.0))
+    expected[:, :d] *= dt_c / fine.dt
+    assert dual_end.shape == (config.num_splits, states.shape[1])
+    assert np.any(expected[:, :d] != 0.0)
+    np.testing.assert_allclose(dual_end, expected, rtol=1e-12, atol=1e-12)
+    assert np.all(dual_end + dual_start == 0.0)
+    np.testing.assert_allclose(targets, interpolated(states, u), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, splits, rho", [
+    ("circle_blocked.yaml", split_uniform(40, 3), 2.0),
+    ("corridor_free.yaml", split_uniform(30, 2), 50.0),
+    ("arm_three_link.yaml", split_uniform(30, 2), 50.0),
+    ("thin_wall.yaml", (7, 14), 50.0),  # mono touches the wall at waypoint 14
+], ids=["circle_blocked", "corridor_free", "arm_three_link", "thin_wall-contact"])
+def test_closed_form_duals_keep_a_mono_optimum(name, splits, rho):
+    """From a converged mono solution and the closed-form duals at its own
+    splits, one round of segment solves and averaging changes nothing."""
+    scenario = load_scenario(bundled_scenario_dir() / name)
+    n, config = scenario.num_waypoints, SplitConfig(num_splits=len(splits), rho=rho)
+    mono = run(scenario, SplitConfig(num_splits=0))
+    assert mono.converged
+    layout = admm.segment_layout(scenario, 0, n - 1)
+    x = layout.pack(mono.trajectory.positions(), mono.trajectory.velocities())
+    dual_end = split_duals(scenario, mono.trajectory)[np.array(splits) - 1]
+    targets = x.reshape(n, layout.state_dim)[list(splits)]
+    consensus = ConsensusState(splits, targets, dual_end, -dual_end)
+    segments = build_segments(scenario, splits, x)
+    primal_update(scenario, segments, consensus, config)
+    consensus_update(segments, consensus, config.rho)
+    gap = max(np.max(np.abs(a.end_state() - b.start_state())) for a, b in zip(segments, segments[1:]))
+    assert gap <= 1e-9
+    split = assemble_trajectory(scenario, segments, consensus)
+    np.testing.assert_allclose(split.positions(), mono.trajectory.positions(), rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(split.velocities(), mono.trajectory.velocities(), rtol=0.0, atol=1e-9)
 
 
 def test_fine_duals_scales_positions_only():
