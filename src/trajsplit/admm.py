@@ -22,16 +22,18 @@ consensus state goes out and the worker's iterates and solve outcomes come
 back, so the outcome is bit-identical to solving every segment here.
 Threads would add nothing: the work is GIL-bound numpy.
 
-The rounds a run takes come from its duals, not from its primal start.  A
-split run of at least 80 waypoints therefore first solves the same problem
-monolithically on a quarter-length grid over the same horizon, with the same
-limits (``coarse_scenario``).  At a mono optimum the duals a split at each
-interior waypoint would need are known in closed form from the trajectory
+The rounds a run takes come from its duals, its work per round also from
+its primal start.  A split run of at least 40 waypoints therefore first
+solves the same problem monolithically on a grid a quarter as long, of 20
+waypoints at least, over the same horizon, with the same limits
+(``coarse_scenario``).  At a mono optimum the duals a split at each interior
+waypoint would need are known in closed form from the trajectory
 (``split_duals``); the fine run starts from those duals, interpolated in
 time to its splits and their position part scaled by dt_c / dt
-(``fine_duals``), and from the interpolated coarse states as targets.  The
-segment warm starts still come from the fine initial point.  Both levels
-share the deadline.
+(``fine_duals``), from the interpolated coarse states as targets, and from
+the coarse trajectory, interpolated in time to every waypoint and corrected
+onto the fine dynamics and pin rows, as its segments' warm starts
+(``initial_point``).  Both levels share the deadline.
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ from .nlp import (
 )
 
 
-# A split run of at least COARSE_FACTOR * COARSE_MIN_WAYPOINTS waypoints first
-# solves the same problem on a grid COARSE_FACTOR times coarser (see ``run``).
+# A split run first solves the same problem on max(N // COARSE_FACTOR,
+# COARSE_MIN_WAYPOINTS) waypoints when that is at most half of N (see
+# ``coarse_scenario``).
 COARSE_FACTOR = 4
 COARSE_MIN_WAYPOINTS = 20
 
@@ -153,10 +156,11 @@ class SolveReport:
     ``factorizations`` totals the base KKT inverses the run built, in every
     process; ``failed_segments`` lists the segments whose last solve did not
     converge.  The ``coarse_*`` fields give the coarse level's waypoints (0
-    for none), rounds and verdicts (see ``run``); that level is one mono
-    solve, so ``coarse_rounds`` reads 1 when it ran, as ``iterations`` does
-    for any mono run.  Wall times and solve counters cover both levels; the
-    rounds, residuals and the rest are the fine run's.
+    for none), rounds and verdicts; a split run of 40 or more waypoints has
+    one (see ``run``).  That level is one mono solve, so ``coarse_rounds``
+    reads 1 when it ran, as ``iterations`` does for any mono run.  Wall
+    times and solve counters cover both levels; the rounds, residuals and
+    the rest are the fine run's.
     """
 
     trajectory: Trajectory
@@ -318,15 +322,28 @@ def trajectory_objective(scenario: Scenario, trajectory: Trajectory) -> float:
     return float(np.sum(((q[1:] - q[:-1]) / scenario.dt) ** 2))
 
 
-def initial_point(scenario: Scenario) -> np.ndarray:
-    """Packed straight-line seed, corrected onto the dynamics and pin rows."""
-    layout = segment_layout(scenario, 0, scenario.num_waypoints - 1)
-    traj = straight_line_init(scenario)
-    x = layout.pack(traj.positions(), traj.velocities())
+def initial_point(scenario: Scenario, guide: Trajectory | None = None) -> np.ndarray:
+    """Packed seed, corrected onto the dynamics and pin rows: the straight
+    line, or ``guide``, a trajectory over the same horizon (the coarse
+    level's), linearly interpolated in time to every waypoint."""
+    n = scenario.num_waypoints
+    if guide is None:
+        traj = straight_line_init(scenario)
+        x = segment_layout(scenario, 0, n - 1).pack(traj.positions(), traj.velocities())
+    else:
+        times = guide.dt * np.arange(len(guide))
+        x = _at_times(times, _state_rows(scenario, guide), scenario.dt * np.arange(n)).reshape(-1)
     if scenario.dynamics_enabled:
-        a_eq, b_eq = segment_equalities(scenario, 0, scenario.num_waypoints - 1)
+        a_eq, b_eq = segment_equalities(scenario, 0, n - 1)
         x = project_to_affine(x, a_eq, b_eq)
     return x
+
+
+def _state_rows(scenario: Scenario, trajectory: Trajectory) -> np.ndarray:
+    """One packed state per waypoint: its position, with dynamics its velocity too."""
+    if scenario.dynamics_enabled:
+        return np.hstack([trajectory.positions(), trajectory.velocities()])
+    return trajectory.positions()
 
 
 # --- the segment worker ----------------------------------------------------------
@@ -422,13 +439,13 @@ def _stop_worker() -> None:
 
 
 def coarse_scenario(scenario: Scenario, num_splits: int) -> Scenario | None:
-    """The quarter-length grid over the same horizon whose mono solve starts a
-    long split run; None for a mono run, below ``COARSE_FACTOR *
-    COARSE_MIN_WAYPOINTS`` waypoints, or when the coarse grid cannot hold the
-    splits."""
+    """The grid of max(N // ``COARSE_FACTOR``, ``COARSE_MIN_WAYPOINTS``)
+    waypoints over the same horizon whose mono solve starts a split run; None
+    for a mono run, when that is more than half of N (N under 40), or when it
+    cannot hold the splits."""
     n = scenario.num_waypoints
-    n_c = n // COARSE_FACTOR
-    if num_splits == 0 or n_c < COARSE_MIN_WAYPOINTS or n_c < num_splits + 2:
+    n_c = max(n // COARSE_FACTOR, COARSE_MIN_WAYPOINTS)
+    if num_splits == 0 or n_c > n // 2 or n_c < num_splits + 2:
         return None
     return replace(scenario, num_waypoints=n_c, dt=scenario.dt * (n - 1) / (n_c - 1))
 
@@ -473,14 +490,14 @@ def run(
     """Full splitting solve of one scenario.
 
     With ``num_splits == 0`` this is exactly one monolithic NLP solve, one
-    round.  A split run of at least 80 waypoints first solves
-    ``coarse_scenario`` that way and starts from the duals and targets its
-    trajectory gives (see the module docstring).  A deadline, when given, is
-    checked in every SCP iteration of every segment solve and between rounds,
-    on both levels; hitting it ends the run with ``converged=False`` and
-    ``deadline_reached=True``.  The worker process (see the module docstring)
-    solves its share of every split round; its death during the run raises
-    ``WorkerError``.
+    round.  A split run of at least 40 waypoints first solves
+    ``coarse_scenario`` that way and starts from the duals, targets and
+    segment warm starts its trajectory gives (see the module docstring).  A
+    deadline, when given, is checked in every SCP iteration of every segment
+    solve and between rounds, on both levels; hitting it ends the run with
+    ``converged=False`` and ``deadline_reached=True``.  The worker process
+    (see the module docstring) solves its share of every split round; its
+    death during the run raises ``WorkerError``.
     """
     t0 = time.perf_counter()
     deadline = None if deadline_seconds is None else t0 + deadline_seconds
@@ -495,13 +512,10 @@ def _coarse_consensus(
     fine splits, the duals scaled by ``fine_duals``."""
     times = coarse.dt * np.arange(coarse.num_waypoints)
     to = scenario.dt * np.array(splits, dtype=float)
-    states = trajectory.positions()
-    if scenario.dynamics_enabled:
-        states = np.hstack([states, trajectory.velocities()])
     dual_end = fine_duals(
         _at_times(times[1:-1], split_duals(coarse, trajectory), to), scenario.dim, coarse.dt / scenario.dt
     )
-    return ConsensusState(splits, _at_times(times, states, to), dual_end, -dual_end)
+    return ConsensusState(splits, _at_times(times, _state_rows(scenario, trajectory), to), dual_end, -dual_end)
 
 
 def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None) -> SolveReport:
@@ -509,12 +523,12 @@ def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None
     coarse = coarse_scenario(scenario, cfg.num_splits)
     level = _run(coarse, replace(cfg, num_splits=0), time.perf_counter(), deadline) if coarse else None
     splits = split_uniform(scenario.num_waypoints, cfg.num_splits)
-    x_full = initial_point(scenario)
-    full_layout = segment_layout(scenario, 0, scenario.num_waypoints - 1)
+    x_full = initial_point(scenario, level.trajectory if level else None)
     segments = build_segments(scenario, splits, x_full)
     if level:
         consensus = _coarse_consensus(scenario, splits, coarse, level.trajectory)
     else:
+        full_layout = segment_layout(scenario, 0, scenario.num_waypoints - 1)
         consensus = ConsensusState.initial(
             splits,
             [x_full[full_layout.state_slice(s)] for s in splits],

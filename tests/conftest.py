@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,6 +83,26 @@ def stop_patched_worker(request):
     admm = sys.modules.get("trajsplit.admm")
     if admm is not None and "monkeypatch" in request.fixturenames:
         admm._stop_worker()
+
+
+# --- bundled scenarios on other grids ----------------------------------------
+
+HORIZON = {"circle_blocked.yaml": 9.75, "arm_three_link.yaml": 5.8}
+
+
+def stretched(name, n):
+    """A bundled scenario at ``n`` waypoints over its own horizon."""
+    from trajsplit.cli import bundled_scenario_dir
+    from trajsplit.scenario_io import load_scenario
+
+    return replace(load_scenario(bundled_scenario_dir() / name), num_waypoints=n, dt=HORIZON[name] / (n - 1))
+
+
+def cold_circle():
+    """``circle_blocked`` at 39 waypoints over its own horizon: too short for
+    a coarse level (``admm.coarse_scenario``), so its split runs take several
+    rounds, where the bundled 40 waypoints take one or two."""
+    return stretched("circle_blocked.yaml", 39)
 
 
 # --- signed-distance oracle -------------------------------------------------

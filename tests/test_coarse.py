@@ -1,5 +1,6 @@
-"""The coarse level of long split runs: a quarter-length mono solve of the
-same problem whose trajectory gives the fine run's first duals and targets."""
+"""The coarse level of split runs of 40 or more waypoints: a mono solve of the
+same problem on a grid a quarter as long (20 waypoints at least) whose
+trajectory gives the fine run's first duals, targets and segment warm starts."""
 
 import os
 from dataclasses import replace
@@ -22,15 +23,12 @@ from trajsplit.admm import (
     split_uniform,
 )
 from trajsplit.cli import EXIT_OK, bundled_scenario_dir, main
+from trajsplit.nlp import segment_equalities
 from trajsplit.scenario_io import load_scenario, report_to_dict, save_scenario
 
-HORIZON = {"circle_blocked.yaml": 9.75, "arm_three_link.yaml": 5.8}
+from conftest import stretched
+
 POINT = SplitConfig(num_splits=3, rho=2.0, eps=0.05)  # split4, as in the point-horizon benchmark
-
-
-def stretched(name, n):
-    """A bundled scenario at ``n`` waypoints over its own horizon."""
-    return replace(load_scenario(bundled_scenario_dir() / name), num_waypoints=n, dt=HORIZON[name] / (n - 1))
 
 
 def levels(monkeypatch) -> list:
@@ -38,9 +36,9 @@ def levels(monkeypatch) -> list:
     seen = []
     real = admm.initial_point
 
-    def recording(scenario):
+    def recording(scenario, guide=None):
         seen.append(scenario.num_waypoints)
-        return real(scenario)
+        return real(scenario, guide)
 
     monkeypatch.setattr(admm, "initial_point", recording)
     return seen
@@ -63,7 +61,10 @@ def record_rounds(monkeypatch) -> list:
 
 @pytest.mark.parametrize("n, num_splits, coarse", [
     (160, 0, None),  # mono
-    (79, 3, None),  # 79 // 4 = 19 waypoints: too short
+    (39, 3, None),  # 20 waypoints are more than half of 39
+    (40, 3, 20),
+    (79, 3, 20),
+    (40, 19, None),  # 20 waypoints cannot hold 19 splits
     (80, 18, 20),
     (80, 19, None),  # 20 waypoints cannot hold 19 splits
     (160, 7, 40),
@@ -91,7 +92,7 @@ def test_long_runs_solve_one_coarse_level(monkeypatch):
 
 @pytest.mark.parametrize("n, config", [
     (160, SplitConfig(num_splits=0)),
-    (79, POINT),
+    (39, POINT),
     (80, SplitConfig(num_splits=19, rho=2.0, eps=0.05, max_admm_iterations=2)),
 ], ids=["mono", "short", "too-many-splits"])
 def test_no_coarse_run(monkeypatch, n, config):
@@ -115,6 +116,53 @@ def test_long_split_run_converges_in_few_rounds(monkeypatch):
     # wall time and the solve counters cover both levels
     assert report.wall_seconds_total >= report.wall_seconds_primal + report.wall_seconds_consensus
     assert report.factorizations > 0
+
+
+@pytest.mark.parametrize("name, n, config", [
+    ("circle_blocked.yaml", 160, POINT),
+    ("arm_three_link.yaml", 120, SplitConfig(num_splits=2)),
+], ids=["dynamics", "path-only"])
+def test_fine_warm_start_is_the_coarse_path_on_the_fine_rows(monkeypatch, name, n, config):
+    fine = stretched(name, n)
+    starts = []
+    real = admm.build_segments
+
+    def recording(scenario, splits, x_full):
+        starts.append((scenario, x_full.copy()))
+        return real(scenario, splits, x_full)
+
+    monkeypatch.setattr(admm, "build_segments", recording)
+    run(fine, replace(config, max_admm_iterations=1))
+    (coarse, _), (scenario, x) = starts
+    assert scenario is fine
+    a_eq, b_eq = segment_equalities(fine, 0, n - 1)
+    assert np.max(np.abs(a_eq @ x - b_eq)) <= 1e-12
+    # the coarse mono path interpolated in time, not the straight line
+    mono = run(coarse, replace(config, num_splits=0)).trajectory
+    u = np.minimum(fine.dt * np.arange(n) / coarse.dt, coarse.num_waypoints - 1.0)
+    path = interpolated(mono.positions(), u)
+    positions = x.reshape(n, -1)[:, : fine.dim]
+    if fine.dynamics_enabled:
+        # the projection onto the fine dynamics moves the path, much less than the line is off it
+        line = admm.initial_point(fine).reshape(n, -1)[:, : fine.dim]
+        assert np.linalg.norm(positions - path) < 0.25 * np.linalg.norm(line - path)
+    else:
+        np.testing.assert_allclose(positions, path, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, num_splits, rounds, objective", [
+    (80, 3, 5, 33.701543569481196),
+    (80, 7, 2, 32.95927182728637),
+    (160, 3, 3, 63.28570339948635),
+    (160, 7, 1, 62.93348438878146),
+])
+def test_warm_start_keeps_long_runs_outcomes(n, num_splits, rounds, objective):
+    """Rounds and objectives of the runs whose segments started from the
+    straight line: the coarse path saves work only."""
+    report = run(stretched("circle_blocked.yaml", n), replace(POINT, num_splits=num_splits))
+    assert report.iterations == rounds
+    assert report.objective == pytest.approx(objective, rel=1e-9)
+    assert report.converged and report.collision_free
 
 
 def interpolated(rows, u):

@@ -16,6 +16,8 @@ from trajsplit.cli import bundled_scenario_dir
 from trajsplit.nlp import FactorCache, NlpProblem, QuadraticFunction, convexify_segment, solve
 from trajsplit.scenario_io import load_scenario
 
+from conftest import cold_circle
+
 
 def bundled(name):
     return load_scenario(bundled_scenario_dir() / name)
@@ -36,7 +38,7 @@ def count_factorizations(monkeypatch) -> list:
 
 
 def test_one_factorization_per_segment_shape(monkeypatch, one_cpu):
-    scenario = bundled("circle_blocked.yaml")
+    scenario = cold_circle()
     made = count_factorizations(monkeypatch)
     report = run(scenario, SplitConfig(num_splits=4, rho=2.0))
     last = scenario.num_waypoints - 1
@@ -51,7 +53,7 @@ def test_one_factorization_per_segment_shape(monkeypatch, one_cpu):
 def test_one_factorization_per_segment_shape_in_each_process(two_cpus):
     # the twin of the test above with the worker process: each process keeps
     # its own cache, so a shape solved in both is factored in both
-    scenario = bundled("circle_blocked.yaml")
+    scenario = cold_circle()
     report = run(scenario, SplitConfig(num_splits=4, rho=2.0))
     last = scenario.num_waypoints - 1
     edges = [0, *split_uniform(scenario.num_waypoints, 4), last]
@@ -61,13 +63,15 @@ def test_one_factorization_per_segment_shape_in_each_process(two_cpus):
     assert report.factorizations == len(set(shapes[:share])) + len(set(shapes[share:])) > len(set(shapes))
 
 
-# values of the solver that inverted every segment's base in every round
+# values of the solver that inverted every segment's base in every round;
+# circle_blocked's are of its cold 39-waypoint input (``cold_circle``), which
+# solving with a base factored on every call still gives (test below)
 PINNED = {
     "circle_blocked.yaml": (
         SplitConfig(num_splits=4, rho=2.0),
-        13.851408031101455,
-        (0.5138554431653887, 0.41005481603004307, 0.3345964355331575,
-         0.26786134033055015, 0.21006991092956134, 0.16340765629600654),
+        13.784596500377992,
+        (0.5059591662734724, 0.4063000393731381, 0.32881471759437253,
+         0.26127137092373587, 0.2038462688988672, 0.15776677977511822),
         True,
     ),
     "arm_two_link.yaml": (SplitConfig(num_splits=2), 8.52186862285497, (0.09387752912163319,), False),
@@ -77,13 +81,29 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_outcomes_match_per_round_factorization(name):
     config, objective, history, collision_free = PINNED[name]
-    report = run(bundled(name), config)
+    report = run(cold_circle() if name == "circle_blocked.yaml" else bundled(name), config)
     assert report.objective == pytest.approx(objective, rel=1e-12)
     assert report.residual_history == pytest.approx(history, rel=1e-12)
     assert report.iterations == len(history)
     assert report.converged
     assert report.collision_free == collision_free
     assert (report.nonconverged_segment_solves, report.qp_nonoptimal, report.kkt_fallbacks) == (0, 0, 0)
+
+
+def test_outcomes_match_factoring_on_every_call(monkeypatch, one_cpu):
+    config = PINNED["circle_blocked.yaml"][0]
+    shared = run(cold_circle(), config)
+    real = FactorCache.inverse
+
+    def refactoring(self, *args):
+        self._bases.clear()
+        return real(self, *args)
+
+    monkeypatch.setattr(FactorCache, "inverse", refactoring)
+    alone = run(cold_circle(), config)
+    assert alone.factorizations > shared.factorizations
+    assert alone.objective == shared.objective
+    assert alone.residual_history == shared.residual_history
 
 
 def test_run_leaves_no_factor_reachable(monkeypatch, one_cpu):

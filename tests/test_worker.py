@@ -28,6 +28,8 @@ from trajsplit.nlp import NlpSolution
 from trajsplit.scenario_io import load_scenario
 from trajsplit.worker import _pack_solutions, _unpack_solutions
 
+from conftest import cold_circle
+
 # seconds and counts of factorizations depend on where the segments ran
 PER_PROCESS = {"wall_seconds_total", "wall_seconds_primal", "wall_seconds_consensus", "iteration_seconds",
                "factorizations"}
@@ -47,7 +49,7 @@ def hexagon_arm():
 
 
 CASES = {
-    "circle_blocked split4": (lambda: bundled("circle_blocked.yaml"), SplitConfig(num_splits=4, rho=2.0)),
+    "circle_blocked split4": (cold_circle, SplitConfig(num_splits=4, rho=2.0)),
     "arm_two_link split2": (lambda: bundled("arm_two_link.yaml"), SplitConfig(num_splits=2)),
     "arm_three_link hexagons split3": (hexagon_arm, SplitConfig(num_splits=3)),
 }
@@ -182,7 +184,7 @@ def test_mono_run_loads_neither_worker_nor_multiprocessing():
 
 
 def test_zero_deadline_cuts_the_worker_segments_too(fresh_worker):
-    scenario = bundled("circle_blocked.yaml")
+    scenario = cold_circle()
     # without a deadline, every segment's first solve converges
     free = run(scenario, SplitConfig(num_splits=4, rho=2.0, max_admm_iterations=1))
     assert free.failed_segments == ()
