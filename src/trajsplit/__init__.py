@@ -1,7 +1,7 @@
 """Trajectory optimization by consensus splitting of collision-aware NLPs."""
 
 from .admm import SolveReport, SplitConfig, run, split_uniform
-from .errors import ConfigError, EvaluatorError, ScenarioError, ShapeError, TrajsplitError, WorkerError
+from .errors import ConfigError, EvaluatorError, ScenarioError, ShapeError, TrajsplitError
 from .geometry import Capsule, Circle, ConvexPolygon, SignedDistanceResult, signed_distance
 from .model import (
     BasePose,
@@ -38,7 +38,6 @@ __all__ = [
     "SplitConfig",
     "Trajectory",
     "TrajsplitError",
-    "WorkerError",
     "path_length",
     "run",
     "signed_distance",

@@ -13,14 +13,11 @@ count, pinned start, pinned goal) as the inverse of one per-coordinate
 block.
 
 The gain of splitting is that each segment's cost grows with its own
-waypoints, not the whole trajectory's, and that the segments of a round are
-independent.  On two or more CPUs a split run deals each round's segments in
-two contiguous blocks: the first to this process, the rest to one worker
-process (see ``worker``), forked on the first such run and kept until this
-process exits; each process keeps its own ``FactorCache``.  Only the
-consensus state goes out and the worker's iterates and solve outcomes come
-back, so the outcome is bit-identical to solving every segment here.
-Threads would add nothing: the work is GIL-bound numpy.
+waypoints, not the whole trajectory's.  The segments of a round are
+independent, yet solved one after another in this process: from its coarse
+start a run takes one or two rounds, after a serial coarse solve and
+projection, so a second process saves no more than its hand-off costs, and
+threads would add nothing to GIL-bound numpy.
 
 The rounds a run takes come from its duals, its work per round also from
 its primal start.  A split run of at least 40 waypoints therefore first
@@ -38,14 +35,9 @@ onto the fine dynamics and pin rows, as its segments' warm starts
 
 from __future__ import annotations
 
-import functools
-import os
-import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (wrapped by benchmark/tracing.py)
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -153,8 +145,8 @@ class ConsensusState:
 class SolveReport:
     """Everything one run produced, timings split by phase.
 
-    ``factorizations`` totals the base KKT inverses the run built, in every
-    process; ``failed_segments`` lists the segments whose last solve did not
+    ``factorizations`` totals the base KKT inverses the run built;
+    ``failed_segments`` lists the segments whose last solve did not
     converge.  The ``coarse_*`` fields give the coarse level's waypoints (0
     for none), rounds and verdicts; a split run of 40 or more waypoints has
     one (see ``run``).  That level is one mono solve, so ``coarse_rounds``
@@ -346,98 +338,6 @@ def _state_rows(scenario: Scenario, trajectory: Trajectory) -> np.ndarray:
     return trajectory.positions()
 
 
-# --- the segment worker ----------------------------------------------------------
-#
-# The worker's protocol lives in ``worker``, imported with ``multiprocessing``
-# by the first run that starts a worker; ``import trajsplit`` loads neither.
-
-
-def _parent_share(num_segments: int) -> int:
-    """Segments the parent solves when a worker takes the rest."""
-    return (num_segments + 1) // 2
-
-
-_worker = None  # the parent's ``worker.Worker``
-_worker_lock = threading.Lock()  # one run at a time talks to the worker
-
-
-def _forget_worker() -> None:
-    """In a forked child: the inherited worker is the parent's, never ours."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _in_daemon_process() -> bool:
-    """A daemonic ``multiprocessing`` process (every ``Pool`` worker) may not
-    start children."""
-    mp = sys.modules.get("multiprocessing")
-    return mp is not None and mp.current_process().daemon
-
-
-def _quota_cpus(text: str) -> float:
-    """CPUs a cgroup quota "QUOTA PERIOD" allows; inf for "max", -1 or a parse error."""
-    try:
-        quota, period = (int(part) for part in text.split())
-        return quota / period if quota > 0 else np.inf
-    except (ValueError, ZeroDivisionError):
-        return np.inf
-
-
-@functools.cache
-def _cpu_quota() -> float:
-    """The cgroup CPU quota in CPUs (v2, else v1, at the mount root); inf for none."""
-    for names in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
-        try:
-            return _quota_cpus(" ".join(Path("/sys/fs/cgroup", name).read_text() for name in names))
-        except OSError:
-            pass
-    return np.inf
-
-
-def _claim_worker(num_segments: int):
-    """The worker, started if need be, for a split run on two or more CPUs,
-    counted as the fewer of the affinity's and the cgroup quota's.
-
-    None for a mono run, where ``fork`` or the CPU affinity is not available,
-    on one CPU, in a daemonic process, while another thread's run holds the
-    worker, and when the system refuses the fork: the run then solves every
-    segment here, with the same outcome."""
-    global _worker
-    if num_segments < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return None
-    cpus = min(len(os.sched_getaffinity(0)), _cpu_quota())
-    if cpus < 2 or _in_daemon_process() or not _worker_lock.acquire(blocking=False):
-        return None
-    try:
-        if _worker is None or not _worker.process.is_alive():
-            from .worker import Worker
-
-            _stop_worker()
-            _worker = Worker()
-    except OSError:  # EAGAIN, ENOMEM: no process to be had
-        _worker_lock.release()
-        return None
-    except BaseException:
-        _worker_lock.release()
-        raise
-    return _worker
-
-
-def _stop_worker() -> None:
-    """End the segment worker process, if any, between runs; the next split
-    run on two or more CPUs forks a new one."""
-    global _worker
-    if _worker is not None:
-        _worker.conn.close()
-        _worker.process.terminate()
-        _worker.process.join()
-        _worker = None
-
-
 def coarse_scenario(scenario: Scenario, num_splits: int) -> Scenario | None:
     """The grid of max(N // ``COARSE_FACTOR``, ``COARSE_MIN_WAYPOINTS``)
     waypoints over the same horizon whose mono solve starts a split run; None
@@ -495,9 +395,7 @@ def run(
     segment warm starts its trajectory gives (see the module docstring).  A
     deadline, when given, is checked in every SCP iteration of every segment
     solve and between rounds, on both levels; hitting it ends the run with
-    ``converged=False`` and ``deadline_reached=True``.  The worker process
-    (see the module docstring) solves its share of every split round; its
-    death during the run raises ``WorkerError``.
+    ``converged=False`` and ``deadline_reached=True``.
     """
     t0 = time.perf_counter()
     deadline = None if deadline_seconds is None else t0 + deadline_seconds
@@ -550,46 +448,27 @@ def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None
     iterations = 0
     solutions: list[NlpSolution] = []
     factors = FactorCache(scenario)
-    worker = _claim_worker(len(segments))
-    mine = segments[: _parent_share(len(segments))] if worker else segments
-    theirs = segments[len(mine) :]
 
-    try:
-        if worker:
-            worker.start_run(scenario, cfg, splits, theirs)
-        for it in range(1, cfg.max_admm_iterations + 1):
-            iterations = it
-            tp = time.perf_counter()
-            if worker:
-                worker.send_round(consensus, deadline)
-            solutions = primal_update(scenario, mine, consensus, cfg, factors, deadline)
-            if worker:
-                solutions += worker.receive_round(theirs)
-            primal_seconds += time.perf_counter() - tp
-            nonconverged += sum(1 for s in solutions if not s.converged)
-            qp_nonoptimal += sum(s.qp_nonoptimal for s in solutions)
-            kkt_fallbacks += sum(s.kkt_fallbacks for s in solutions)
-            factorizations += sum(s.factorizations for s in solutions)
-            tc = time.perf_counter()
-            consensus_update(segments, consensus, cfg.rho)
-            residual = splitting_residual(segments, scenario)
-            consensus_seconds += time.perf_counter() - tc
-            residual_history.append(residual)
-            iteration_seconds.append(time.perf_counter() - t0)
-            out_of_time = deadline is not None and time.perf_counter() >= deadline
-            if residual <= cfg.eps or out_of_time:
-                converged = residual <= cfg.eps and all(s.converged for s in solutions)
-                deadline_reached = out_of_time and not converged
-                break
-        if worker:
-            worker.end_run()
-    except BaseException:
-        if worker:
-            _stop_worker()  # it may be mid-round; the next run forks a new one
-        raise
-    finally:
-        if worker:
-            _worker_lock.release()
+    for it in range(1, cfg.max_admm_iterations + 1):
+        iterations = it
+        tp = time.perf_counter()
+        solutions = primal_update(scenario, segments, consensus, cfg, factors, deadline)
+        primal_seconds += time.perf_counter() - tp
+        nonconverged += sum(1 for s in solutions if not s.converged)
+        qp_nonoptimal += sum(s.qp_nonoptimal for s in solutions)
+        kkt_fallbacks += sum(s.kkt_fallbacks for s in solutions)
+        factorizations += sum(s.factorizations for s in solutions)
+        tc = time.perf_counter()
+        consensus_update(segments, consensus, cfg.rho)
+        residual = splitting_residual(segments, scenario)
+        consensus_seconds += time.perf_counter() - tc
+        residual_history.append(residual)
+        iteration_seconds.append(time.perf_counter() - t0)
+        out_of_time = deadline is not None and time.perf_counter() >= deadline
+        if residual <= cfg.eps or out_of_time:
+            converged = residual <= cfg.eps and all(s.converged for s in solutions)
+            deadline_reached = out_of_time and not converged
+            break
     del factors  # the factors serve the rounds only; the final check runs without them
 
     trajectory = assemble_trajectory(scenario, segments, consensus)

@@ -150,6 +150,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"segments: {report.num_segments}  splits at: {list(report.split_indices)}")
     print(f"converged: {report.converged}  collision_free: {report.collision_free}")
     print(f"iterations: {report.iterations}  residual: {report.residual:.3e}")
+    print(f"qp_nonoptimal: {report.qp_nonoptimal}  kkt_fallbacks: {report.kkt_fallbacks}  "
+          f"nonconverged_segment_solves: {report.nonconverged_segment_solves}")
     print(f"coarse_waypoints: {report.coarse_waypoints}  coarse_rounds: {report.coarse_rounds}  "
           f"coarse_converged: {report.coarse_converged}  coarse_collision_free: {report.coarse_collision_free}")
     print(f"objective: {report.objective:.6f}  path_length: {report.path_length:.6f}")

@@ -8,8 +8,6 @@ solutions from brute-force working-set enumeration.
 
 import itertools
 import math
-import os
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -39,50 +37,6 @@ def make_state(position, velocity=None, acceleration=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-# --- CPU count as admm.run reads it -----------------------------------------
-#
-# A split run on two or more CPUs solves part of every round in a worker
-# process, which a spy installed in this process does not see.
-
-@pytest.fixture
-def one_cpu(monkeypatch):
-    """Split runs solve every segment in this process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Split runs deal part of every round to the worker process, even where
-    the machine has one CPU or a CPU quota."""
-    if not hasattr(os, "fork"):
-        pytest.skip("the worker process needs fork")
-    from trajsplit import admm
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(admm, "_cpu_quota", lambda: math.inf)
-
-
-@pytest.fixture
-def fresh_worker(two_cpus):
-    """No worker before the test, so that the test's first split run forks
-    one with the test's patches in place, and none after it."""
-    from trajsplit.admm import _stop_worker
-
-    _stop_worker()
-    yield
-    _stop_worker()
-
-
-@pytest.fixture(autouse=True)
-def stop_patched_worker(request):
-    """A worker forked while a test's patches are in place keeps them for
-    every later test; stop it with the test."""
-    yield
-    admm = sys.modules.get("trajsplit.admm")
-    if admm is not None and "monkeypatch" in request.fixturenames:
-        admm._stop_worker()
 
 
 # --- bundled scenarios on other grids ----------------------------------------

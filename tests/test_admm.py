@@ -1,11 +1,16 @@
 """Consensus splitting: segment bookkeeping, the update rules, full runs."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trajsplit import admm
 from trajsplit.admm import (
     ConsensusState,
     SolveReport,
@@ -28,6 +33,8 @@ from trajsplit.nlp import (
     segment_layout,
     solve,
 )
+
+from conftest import cold_circle
 
 
 def corridor(n=10, dt=0.25, margin=0.05):
@@ -398,13 +405,51 @@ class TestRun:
         assert not report.converged
 
     def test_split_run_starts_no_threads(self, monkeypatch):
+        # even with two CPUs to use, every segment is solved in this process
         def refuse(self):
             raise AssertionError(f"thread {self.name!r} started")
 
+        def refuse_fork():
+            raise AssertionError("a process was started")
+
         monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(os, "fork", refuse_fork, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         report = run(corridor(), SplitConfig(num_splits=2, rho=5.0, eps=1e-2))
         assert report.num_segments == 3
         assert report.iterations >= 1
+
+    def test_runs_load_no_multiprocessing(self):
+        # a fresh interpreter that sees two CPUs: neither a mono run nor a
+        # split run with a coarse level imports multiprocessing
+        src = Path(admm.__file__).resolve().parents[1]
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from trajsplit import SplitConfig, run\n"
+            "from trajsplit.cli import bundled_scenario_dir\n"
+            "from trajsplit.scenario_io import load_scenario\n"
+            "scenario = load_scenario(bundled_scenario_dir() / 'circle_blocked.yaml')\n"
+            "for splits in (0, 4):\n"
+            "    run(scenario, SplitConfig(num_splits=splits, rho=2.0))\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_zero_deadline_cuts_every_segment_solve(self):
+        scenario = cold_circle()
+        # without a deadline, every segment's first solve converges
+        free = run(scenario, SplitConfig(num_splits=4, rho=2.0, max_admm_iterations=1))
+        assert free.failed_segments == ()
+        report = run(scenario, SplitConfig(num_splits=4, rho=2.0), deadline_seconds=0.0)
+        assert report.deadline_reached and not report.converged
+        assert report.iterations == 1
+        # each solve stopped after its first SCP iteration
+        assert report.failed_segments == (0, 1, 2, 3, 4)
+        assert report.nonconverged_segment_solves == 5
 
 
 class TestAssembleTrajectory:

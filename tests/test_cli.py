@@ -1,11 +1,13 @@
 """Command line driver: exit codes, reports, sweep and bench tables."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
+from trajsplit import admm
 from trajsplit.admm import SplitConfig
 from trajsplit.cli import (
     BENCH_COLUMNS,
@@ -144,6 +146,20 @@ class TestSolveExitCodes:
         for token in ("converged:", "collision_free:", "iterations:", "residual:",
                       "path_length:", "wall_seconds:"):
             assert token in out
+
+    def test_summary_line_shows_solver_flags(self, corridor_file, monkeypatch, capsys):
+        # one round of 3 segment solves, each flagged: not optimal once,
+        # 2 lstsq fallbacks, not converged
+        real = admm.solve
+
+        def flagged(problem, options=None):
+            return replace(real(problem, options), qp_nonoptimal=1, kkt_fallbacks=2, converged=False)
+
+        monkeypatch.setattr(admm, "solve", flagged)
+        code = main(["solve", str(corridor_file), "--splits", "2", "--max-iters", "1"])
+        assert code == EXIT_NOT_CONVERGED
+        out = capsys.readouterr().out.splitlines()
+        assert "qp_nonoptimal: 3  kkt_fallbacks: 6  nonconverged_segment_solves: 3" in out
 
 
 class TestSweep:

@@ -2,7 +2,6 @@
 same problem on a grid a quarter as long (20 waypoints at least) whose
 trajectory gives the fine run's first duals, targets and segment warm starts."""
 
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -176,7 +175,7 @@ def interpolated(rows, u):
     ("circle_blocked.yaml", 160, POINT),
     ("arm_three_link.yaml", 120, SplitConfig(num_splits=2)),
 ], ids=["dynamics", "path-only"])
-def test_duals_hand_off_scaled_by_the_step_ratio(monkeypatch, one_cpu, name, n, config):
+def test_duals_hand_off_scaled_by_the_step_ratio(monkeypatch, name, n, config):
     fine = stretched(name, n)
     calls = record_rounds(monkeypatch)
     run(fine, config)
@@ -250,21 +249,6 @@ def test_zero_deadline_stops_both_levels():
     assert not report.converged
     assert (report.iterations, report.coarse_waypoints, report.coarse_rounds) == (1, 40, 1)
     assert not report.coarse_converged
-
-
-def test_worker_and_one_cpu_give_the_same_outcome(monkeypatch, two_cpus):
-    scenario = stretched("circle_blocked.yaml", 160)
-    pooled = run(scenario, POINT)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    alone = run(scenario, POINT)
-    np.testing.assert_array_equal(pooled.trajectory.positions(), alone.trajectory.positions())
-    np.testing.assert_array_equal(pooled.trajectory.velocities(), alone.trajectory.velocities())
-    assert pooled.objective == alone.objective
-    assert pooled.residual_history == alone.residual_history
-    for field in ("converged", "collision_free", "iterations", "nonconverged_segment_solves", "qp_nonoptimal",
-                  "kkt_fallbacks", "failed_segments", "coarse_waypoints", "coarse_rounds", "coarse_converged",
-                  "coarse_collision_free"):
-        assert getattr(pooled, field) == getattr(alone, field), field
 
 
 def test_report_and_cli_show_the_coarse_level(tmp_path, capsys):

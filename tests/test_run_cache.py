@@ -37,7 +37,7 @@ def count_factorizations(monkeypatch) -> list:
     return made
 
 
-def test_one_factorization_per_segment_shape(monkeypatch, one_cpu):
+def test_one_factorization_per_segment_shape(monkeypatch):
     scenario = cold_circle()
     made = count_factorizations(monkeypatch)
     report = run(scenario, SplitConfig(num_splits=4, rho=2.0))
@@ -48,19 +48,6 @@ def test_one_factorization_per_segment_shape(monkeypatch, one_cpu):
     assert len(shapes) < report.num_segments
     assert len(made) == len(shapes)
     assert report.factorizations == len(shapes)
-
-
-def test_one_factorization_per_segment_shape_in_each_process(two_cpus):
-    # the twin of the test above with the worker process: each process keeps
-    # its own cache, so a shape solved in both is factored in both
-    scenario = cold_circle()
-    report = run(scenario, SplitConfig(num_splits=4, rho=2.0))
-    last = scenario.num_waypoints - 1
-    edges = [0, *split_uniform(scenario.num_waypoints, 4), last]
-    shapes = [(b - a + 1, a == 0, b == last) for a, b in zip(edges, edges[1:])]
-    share = admm._parent_share(len(shapes))
-    assert report.iterations > 1
-    assert report.factorizations == len(set(shapes[:share])) + len(set(shapes[share:])) > len(set(shapes))
 
 
 # values of the solver that inverted every segment's base in every round;
@@ -90,7 +77,7 @@ def test_outcomes_match_per_round_factorization(name):
     assert (report.nonconverged_segment_solves, report.qp_nonoptimal, report.kkt_fallbacks) == (0, 0, 0)
 
 
-def test_outcomes_match_factoring_on_every_call(monkeypatch, one_cpu):
+def test_outcomes_match_factoring_on_every_call(monkeypatch):
     config = PINNED["circle_blocked.yaml"][0]
     shared = run(cold_circle(), config)
     real = FactorCache.inverse
@@ -106,7 +93,7 @@ def test_outcomes_match_factoring_on_every_call(monkeypatch, one_cpu):
     assert alone.residual_history == shared.residual_history
 
 
-def test_run_leaves_no_factor_reachable(monkeypatch, one_cpu):
+def test_run_leaves_no_factor_reachable(monkeypatch):
     made = count_factorizations(monkeypatch)
     caches = []
     real_init = FactorCache.__init__

@@ -102,12 +102,7 @@ def test_nlp_solution_carries_nonoptimal_returns(monkeypatch):
     assert solution.qp_nonoptimal <= solution.iterations
 
 
-def test_report_totals_sum_over_segment_solves(monkeypatch, tmp_path, one_cpu):
-    assert_totals_sum_over_segment_solves(monkeypatch)
-
-
-def test_report_totals_sum_over_worker_segment_solves(monkeypatch, fresh_worker):
-    # patched before the run forks the worker, so its solves are flagged too
+def test_report_totals_sum_over_segment_solves(monkeypatch):
     assert_totals_sum_over_segment_solves(monkeypatch)
 
 
