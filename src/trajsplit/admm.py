@@ -7,10 +7,9 @@ the split copies into the consensus targets, and pushes the duals by rho
 times the remaining disagreement.  The loop stops when the mean position
 disagreement across splits drops below the splitting tolerance.  Rounds
 change only the consensus linear terms and warm starts: a run's
-``FactorCache`` builds each segment's Hessian, equalities, bounds and rows
-once, and factors its base KKT matrix once per segment shape (waypoint
-count, pinned start, pinned goal) as the inverse of one per-coordinate
-block.
+``FactorCache`` builds each segment's Hessian, equalities, bounds, rows and
+base KKT inverse (one per-coordinate block) once per segment shape (waypoint
+count, pinned start, pinned goal, coupled waypoints, rho).
 
 The gain of splitting is that each segment's cost grows with its own
 waypoints, not the whole trajectory's.  The segments of a round are
@@ -48,6 +47,7 @@ from .nlp import (
     ConsensusCoupling,
     FactorCache,
     NlpSolution,
+    QpStats,
     SegmentLayout,
     SolverOptions,
     convexify_segment,
@@ -145,7 +145,9 @@ class ConsensusState:
 class SolveReport:
     """Everything one run produced, timings split by phase.
 
-    ``factorizations`` totals the base KKT inverses the run built;
+    ``factorizations`` totals the base KKT inverses the run built, one per
+    segment shape and level; ``kkt_fallbacks`` counts every least-squares
+    answer, the projection of the initial point included;
     ``failed_segments`` lists the segments whose last solve did not
     converge.  The ``coarse_*`` fields give the coarse level's waypoints (0
     for none), rounds and verdicts; a split run of 40 or more waypoints has
@@ -314,10 +316,11 @@ def trajectory_objective(scenario: Scenario, trajectory: Trajectory) -> float:
     return float(np.sum(((q[1:] - q[:-1]) / scenario.dt) ** 2))
 
 
-def initial_point(scenario: Scenario, guide: Trajectory | None = None) -> np.ndarray:
+def initial_point(scenario: Scenario, guide: Trajectory | None = None, stats: QpStats | None = None) -> np.ndarray:
     """Packed seed, corrected onto the dynamics and pin rows: the straight
     line, or ``guide``, a trajectory over the same horizon (the coarse
-    level's), linearly interpolated in time to every waypoint."""
+    level's), linearly interpolated in time to every waypoint.  A
+    least-squares correction is counted in ``stats.kkt_fallbacks``."""
     n = scenario.num_waypoints
     if guide is None:
         traj = straight_line_init(scenario)
@@ -327,7 +330,7 @@ def initial_point(scenario: Scenario, guide: Trajectory | None = None) -> np.nda
         x = _at_times(times, _state_rows(scenario, guide), scenario.dt * np.arange(n)).reshape(-1)
     if scenario.dynamics_enabled:
         a_eq, b_eq = segment_equalities(scenario, 0, n - 1)
-        x = project_to_affine(x, a_eq, b_eq)
+        x = project_to_affine(x, a_eq, b_eq, stats)
     return x
 
 
@@ -421,7 +424,8 @@ def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None
     coarse = coarse_scenario(scenario, cfg.num_splits)
     level = _run(coarse, replace(cfg, num_splits=0), time.perf_counter(), deadline) if coarse else None
     splits = split_uniform(scenario.num_waypoints, cfg.num_splits)
-    x_full = initial_point(scenario, level.trajectory if level else None)
+    projection = QpStats()
+    x_full = initial_point(scenario, level.trajectory if level else None, projection)
     segments = build_segments(scenario, splits, x_full)
     if level:
         consensus = _coarse_consensus(scenario, splits, coarse, level.trajectory)
@@ -443,6 +447,7 @@ def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None
         primal_seconds, consensus_seconds = level.wall_seconds_primal, level.wall_seconds_consensus
         nonconverged, qp_nonoptimal = level.nonconverged_segment_solves, level.qp_nonoptimal
         kkt_fallbacks, factorizations = level.kkt_fallbacks, level.factorizations
+    kkt_fallbacks += projection.kkt_fallbacks
     converged = False
     deadline_reached = False
     iterations = 0
@@ -457,7 +462,6 @@ def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None
         nonconverged += sum(1 for s in solutions if not s.converged)
         qp_nonoptimal += sum(s.qp_nonoptimal for s in solutions)
         kkt_fallbacks += sum(s.kkt_fallbacks for s in solutions)
-        factorizations += sum(s.factorizations for s in solutions)
         tc = time.perf_counter()
         consensus_update(segments, consensus, cfg.rho)
         residual = splitting_residual(segments, scenario)
@@ -469,6 +473,7 @@ def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None
             converged = residual <= cfg.eps and all(s.converged for s in solutions)
             deadline_reached = out_of_time and not converged
             break
+    factorizations += len(factors.segments)
     del factors  # the factors serve the rounds only; the final check runs without them
 
     trajectory = assemble_trajectory(scenario, segments, consensus)

@@ -169,7 +169,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-SWEEP_COLUMNS = ["splits", "eps", "repeat", "wall_seconds", "iterations", "path_length", "residual", "collision_free"]
+# the solver flags of ``SolveReport``, last in every sweep and bench row
+FLAG_COLUMNS = ["qp_nonoptimal", "kkt_fallbacks", "nonconverged_segment_solves"]
+SWEEP_COLUMNS = ["splits", "eps", "repeat", "wall_seconds", "iterations", "path_length", "residual", "collision_free",
+                 *FLAG_COLUMNS]
+
+
+def _flags(report: admm.SolveReport) -> list[int]:
+    return [getattr(report, name) for name in FLAG_COLUMNS]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -187,11 +194,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     num_splits, repr(float(eps)), repeat,
                     f"{report.wall_seconds_total:.6f}", report.iterations,
                     repr(float(report.path_length)), repr(float(report.residual)),
-                    report.collision_free,
+                    report.collision_free, *_flags(report),
                 ])
                 print(f"splits={num_splits} eps={eps:g} repeat={repeat}: "
                       f"iters={report.iterations} path={report.path_length:.4f} "
-                      f"converged={report.converged}")
+                      f"converged={report.converged} qp_nonoptimal={report.qp_nonoptimal} "
+                      f"kkt_fallbacks={report.kkt_fallbacks} "
+                      f"nonconverged_segment_solves={report.nonconverged_segment_solves}")
     if args.out:
         with open(args.out, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -202,7 +211,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 BENCH_COLUMNS = ["problem", "planner", "converged", "collision_free", "success",
-                 "wall_seconds", "iterations", "path_length", "residual"]
+                 "wall_seconds", "iterations", "path_length", "residual", *FLAG_COLUMNS]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -232,7 +241,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             rows.append([
                 problem.name, name, report.converged, report.collision_free, success,
                 f"{report.wall_seconds_total:.6f}", report.iterations,
-                repr(float(report.path_length)), repr(float(report.residual)),
+                repr(float(report.path_length)), repr(float(report.residual)), *_flags(report),
             ])
             stats = summary[name]
             stats["runs"] += 1

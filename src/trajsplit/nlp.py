@@ -1,20 +1,20 @@
 """Trajectory NLP solver: sequential convexification over a factor-once QP.
 
-The nonlinear program  min f(x)  s.t.  A x = b,  g(x) <= 0,  lo <= x <= hi
-is solved by repeatedly minimizing a convex model: quadratic expansion of f,
+The nonlinear program  min f(x)  s.t.  A x = b,  g(x) <= 0,  lo <= x <= hi,
+f quadratic, is solved by repeatedly minimizing a convex model: f itself,
 exact affine equalities, linearized inequalities with an l1 exact penalty on
 their violation, all inside an infinity-norm trust region.  The convex
 subproblems are solved by a Schur-complement primal active-set method.  The
-KKT matrix of the Hessian and the equalities is factored once per run per
-segment shape (a ``FactorCache`` keeps it), and again only if the Hessian
-changes: for a trajectory segment it never does, since the objective is
-quadratic and the dynamics affine.  A segment's cost, dynamics and pins act
-on each coordinate alone and alike, so that matrix is one equal block per
-coordinate and only one block is inverted; the collision rows, the only
-ones that mix coordinates, enter through the Schur complement.  The trust
-region and joint limits are bounds that fix variables, and the linearized
-rows are elastic: each row's penalty slack is fixed at zero or tied to the
-row, never a variable.
+objective is quadratic and the equalities affine, so the KKT matrix of the
+Hessian and the equalities is fixed: a solve factors it once, and a run
+factors it once per segment shape (a ``FactorCache`` keeps it), since only
+the consensus linear term changes between rounds.  A segment's cost,
+dynamics and pins act on each coordinate alone and alike, so that matrix is
+one equal block per coordinate and only one block is inverted; the
+collision rows, the only ones that mix coordinates, enter through the Schur
+complement.  The trust region and joint limits are bounds that fix
+variables, and the linearized rows are elastic: each row's penalty slack is
+fixed at zero or tied to the row, never a variable.
 
 Collision constraints enter as the inequality evaluator; dynamics and
 boundary pins are affine equalities and stay exactly satisfied at every
@@ -59,11 +59,12 @@ class KktInverse:
     KKT index t, a variable or an equality row, lies in block t mod
     ``coordinates`` at position t // ``coordinates``; every block's inverse
     is ``block``, and the entries between blocks are zero.  ``block`` is
-    symmetric, so a row of the inverse is also its column.
+    symmetric, so a row of the inverse is also its column.  ``pseudo`` is
+    True when the matrix was singular and ``block`` is a pseudo-inverse.
     """
 
-    def __init__(self, block: np.ndarray, coordinates: int) -> None:
-        self.block, self.coordinates = block, coordinates
+    def __init__(self, block: np.ndarray, coordinates: int, pseudo: bool) -> None:
+        self.block, self.coordinates, self.pseudo = block, coordinates, pseudo
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """K^-1 rhs: one product of the block with a column per coordinate."""
@@ -104,9 +105,7 @@ def _coordinate_block(hessian: np.ndarray, a_eq: np.ndarray, d: int) -> tuple[np
     return None
 
 
-def kkt_inverse(
-    hessian: np.ndarray, a_eq: np.ndarray, stats: QpStats | None = None, coordinates: int = 1, shift: float = 0.0
-) -> KktInverse:
+def kkt_inverse(hessian: np.ndarray, a_eq: np.ndarray, coordinates: int = 1, shift: float = 0.0) -> KktInverse:
     """Inverse of the base KKT matrix [[H + shift I, A'], [A, 0]] of a QP, symmetrized.
 
     Every active-set step of ``solve_qp`` reuses it: the optimum of the base
@@ -116,8 +115,7 @@ def kkt_inverse(
     that many equal blocks, index t in block t mod ``coordinates``, as a
     segment's waypoint-major packing does; the claim is checked exactly,
     and a matrix it does not hold for is inverted as one block.  A singular
-    block is answered by the pseudo-inverse and counted in
-    ``stats.kkt_fallbacks``.
+    block is answered by the pseudo-inverse, marked ``pseudo``.
     """
     block = _coordinate_block(hessian, a_eq, coordinates) if coordinates > 1 else None
     h, a = (hessian, a_eq) if block is None else block
@@ -128,53 +126,27 @@ def kkt_inverse(
     kkt[n:, :n] = a
     kkt.reshape(-1)[: n * (n + m) : n + m + 1] += shift  # the diagonal of H
     try:
-        inverse = np.linalg.inv(kkt)
+        inverse, pseudo = np.linalg.inv(kkt), False
     except np.linalg.LinAlgError:
-        inverse = np.linalg.pinv(kkt)
-        if stats is not None:
-            stats.kkt_fallbacks += 1
+        inverse, pseudo = np.linalg.pinv(kkt), True
     # symmetrized, so that row i is column i; kkt's buffer takes the result
     np.add(inverse, inverse.T, out=kkt)
     kkt *= 0.5
-    return KktInverse(kkt, 1 if block is None else coordinates)
+    return KktInverse(kkt, 1 if block is None else coordinates, pseudo)
 
 
 class FactorCache:
-    """Base KKT inverses and segment parts shared by the NLP solves of one run.
+    """The fixed parts of ``scenario``'s segment NLPs, shared by the solves of one run.
 
-    ``inverse`` finds a base by its exact matrices and block count, so equal
-    segments share one factorization and no hand-in can change an answer; a
-    shared pseudo-inverse counts one ``kkt_fallbacks`` in each solve that
-    uses it.  A segment's base is factored as one inverse of a
-    per-coordinate block (see ``kkt_inverse``).  ``segments`` keeps the
-    fixed parts of ``scenario``'s segment NLPs; ``factorizations`` counts
-    the bases inverted so far.
+    ``segments`` maps a segment shape (waypoint count, pinned start, pinned
+    goal, coupled waypoints, rho) to its read-only Hessian, equalities,
+    bounds, row evaluator and base ``KktInverse`` (see ``convexify_segment``):
+    a segment's KKT matrix depends on nothing else, so each shape is
+    factored once per run, as one per-coordinate block.
     """
 
     def __init__(self, scenario: Scenario | None = None) -> None:
-        self.scenario, self.segments, self._bases = scenario, {}, []
-        self.factorizations = 0
-
-    def inverse(
-        self, hessian: np.ndarray, a_eq: np.ndarray, stats: QpStats, coordinates: int
-    ) -> tuple[KktInverse, np.ndarray]:
-        """``kkt_inverse`` of a base with ``PROX_REGULARIZATION`` on the Hessian's
-        diagonal, factored on first use, and the cache's copy of ``hessian``.
-
-        The copy is taken once per factorization; comparing a later Hessian
-        with it also finds a change the evaluator made in place.
-        """
-        for h, a, d, inverse, fallbacks in self._bases:
-            if d == coordinates and np.array_equal(h, hessian) and np.array_equal(a, a_eq):
-                break
-        else:
-            h, own = hessian.copy(), QpStats()
-            inverse = kkt_inverse(h, a_eq, own, coordinates, PROX_REGULARIZATION)
-            fallbacks = own.kkt_fallbacks
-            self._bases.append((h, a_eq.copy(), coordinates, inverse, fallbacks))
-            self.factorizations += 1
-        stats.kkt_fallbacks += fallbacks
-        return inverse, h
+        self.scenario, self.segments = scenario, {}
 
 
 _FREE, _TIGHT, _TIED = 0, 1, 2  # row states; only elastic rows are ever tied
@@ -217,7 +189,8 @@ def solve_qp(
     and the bounds (the equalities are restored by the first full step if
     slightly violated).  Returns (x, optimal); when the iteration cap is hit
     the iterate reached so far is returned with optimal=False.  ``stats``,
-    when given, tallies non-optimal returns and least-squares fallbacks.
+    when given, tallies non-optimal returns and least-squares fallbacks; a
+    pseudo-inverse ``base_inverse`` is left to the caller to count.
     """
     n, m = gradient.shape[0], a_in.shape[0]
     lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
@@ -226,7 +199,9 @@ def solve_qp(
     elastic = weight < np.inf
     if max_iterations is None:
         max_iterations = 3 * (n + m + np.count_nonzero(np.isfinite(lo)) + np.count_nonzero(np.isfinite(hi))) + 100
-    kinv = kkt_inverse(hessian, a_eq, stats) if base_inverse is None else base_inverse
+    kinv = kkt_inverse(hessian, a_eq) if base_inverse is None else base_inverse
+    if base_inverse is None and kinv.pseudo and stats is not None:
+        stats.kkt_fallbacks += 1
     b = np.asarray(b_in, dtype=float)
     row_norms = np.sqrt(np.einsum("ij,ij->i", a_in, a_in))
 
@@ -383,43 +358,36 @@ class QuadraticFunction:
         hx = self.hessian_matrix @ x
         return float(0.5 * x @ hx + self.linear @ x + self.constant), hx + self.linear
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        return self.hessian_matrix
 
-
-# evaluators: value_and_grad(x) -> (f, grad); inequality rows g(x) <= 0
-ObjectiveFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
-HessianFn = Callable[[np.ndarray], np.ndarray]
+# inequality rows g(x) <= 0: rows(x) -> (values, jacobian)
 InequalityFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
 class NlpProblem:
-    """One smooth NLP in the form the convexification loop consumes.
+    """One NLP in the form the convexification loop consumes: a quadratic
+    ``objective``, affine equalities, bounds and smooth inequality rows.
 
     ``inequalities`` is evaluated once at every point the solver visits and
     its rows serve both the convex model and the merit and feasibility
     accounting.  It may return a different number of rows each time: rows
     may omit constraints that are satisfied at x (e.g. collision pairs far
-    from contact), never violated ones.  Solves sharing ``factors`` factor
-    each base once; ``deadline`` is a ``time.perf_counter`` value.
-    ``coordinates`` claims that the KKT matrix of the Hessian and ``a_eq``
-    splits into that many equal blocks (see ``kkt_inverse``, which checks
-    the claim before using it).
+    from contact), never violated ones.  ``base_inverse``, when given, must
+    be ``kkt_inverse`` of the objective's Hessian and ``a_eq`` with shift
+    ``PROX_REGULARIZATION``; without it ``solve`` factors that matrix as one
+    block.  ``deadline`` is a ``time.perf_counter`` value.
     """
 
     dim: int
-    objective: ObjectiveFn
-    objective_hessian: HessianFn | None = None
+    objective: QuadraticFunction
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
     inequalities: InequalityFn | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     x0: np.ndarray | None = None
-    factors: FactorCache | None = None
     deadline: float | None = None
-    coordinates: int = 1
+    base_inverse: KktInverse | None = None
 
 
 # the fixed SCP schedule: trust region, l1 penalty and the proximal term
@@ -467,11 +435,7 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class NlpSolution:
-    """An NLP solve's iterate and outcome.
-
-    ``factorizations`` counts the base KKT inverses this solve built; it is 0
-    when every base came from a shared ``FactorCache``.
-    """
+    """An NLP solve's iterate and outcome."""
 
     point: np.ndarray
     objective: float
@@ -481,7 +445,6 @@ class NlpSolution:
     converged: bool
     qp_nonoptimal: int = 0
     kkt_fallbacks: int = 0
-    factorizations: int = 0
 
 
 def _check_finite(value, what: str) -> None:
@@ -517,8 +480,9 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     once; an accepted trial's evaluation is the next iteration's model.
     Never raises on non-convergence: the iteration limit, or the problem's
     ``deadline`` reached first, returns the iterate reached with
-    ``converged=False``.  Non-finite evaluator output raises
-    ``EvaluatorError``.
+    ``converged=False``.  A non-finite objective array or evaluator output
+    raises ``EvaluatorError``, an asymmetric Hessian ``ConfigError``; the
+    Hessian is checked once, since it is the same at every point.
     """
     opts = options or SolverOptions()
     n = problem.dim
@@ -531,23 +495,29 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     lower = problem.lower if problem.lower is not None else np.full(n, -np.inf)
     upper = problem.upper if problem.upper is not None else np.full(n, np.inf)
 
+    h = problem.objective.hessian_matrix
+    _check_finite(h, "objective hessian")
+    _check_finite(problem.objective.linear, "objective linear term")
+    if h.shape != (n, n) or np.count_nonzero(h != h.T):
+        raise ConfigError(f"objective hessian must be a symmetric ({n}, {n}) matrix")
+
     qp_stats = QpStats()
-    factors = problem.factors if problem.factors is not None else FactorCache()
-    factorizations = factors.factorizations
+    # kkt_inverse of H + prox I and A_eq, the base of every QP of this solve
+    base = problem.base_inverse
+    if base is None:
+        base = kkt_inverse(h, a_eq, shift=PROX_REGULARIZATION)
+    elif base.block.shape[0] * base.coordinates != n + a_eq.shape[0]:
+        raise ConfigError(f"base_inverse must be of a KKT matrix of size {n + a_eq.shape[0]}")
+    qp_stats.kkt_fallbacks += base.pseudo
     if a_eq.shape[0]:
         x = project_to_affine(x, a_eq, b_eq, qp_stats)
     x = np.clip(x, lower, upper)
 
     def evaluate(point: np.ndarray):
-        """Objective value, gradient, symmetric Hessian, inequality rows."""
-        f, g = problem.objective(point)
+        """Objective value, gradient, inequality rows."""
+        f, g = problem.objective.value_and_grad(point)
         _check_finite(f, "objective")
         _check_finite(g, "objective gradient")
-        if problem.objective_hessian is not None:
-            h = np.asarray(problem.objective_hessian(point), dtype=float)
-            _check_finite(h, "objective hessian")
-        else:
-            h = np.eye(n)
         if problem.inequalities is not None:
             vals, jac = problem.inequalities(point)
             vals = np.asarray(vals, dtype=float)
@@ -556,8 +526,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
             _check_finite(jac, "inequality jacobian")
         else:
             vals, jac = np.zeros(0), np.zeros((0, n))
-        symmetric = not np.count_nonzero(h != h.T)
-        return f, g, h if symmetric else 0.5 * (h + h.T), vals, jac
+        return f, g, vals, jac
 
     def penalty(vals: np.ndarray) -> float:
         return float(np.sum(np.maximum(vals, 0.0)))
@@ -567,18 +536,13 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
 
     mu, delta = INITIAL_PENALTY, INITIAL_TRUST_RADIUS
 
-    fx, gx, h, rows_vals, rows_jac = evaluate(x)
+    fx, gx, rows_vals, rows_jac = evaluate(x)
     merit = fx + mu * penalty(rows_vals)
 
     converged = False
     iterations = 0
-    # kkt_inverse of H + prox I and A_eq, kept while H equals the cache's copy
-    base = base_hessian = None
     for _ in range(opts.max_outer_iterations):
         iterations += 1
-        if base is None or not np.array_equal(h, base_hessian):
-            base, base_hessian = factors.inverse(h, a_eq, qp_stats, problem.coordinates)
-
         # convex subproblem: the quadratic model, the linearized rows as
         # elastic rows at weight mu, the trust region as bounds
         lo_eff = np.maximum(lower, x - delta)
@@ -600,7 +564,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         stalled = predicted <= 1e-12 * max(1.0, abs(merit))
         if not stalled:
             trial = evaluate(x_new)
-            f_new, _, _, vals_new, _ = trial
+            f_new, _, vals_new, _ = trial
             merit_new = f_new + mu * penalty(vals_new)
             ratio = (merit - merit_new) / predicted
 
@@ -612,7 +576,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
             if merit_new < merit:
                 stalled = float(np.max(np.abs(dx), initial=0.0)) <= opts.step_tolerance
                 x, merit = x_new, merit_new
-                fx, gx, h, rows_vals, rows_jac = trial
+                fx, gx, rows_vals, rows_jac = trial
             elif delta <= MIN_TRUST_RADIUS * 1.01:
                 break
         if stalled:
@@ -636,7 +600,6 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         converged=converged,
         qp_nonoptimal=qp_stats.nonoptimal,
         kkt_fallbacks=qp_stats.kkt_fallbacks,
-        factorizations=factors.factorizations - factorizations,
     )
 
 
@@ -849,34 +812,35 @@ def convexify_segment(
 
     ``x0`` is the packed warm-start vector (see SegmentLayout).  With an
     empty coupling list and the full waypoint range this is exactly the
-    monolithic problem.  A ``factors`` cache built for this scenario keeps
-    each segment's Hessian, equalities, bounds and row evaluator, so later
-    calls build only the consensus term; it and ``deadline`` go to ``solve``.
+    monolithic problem.  The segment's Hessian, equalities, bounds, row
+    evaluator and base KKT inverse depend only on its shape; a ``factors``
+    cache built for this scenario keeps them, so later calls build only the
+    consensus term.  ``deadline`` goes to ``solve``.
     """
     layout = segment_layout(scenario, first_index, last_index)
     g, c = _consensus_linear(layout, couplings, rho)
     held = factors.segments if factors is not None and factors.scenario is scenario else {}
-    key = (first_index, last_index, tuple(cp.waypoint for cp in couplings), rho)
+    coupled = tuple(cp.waypoint for cp in couplings)
+    key = (layout.count, first_index == 0, last_index == scenario.num_waypoints - 1, coupled, rho)
     if key not in held:
-        held[key] = (
-            build_segment_objective(scenario, first_index, last_index, couplings, rho).hessian_matrix,
-            *segment_equalities(scenario, first_index, last_index),
-            *segment_bounds(scenario, layout),
-            _collision_rows(scenario, layout),
-        )
-    hessian, a_eq, b_eq, lower, upper, rows = held[key]
-    objective = QuadraticFunction(hessian_matrix=hessian, linear=g, constant=c)
+        hessian = build_segment_objective(scenario, first_index, last_index, couplings, rho).hessian_matrix
+        a_eq, b_eq = segment_equalities(scenario, first_index, last_index)
+        lower, upper = segment_bounds(scenario, layout)
+        base = kkt_inverse(hessian, a_eq, layout.dim, PROX_REGULARIZATION)
+        for array in (hessian, a_eq, b_eq, lower, upper, base.block):
+            if array is not None:
+                array.flags.writeable = False
+        held[key] = (hessian, a_eq, b_eq, lower, upper, _collision_rows(scenario, layout), base)
+    hessian, a_eq, b_eq, lower, upper, rows, base = held[key]
     return NlpProblem(
         dim=layout.size,
-        objective=objective.value_and_grad,
-        objective_hessian=objective.hessian,
+        objective=QuadraticFunction(hessian_matrix=hessian, linear=g, constant=c),
         a_eq=a_eq,
         b_eq=b_eq,
         inequalities=rows,
         lower=lower,
         upper=upper,
         x0=np.array(x0, dtype=float),
-        factors=factors,
         deadline=deadline,
-        coordinates=layout.dim,
+        base_inverse=base,
     )

@@ -271,6 +271,46 @@ class TestBench:
         assert "25/25" in summary
 
 
+class TestSolverFlagColumns:
+    """Sweep and bench rows carry the report's solver flags, read by column name."""
+
+    @pytest.fixture(autouse=True)
+    def flag_every_solve(self, monkeypatch):
+        real = admm.solve
+
+        def flagged(problem, options=None):
+            return replace(real(problem, options), qp_nonoptimal=1, kkt_fallbacks=2, converged=False)
+
+        monkeypatch.setattr(admm, "solve", flagged)
+
+    def test_sweep_rows_and_lines(self, corridor_file, tmp_path, capsys):
+        # one round of 3 segment solves per run
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", str(corridor_file), "--splits-list", "2", "--eps-list", "0.3",
+                     "--max-iters", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["qp_nonoptimal"], r["kkt_fallbacks"], r["nonconverged_segment_solves"]) for r in rows] == [
+            ("3", "6", "3")]
+        assert "qp_nonoptimal=3 kkt_fallbacks=6 nonconverged_segment_solves=3" in capsys.readouterr().out
+
+    def test_bench_rows(self, corridor_file, tmp_path):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "p0.yaml").write_text(CORRIDOR)
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--suite", str(suite), "--planners", "mono,split2", "--max-iters", "1",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        with open(out, newline="") as handle:
+            rows = {r["planner"]: r for r in csv.DictReader(handle)}
+        flags = {name: (r["qp_nonoptimal"], r["kkt_fallbacks"], r["nonconverged_segment_solves"])
+                 for name, r in rows.items()}
+        # one solve for mono, one round of 2 segment solves for split2
+        assert flags == {"mono": ("1", "2", "1"), "split2": ("2", "4", "2")}
+
+
 class TestBundledScenarios:
     def test_catalog(self):
         root = bundled_scenario_dir()

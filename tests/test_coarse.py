@@ -35,9 +35,9 @@ def levels(monkeypatch) -> list:
     seen = []
     real = admm.initial_point
 
-    def recording(scenario, guide=None):
+    def recording(scenario, *args):
         seen.append(scenario.num_waypoints)
-        return real(scenario, guide)
+        return real(scenario, *args)
 
     monkeypatch.setattr(admm, "initial_point", recording)
     return seen

@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 from trajsplit import nlp  # noqa: E402
 from trajsplit.admm import SplitConfig, run  # noqa: E402
 from trajsplit.cli import bundled_scenario_dir  # noqa: E402
+from trajsplit.errors import ConfigError  # noqa: E402
 from trajsplit.nlp import (  # noqa: E402
     ConsensusCoupling,
     NlpProblem,
@@ -78,7 +79,7 @@ def segments(draw):
 @given(segments())
 def test_block_inverse_matches_dense_inverse(segment):
     d, hessian, a_eq, seed = segment
-    inverse = kkt_inverse(hessian, a_eq, None, d, SHIFT)
+    inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
     assert inverse.coordinates == d
     assert inverse.block.shape[0] * d == hessian.shape[0] + a_eq.shape[0]
     assert_same_inverse(inverse, dense_inverse(hessian, a_eq), np.random.default_rng(seed))
@@ -102,7 +103,7 @@ def test_matrix_that_does_not_split_is_one_block(segment, defect):
         a_eq[0, 1] += 0.5
     else:
         a_eq = np.eye(hessian.shape[0])[:1] + np.eye(hessian.shape[0])[1:2]
-    inverse = kkt_inverse(hessian, a_eq, None, d, SHIFT)
+    inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
     assert inverse.coordinates == 1
     assert_same_inverse(inverse, dense_inverse(hessian, a_eq), rng)
 
@@ -110,13 +111,13 @@ def test_matrix_that_does_not_split_is_one_block(segment, defect):
 def test_one_coordinate_is_the_dense_inverse_bit_for_bit():
     hessian = build_segment_objective(SCENARIOS["circle_blocked.yaml"], 0, 9).hessian_matrix
     a_eq, _ = segment_equalities(SCENARIOS["circle_blocked.yaml"], 0, 9)
-    inverse = kkt_inverse(hessian, a_eq, None, 1, SHIFT)
+    inverse = kkt_inverse(hessian, a_eq, 1, SHIFT)
     want = dense_inverse(hessian, a_eq)
     np.testing.assert_array_equal(inverse.block, 0.5 * (want + want.T))
 
 
 def test_solve_with_block_claim_matches_solve_without():
-    # the claim changes only how the base is factored
+    # a base inverted as 3 blocks, handed in, changes only how it is factored
     hessian = build_segment_objective(SCENARIOS["arm_three_link.yaml"], 0, 29).hessian_matrix
     a_eq, b_eq = segment_equalities(SCENARIOS["arm_three_link.yaml"], 0, 29)
     objective = nlp.QuadraticFunction(hessian_matrix=hessian, linear=np.linspace(-1.0, 1.0, hessian.shape[0]))
@@ -124,9 +125,9 @@ def test_solve_with_block_claim_matches_solve_without():
     def keepout(x):
         return np.array([0.5 - x[3]]), -np.eye(1, x.size, 3)
 
-    problems = [NlpProblem(dim=hessian.shape[0], objective=objective.value_and_grad,
-                           objective_hessian=objective.hessian, a_eq=a_eq, b_eq=b_eq,
-                           inequalities=keepout, coordinates=d) for d in (1, 3)]
+    problems = [NlpProblem(dim=hessian.shape[0], objective=objective, a_eq=a_eq, b_eq=b_eq,
+                           inequalities=keepout, base_inverse=base)
+                for base in (None, kkt_inverse(hessian, a_eq, 3, nlp.PROX_REGULARIZATION))]
     whole, blocks = (solve(p, SolverOptions(max_outer_iterations=100)) for p in problems)
     assert whole.converged and blocks.converged
     assert whole.iterations == blocks.iterations
@@ -144,7 +145,7 @@ def test_violated_elastic_row_of_zeros_changes_nothing(d):
     n = hessian.shape[0]
     gradient = np.linspace(-1.0, 1.0, n)
     keepout = -np.eye(1, n, 4)
-    inverse = kkt_inverse(hessian, a_eq, None, d, SHIFT)
+    inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
     assert inverse.rows(np.zeros(0, dtype=int)).shape == (0, inverse.block.shape[0] * d)
     args = dict(lower=np.full(n, -5.0), upper=np.full(n, 5.0), base_inverse=inverse)
     want, want_optimal = solve_qp(hessian, gradient, a_eq, b_eq, keepout, np.array([-0.5]), np.zeros(n),
@@ -163,38 +164,19 @@ def test_solve_from_a_zero_gradient_row():
     def outside(x):
         return np.array([1.0 - x @ x]), -2.0 * x[None, :]
 
-    problem = NlpProblem(dim=4, objective=objective.value_and_grad, objective_hessian=objective.hessian,
-                         inequalities=outside, coordinates=2)
+    base = kkt_inverse(np.eye(4), np.zeros((0, 4)), 2, nlp.PROX_REGULARIZATION)
+    assert base.coordinates == 2
+    problem = NlpProblem(dim=4, objective=objective, inequalities=outside, base_inverse=base)
     sol = solve(problem, SolverOptions(max_outer_iterations=200))
     assert sol.converged
     np.testing.assert_allclose(sol.point, target, atol=1e-6)
 
 
-def test_hessian_changed_in_place_is_refactored(monkeypatch):
-    factored = []
-    real = nlp.kkt_inverse
-
-    def counting(hessian, *args, **kwargs):
-        factored.append(float(hessian[0, 0]))
-        return real(hessian, *args, **kwargs)
-
-    monkeypatch.setattr(nlp, "kkt_inverse", counting)
-    # f(x) = x^4 / 4 - x with the Hessian 3x^2 + 1, written into one array
-    held = np.zeros((1, 1))
-
-    def hessian(x):
-        held[0, 0] = 3.0 * x[0] ** 2 + 1.0
-        return held
-
-    problem = NlpProblem(
-        dim=1, objective=lambda x: (float(x[0] ** 4 / 4 - x[0]), np.array([x[0] ** 3 - 1.0])),
-        objective_hessian=hessian, x0=np.array([3.0]),
-    )
-    sol = solve(problem, SolverOptions(max_outer_iterations=200))
-    assert sol.converged
-    assert sol.point[0] == pytest.approx(1.0, abs=1e-4)
-    assert len(factored) > 1
-    assert len(set(factored)) == len(factored)
+def test_base_inverse_of_another_size_rejected():
+    objective = nlp.QuadraticFunction(hessian_matrix=np.eye(4), linear=np.zeros(4))
+    base = kkt_inverse(np.eye(4), np.eye(1, 4), 1, nlp.PROX_REGULARIZATION)
+    with pytest.raises(ConfigError, match="size 4"):
+        solve(NlpProblem(dim=4, objective=objective, base_inverse=base))
 
 
 # --- the mono point-horizon solve at N=160 -------------------------------------

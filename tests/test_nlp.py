@@ -116,7 +116,7 @@ class TestProjectToAffine:
 class TestSolve:
     def test_scalar_quadratic(self):
         obj = QuadraticFunction(hessian_matrix=np.array([[2.0]]), linear=np.array([-2.0]), constant=1.0)
-        problem = NlpProblem(dim=1, objective=obj.value_and_grad, objective_hessian=obj.hessian, x0=np.zeros(1))
+        problem = NlpProblem(dim=1, objective=obj, x0=np.zeros(1))
         sol = solve(problem)
         assert sol.converged
         assert sol.point[0] == pytest.approx(1.0, abs=1e-6)
@@ -125,8 +125,7 @@ class TestSolve:
         obj = QuadraticFunction(hessian_matrix=np.array([[2.0]]), linear=np.zeros(1))
         problem = NlpProblem(
             dim=1,
-            objective=obj.value_and_grad,
-            objective_hessian=obj.hessian,
+            objective=obj,
             lower=np.array([1.0]),
             upper=np.array([np.inf]),
             x0=np.array([5.0]),
@@ -139,8 +138,7 @@ class TestSolve:
         obj = QuadraticFunction(hessian_matrix=2.0 * np.eye(2), linear=np.zeros(2))
         problem = NlpProblem(
             dim=2,
-            objective=obj.value_and_grad,
-            objective_hessian=obj.hessian,
+            objective=obj,
             a_eq=np.array([[1.0, 1.0]]),
             b_eq=np.array([1.0]),
             x0=np.zeros(2),
@@ -159,8 +157,7 @@ class TestSolve:
 
             problem = NlpProblem(
                 dim=5,
-                objective=obj.value_and_grad,
-                objective_hessian=obj.hessian,
+                objective=obj,
                 inequalities=ineq,
                 x0=np.zeros(5),
             )
@@ -180,8 +177,7 @@ class TestSolve:
 
         problem = NlpProblem(
             dim=4,
-            objective=obj.value_and_grad,
-            objective_hessian=obj.hessian,
+            objective=obj,
             a_eq=a_eq,
             b_eq=b_eq,
             inequalities=ineq,
@@ -197,7 +193,7 @@ class TestSolve:
 
     def test_first_step_within_trust_radius(self):
         obj = QuadraticFunction(hessian_matrix=np.array([[2.0]]), linear=np.array([-20.0]))
-        problem = NlpProblem(dim=1, objective=obj.value_and_grad, objective_hessian=obj.hessian, x0=np.zeros(1))
+        problem = NlpProblem(dim=1, objective=obj, x0=np.zeros(1))
         opts = SolverOptions(max_outer_iterations=1)
         sol = solve(problem, opts)
         assert abs(sol.point[0]) <= 0.1 + 1e-9
@@ -214,8 +210,7 @@ class TestSolve:
 
         problem = NlpProblem(
             dim=2,
-            objective=obj.value_and_grad,
-            objective_hessian=obj.hessian,
+            objective=obj,
             inequalities=keepout,
             x0=np.array([2.0, 0.0]),
         )
@@ -233,7 +228,7 @@ class TestSolve:
             return a_in @ x - b_in, a_in
 
         problem = NlpProblem(
-            dim=1, objective=obj.value_and_grad, objective_hessian=obj.hessian,
+            dim=1, objective=obj,
             inequalities=ineq, x0=np.zeros(1),
         )
         sol = solve(problem, SolverOptions(max_outer_iterations=5))
@@ -241,12 +236,38 @@ class TestSolve:
         assert sol.max_inequality_violation > 0.0
 
     def test_nan_objective_raises(self):
-        def bad(x):
-            return float("nan"), np.zeros(1)
-
+        bad = QuadraticFunction(hessian_matrix=np.eye(1), linear=np.zeros(1), constant=math.nan)
         problem = NlpProblem(dim=1, objective=bad, x0=np.zeros(1))
-        with pytest.raises(EvaluatorError):
+        with pytest.raises(EvaluatorError, match="objective produced"):
             solve(problem)
+
+    @pytest.mark.parametrize("where", ["hessian", "linear"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_objective_array_raises(self, where, value):
+        hessian, linear = 2.0 * np.eye(2), np.zeros(2)
+        (hessian if where == "hessian" else linear)[-1] = value
+        rows = []
+
+        def keepout(x):
+            rows.append(x)
+            return np.array([1.0 - x[0]]), -np.eye(1, 2)
+
+        problem = NlpProblem(dim=2, objective=QuadraticFunction(hessian_matrix=hessian, linear=linear),
+                             inequalities=keepout, x0=np.zeros(2))
+        with pytest.raises(EvaluatorError, match=f"objective {where}"):
+            solve(problem)
+        assert rows == []  # checked before any point is evaluated
+
+    def test_asymmetric_hessian_rejected(self):
+        # rejected, not quietly solved as its symmetric part [[2, 0.5], [0.5, 2]]
+        obj = QuadraticFunction(hessian_matrix=np.array([[2.0, 1.0], [0.0, 2.0]]), linear=np.zeros(2))
+        with pytest.raises(ConfigError, match="symmetric"):
+            solve(NlpProblem(dim=2, objective=obj, x0=np.zeros(2)))
+
+    def test_hessian_of_wrong_shape_rejected(self):
+        obj = QuadraticFunction(hessian_matrix=np.eye(3), linear=np.zeros(2))
+        with pytest.raises(ConfigError, match=r"\(2, 2\)"):
+            solve(NlpProblem(dim=2, objective=obj, x0=np.zeros(2)))
 
     def test_nan_inequality_raises(self):
         obj = QuadraticFunction(hessian_matrix=np.eye(1), linear=np.zeros(1))
@@ -254,7 +275,7 @@ class TestSolve:
         def bad(x):
             return np.array([np.nan]), np.zeros((1, 1))
 
-        problem = NlpProblem(dim=1, objective=obj.value_and_grad, inequalities=bad, x0=np.zeros(1))
+        problem = NlpProblem(dim=1, objective=obj, inequalities=bad, x0=np.zeros(1))
         with pytest.raises(EvaluatorError):
             solve(problem)
 
@@ -339,8 +360,8 @@ class TestSolve:
         nlp.check_schedule()
 
     def test_base_factored_once_per_solve(self, monkeypatch):
-        # A QuadraticFunction returns the same Hessian at every point, so the
-        # base KKT matrix is factored once however many SCP iterations run.
+        # The objective is quadratic, its Hessian the same at every point, so
+        # the base KKT matrix is factored once however many SCP iterations run.
         factored = []
         real = nlp.kkt_inverse
 
@@ -357,34 +378,13 @@ class TestSolve:
             return np.array([1.0 - r]), (-x / r).reshape(1, 2)
 
         problem = NlpProblem(
-            dim=2, objective=obj.value_and_grad, objective_hessian=obj.hessian,
+            dim=2, objective=obj,
             inequalities=keepout, x0=np.array([2.0, 0.0]),
         )
         sol = solve(problem, SolverOptions(max_outer_iterations=100))
         assert sol.converged
         assert sol.iterations > 1
         assert factored == [(2, 2)]
-
-    def test_changed_hessian_is_refactored(self, monkeypatch):
-        factored = []
-        real = nlp.kkt_inverse
-
-        def counting(hessian, *args, **kwargs):
-            factored.append(hessian.copy())
-            return real(hessian, *args, **kwargs)
-
-        monkeypatch.setattr(nlp, "kkt_inverse", counting)
-        # f(x) = x^4 / 4 - x, modelled with the Hessian 3x^2 + 1, which differs
-        # at every accepted point
-        problem = NlpProblem(
-            dim=1, objective=lambda x: (float(x[0] ** 4 / 4 - x[0]), np.array([x[0] ** 3 - 1.0])),
-            objective_hessian=lambda x: np.array([[3.0 * x[0] ** 2 + 1.0]]), x0=np.array([3.0]),
-        )
-        sol = solve(problem, SolverOptions(max_outer_iterations=200))
-        assert sol.converged
-        assert sol.point[0] == pytest.approx(1.0, abs=1e-4)
-        assert len(factored) > 1
-        assert len({float(h[0, 0]) for h in factored}) == len(factored)
 
     def test_each_point_evaluated_once(self):
         # One evaluation at x0 and one per trial point: no point is visited
@@ -399,7 +399,7 @@ class TestSolve:
             return np.array([1.0 - r]), (-x / r).reshape(1, 2)
 
         problem = NlpProblem(
-            dim=2, objective=obj.value_and_grad, objective_hessian=obj.hessian,
+            dim=2, objective=obj,
             inequalities=keepout, x0=np.array([2.0, 0.0]),
         )
         sol = solve(problem, SolverOptions(max_outer_iterations=100))
@@ -410,7 +410,7 @@ class TestSolve:
 
     def test_bad_x0_shape_rejected(self):
         obj = QuadraticFunction(hessian_matrix=np.eye(2), linear=np.zeros(2))
-        problem = NlpProblem(dim=2, objective=obj.value_and_grad, x0=np.zeros(3))
+        problem = NlpProblem(dim=2, objective=obj, x0=np.zeros(3))
         with pytest.raises(ConfigError):
             solve(problem)
 

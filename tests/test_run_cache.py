@@ -1,11 +1,11 @@
-"""A run builds each segment's QP once: one base KKT inverse per segment
-shape, shared across ADMM rounds and between equal segments, dropped when
-the rounds end.  Sharing saves work only: answers stay those of a solve that
-factors its own base, fallback counts included."""
+"""A run builds each segment's QP once: one cache entry, base KKT inverse
+included, per segment shape, shared across ADMM rounds and between equal
+segments, dropped when the rounds end.  Sharing saves work only: answers
+stay those of a solve that factors its own base, fallback counts included."""
 
 import gc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ import pytest
 from trajsplit import admm, nlp
 from trajsplit.admm import SplitConfig, run, split_uniform
 from trajsplit.cli import bundled_scenario_dir
-from trajsplit.nlp import FactorCache, NlpProblem, QuadraticFunction, convexify_segment, solve
+from trajsplit.nlp import PROX_REGULARIZATION, FactorCache, NlpProblem, QuadraticFunction, convexify_segment, solve
 from trajsplit.scenario_io import load_scenario
 
 from conftest import cold_circle
@@ -77,20 +77,47 @@ def test_outcomes_match_per_round_factorization(name):
     assert (report.nonconverged_segment_solves, report.qp_nonoptimal, report.kkt_fallbacks) == (0, 0, 0)
 
 
+def outcome(report) -> tuple:
+    """Everything a report says but its wall times and factorization count."""
+    skipped = {"trajectory", "iteration_seconds", "factorizations"}
+    values = tuple(getattr(report, f.name) for f in fields(report)
+                   if f.name not in skipped and not f.name.startswith("wall_seconds"))
+    traj = report.trajectory
+    return values + tuple(a.tobytes() for a in (traj.positions(), traj.velocities(), traj.accelerations()))
+
+
 def test_outcomes_match_factoring_on_every_call(monkeypatch):
-    config = PINNED["circle_blocked.yaml"][0]
-    shared = run(cold_circle(), config)
-    real = FactorCache.inverse
+    # without a shared cache every segment problem builds and factors its own base
+    scenarios = {name: cold_circle() if name == "circle_blocked.yaml" else bundled(name) for name in PINNED}
+    shared = {name: run(scenarios[name], PINNED[name][0]) for name in PINNED}
+    made = count_factorizations(monkeypatch)
+    real = admm.convexify_segment
 
-    def refactoring(self, *args):
-        self._bases.clear()
-        return real(self, *args)
+    def uncached(scenario, first, last, x0, couplings=(), rho=0.0, factors=None, deadline=None):
+        return real(scenario, first, last, x0, couplings, rho, None, deadline)
 
-    monkeypatch.setattr(FactorCache, "inverse", refactoring)
-    alone = run(cold_circle(), config)
-    assert alone.factorizations > shared.factorizations
-    assert alone.objective == shared.objective
-    assert alone.residual_history == shared.residual_history
+    monkeypatch.setattr(admm, "convexify_segment", uncached)
+    for name in PINNED:
+        made.clear()
+        alone = run(scenarios[name], PINNED[name][0])
+        assert len(made) == alone.iterations * alone.num_segments
+        assert outcome(alone) == outcome(shared[name])
+
+
+def test_cache_holds_one_read_only_entry_per_shape():
+    # arm_two_link, 30 waypoints in 5 segments of 7, 7, 6, 7 and 7: 4 shapes
+    scenario, config = bundled("arm_two_link.yaml"), SplitConfig(num_splits=4)
+    splits = split_uniform(scenario.num_waypoints, 4)
+    segments = admm.build_segments(scenario, splits, admm.initial_point(scenario))
+    consensus = admm.ConsensusState.initial(splits, np.zeros((4, 2)), 2)
+    factors = FactorCache(scenario)
+    admm.primal_update(scenario, segments, consensus, config, factors)
+    assert len(factors.segments) == 4 == run(scenario, config).factorizations
+    for hessian, a_eq, b_eq, lower, upper, rows, base in factors.segments.values():
+        for array in (hessian, a_eq, b_eq, lower, upper, base.block):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 def test_run_leaves_no_factor_reachable(monkeypatch):
@@ -121,20 +148,23 @@ def test_run_leaves_no_factor_reachable(monkeypatch):
     assert all(ref() is None for ref in made + caches)
 
 
-def singular_problem(factors=None) -> NlpProblem:
-    # duplicated equality rows: the base KKT matrix is exactly singular
-    objective = QuadraticFunction(hessian_matrix=2.0 * np.eye(2), linear=np.array([-20.0, 0.0]))
-    return NlpProblem(dim=2, objective=objective.value_and_grad, objective_hessian=objective.hessian,
-                      a_eq=np.array([[0.0, 1.0], [0.0, 1.0]]), b_eq=np.zeros(2), x0=np.zeros(2),
-                      factors=factors)
+# duplicated equality rows: the base KKT matrix is exactly singular
+SINGULAR_HESSIAN, SINGULAR_A_EQ = 2.0 * np.eye(2), np.array([[0.0, 1.0], [0.0, 1.0]])
+
+
+def singular_problem(base=None) -> NlpProblem:
+    objective = QuadraticFunction(hessian_matrix=SINGULAR_HESSIAN, linear=np.array([-20.0, 0.0]))
+    return NlpProblem(dim=2, objective=objective, a_eq=SINGULAR_A_EQ, b_eq=np.zeros(2), x0=np.zeros(2),
+                      base_inverse=base)
 
 
 def test_shared_singular_base_counts_one_fallback_per_solve(monkeypatch):
     alone = solve(singular_problem())
     assert alone.kkt_fallbacks == 1
     made = count_factorizations(monkeypatch)
-    factors = FactorCache()
-    shared = [solve(singular_problem(factors)) for _ in range(3)]
+    base = nlp.kkt_inverse(SINGULAR_HESSIAN, SINGULAR_A_EQ, shift=PROX_REGULARIZATION)
+    assert base.pseudo
+    shared = [solve(singular_problem(base)) for _ in range(3)]
     assert len(made) == 1
     assert [s.kkt_fallbacks for s in shared] == [1, 1, 1]
     for s in shared:

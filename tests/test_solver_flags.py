@@ -48,8 +48,7 @@ def test_singular_kkt_counts_as_fallback():
 
 def quadratic_problem(a_eq=None, b_eq=None):
     objective = QuadraticFunction(hessian_matrix=2.0 * np.eye(2), linear=np.array([-20.0, 0.0]))
-    return NlpProblem(dim=2, objective=objective.value_and_grad, objective_hessian=objective.hessian,
-                      a_eq=a_eq, b_eq=b_eq, x0=np.zeros(2))
+    return NlpProblem(dim=2, objective=objective, a_eq=a_eq, b_eq=b_eq, x0=np.zeros(2))
 
 
 def test_nlp_solution_carries_fallbacks():
@@ -76,6 +75,34 @@ def test_nlp_solution_carries_projection_fallback():
     assert on_set.converged and off_set.converged
     np.testing.assert_allclose(off_set.point, [10.0, 1.0], atol=1e-6)
     assert off_set.kkt_fallbacks == on_set.kkt_fallbacks + 1
+
+
+def test_every_least_squares_answer_of_a_run_is_counted(monkeypatch):
+    # N = 2 with dynamics: 5d equality rows on 4d variables, and the resting
+    # pins q_1 = q_0 + dt v_0 cannot meet; the initial point's projection,
+    # the solve's and the base KKT matrix all fall back to least squares
+    answered = []
+    for name in ("lstsq", "pinv"):
+        real = getattr(np.linalg, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            answered.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    scenario = Scenario(
+        robot=Point2D(),
+        obstacles=(),
+        start=RobotState.resting((0.0, 0.0)),
+        goal=RobotState.resting((1.0, 0.0)),
+        num_waypoints=2,
+        dt=0.25,
+        safety_margin=0.05,
+        dynamics_enabled=True,
+    )
+    report = run(scenario, SplitConfig(num_splits=0))
+    assert len(answered) == 3
+    assert report.kkt_fallbacks == len(answered)
 
 
 def test_long_monolithic_horizon_is_clean():
