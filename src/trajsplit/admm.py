@@ -14,9 +14,9 @@ count, pinned start, pinned goal, coupled waypoints, rho).
 The gain of splitting is that each segment's cost grows with its own
 waypoints, not the whole trajectory's.  The segments of a round are
 independent, yet solved one after another in this process: from its coarse
-start a run takes one or two rounds, after a serial coarse solve and
-projection, so a second process saves no more than its hand-off costs, and
-threads would add nothing to GIL-bound numpy.
+start a run takes one or two rounds, after a serial coarse solve, so a
+second process saves no more than its hand-off costs, and threads would
+add nothing to GIL-bound numpy.
 
 The rounds a run takes come from its duals, its work per round also from
 its primal start.  A split run of at least 40 waypoints therefore first
@@ -27,9 +27,11 @@ waypoint would need are known in closed form from the trajectory
 (``split_duals``); the fine run starts from those duals, interpolated in
 time to its splits and their position part scaled by dt_c / dt
 (``fine_duals``), from the interpolated coarse states as targets, and from
-the coarse trajectory, interpolated in time to every waypoint and corrected
-onto the fine dynamics and pin rows, as its segments' warm starts
-(``initial_point``).  Both levels share the deadline.
+the coarse trajectory, interpolated in time to every waypoint, as its
+segments' warm starts (``initial_point``).  Other runs start the same way
+from the straight line, with zero duals.  Each segment's ``solve`` projects
+its own slice of the seed onto its own dynamics and pin rows; nothing
+projects the whole trajectory.  Both levels share the deadline.
 """
 
 from __future__ import annotations
@@ -47,12 +49,9 @@ from .nlp import (
     ConsensusCoupling,
     FactorCache,
     NlpSolution,
-    QpStats,
     SegmentLayout,
     SolverOptions,
     convexify_segment,
-    project_to_affine,
-    segment_equalities,
     segment_layout,
     solve,
 )
@@ -147,7 +146,7 @@ class SolveReport:
 
     ``factorizations`` totals the base KKT inverses the run built, one per
     segment shape and level; ``kkt_fallbacks`` counts every least-squares
-    answer, the projection of the initial point included;
+    answer, each segment solve's projection of its start included;
     ``failed_segments`` lists the segments whose last solve did not
     converge.  The ``coarse_*`` fields give the coarse level's waypoints (0
     for none), rounds and verdicts; a split run of 40 or more waypoints has
@@ -316,22 +315,14 @@ def trajectory_objective(scenario: Scenario, trajectory: Trajectory) -> float:
     return float(np.sum(((q[1:] - q[:-1]) / scenario.dt) ** 2))
 
 
-def initial_point(scenario: Scenario, guide: Trajectory | None = None, stats: QpStats | None = None) -> np.ndarray:
-    """Packed seed, corrected onto the dynamics and pin rows: the straight
-    line, or ``guide``, a trajectory over the same horizon (the coarse
-    level's), linearly interpolated in time to every waypoint.  A
-    least-squares correction is counted in ``stats.kkt_fallbacks``."""
-    n = scenario.num_waypoints
-    if guide is None:
-        traj = straight_line_init(scenario)
-        x = segment_layout(scenario, 0, n - 1).pack(traj.positions(), traj.velocities())
-    else:
-        times = guide.dt * np.arange(len(guide))
-        x = _at_times(times, _state_rows(scenario, guide), scenario.dt * np.arange(n)).reshape(-1)
-    if scenario.dynamics_enabled:
-        a_eq, b_eq = segment_equalities(scenario, 0, n - 1)
-        x = project_to_affine(x, a_eq, b_eq, stats)
-    return x
+def initial_point(scenario: Scenario, guide: Trajectory | None = None) -> np.ndarray:
+    """Packed seed states at every waypoint: the straight line, or ``guide``,
+    a trajectory over the same horizon (the coarse level's), linearly
+    interpolated in time.  Nothing is projected here: each segment's
+    ``solve`` projects its own slice onto its own dynamics and pin rows."""
+    seed = straight_line_init(scenario) if guide is None else guide
+    times, to = seed.dt * np.arange(len(seed)), scenario.dt * np.arange(scenario.num_waypoints)
+    return _at_times(times, _state_rows(scenario, seed), to).reshape(-1)
 
 
 def _state_rows(scenario: Scenario, trajectory: Trajectory) -> np.ndarray:
@@ -405,18 +396,22 @@ def run(
     return _run(scenario, config or SplitConfig(), t0, deadline)
 
 
-def _coarse_consensus(
-    scenario: Scenario, splits: tuple[int, ...], coarse: Scenario, trajectory: Trajectory
+def _seed_consensus(
+    scenario: Scenario, splits: tuple[int, ...], seed: Trajectory, coarse: Scenario | None
 ) -> ConsensusState:
-    """The fine run's first consensus state from a coarse mono trajectory:
-    its ``split_duals`` and its states, linearly interpolated in time to the
-    fine splits, the duals scaled by ``fine_duals``."""
-    times = coarse.dt * np.arange(coarse.num_waypoints)
+    """The fine run's first consensus state: the seed's states, linearly
+    interpolated in time to the splits, as targets; zero duals for the
+    straight line, for a ``coarse`` mono trajectory its ``split_duals``,
+    interpolated the same way and scaled by ``fine_duals``."""
+    times = seed.dt * np.arange(len(seed))
     to = scenario.dt * np.array(splits, dtype=float)
+    targets = _at_times(times, _state_rows(scenario, seed), to)
+    if coarse is None:
+        return ConsensusState(splits, targets, np.zeros_like(targets), np.zeros_like(targets))
     dual_end = fine_duals(
-        _at_times(times[1:-1], split_duals(coarse, trajectory), to), scenario.dim, coarse.dt / scenario.dt
+        _at_times(times[1:-1], split_duals(coarse, seed), to), scenario.dim, coarse.dt / scenario.dt
     )
-    return ConsensusState(splits, _at_times(times, _state_rows(scenario, trajectory), to), dual_end, -dual_end)
+    return ConsensusState(splits, targets, dual_end, -dual_end)
 
 
 def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None) -> SolveReport:
@@ -424,18 +419,9 @@ def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None
     coarse = coarse_scenario(scenario, cfg.num_splits)
     level = _run(coarse, replace(cfg, num_splits=0), time.perf_counter(), deadline) if coarse else None
     splits = split_uniform(scenario.num_waypoints, cfg.num_splits)
-    projection = QpStats()
-    x_full = initial_point(scenario, level.trajectory if level else None, projection)
-    segments = build_segments(scenario, splits, x_full)
-    if level:
-        consensus = _coarse_consensus(scenario, splits, coarse, level.trajectory)
-    else:
-        full_layout = segment_layout(scenario, 0, scenario.num_waypoints - 1)
-        consensus = ConsensusState.initial(
-            splits,
-            [x_full[full_layout.state_slice(s)] for s in splits],
-            full_layout.state_dim,
-        )
+    seed = level.trajectory if level else straight_line_init(scenario)
+    segments = build_segments(scenario, splits, initial_point(scenario, seed))
+    consensus = _seed_consensus(scenario, splits, seed, coarse)
 
     residual_history: list[float] = []
     iteration_seconds: list[float] = []
@@ -447,7 +433,6 @@ def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None
         primal_seconds, consensus_seconds = level.wall_seconds_primal, level.wall_seconds_consensus
         nonconverged, qp_nonoptimal = level.nonconverged_segment_solves, level.qp_nonoptimal
         kkt_fallbacks, factorizations = level.kkt_fallbacks, level.factorizations
-    kkt_fallbacks += projection.kkt_fallbacks
     converged = False
     deadline_reached = False
     iterations = 0

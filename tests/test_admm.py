@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajsplit import admm
+from trajsplit import admm, nlp
 from trajsplit.admm import (
     ConsensusState,
     SolveReport,
@@ -34,7 +34,7 @@ from trajsplit.nlp import (
     solve,
 )
 
-from conftest import cold_circle
+from conftest import cold_circle, stretched
 
 
 def corridor(n=10, dt=0.25, margin=0.05):
@@ -330,6 +330,33 @@ class TestRun:
         gap = np.abs(split.trajectory.positions() - mono.trajectory.positions()).max()
         assert gap <= 1e-3
 
+    def test_split_run_projects_segment_rows_only(self, monkeypatch):
+        # each segment solve projects its own start onto its own rows and no
+        # projection spans the whole trajectory; the segments include the
+        # coarse level's one mono solve (40 waypoints, the largest here)
+        scenario = stretched("circle_blocked.yaml", 160)
+        config = SplitConfig(num_splits=7, rho=2.0, eps=0.05)
+        projected = []
+        real = nlp.project_to_affine
+
+        def recording(x, a_eq, b_eq, stats=None):
+            point = real(x, a_eq, b_eq, stats)
+            projected.append((a_eq.shape[0], float(np.max(np.abs(a_eq @ point - b_eq)))))
+            return point
+
+        for name, module in list(sys.modules.items()):  # wherever a module of the package holds it
+            if name.startswith("trajsplit") and getattr(module, "project_to_affine", None) is real:
+                monkeypatch.setattr(module, "project_to_affine", recording)
+        report = run(scenario, config)
+        coarse = admm.coarse_scenario(scenario, config.num_splits)
+        edges = [0, *report.split_indices, scenario.num_waypoints - 1]
+        blocks = [(coarse, 0, coarse.num_waypoints - 1)]
+        blocks += [(scenario, a, b) for a, b in zip(edges, edges[1:])]
+        largest = max(segment_equalities(*block)[0].shape[0] for block in blocks)
+        assert projected and largest < segment_equalities(scenario, 0, scenario.num_waypoints - 1)[0].shape[0]
+        assert max(rows for rows, _ in projected) <= largest
+        assert max(gap for _, gap in projected) <= 1e-12
+
     def test_boundary_pinning_exact(self):
         scenario = corridor()
         report = run(scenario, SplitConfig(num_splits=2, rho=5.0, eps=1e-2))
@@ -473,9 +500,3 @@ class TestAssembleTrajectory:
         consensus_update(segments, consensus, rho=2.0)
         traj = assemble_trajectory(scenario, segments, consensus)
         assert traj.positions()[1, 0] == pytest.approx(2.0, abs=0.0)
-
-    def test_initial_point_satisfies_equalities(self):
-        scenario = corridor(n=9)
-        x0 = initial_point(scenario)
-        a_eq, b_eq = segment_equalities(scenario, 0, 8)
-        assert np.abs(a_eq @ x0 - b_eq).max() <= 1e-9

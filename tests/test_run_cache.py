@@ -51,14 +51,15 @@ def test_one_factorization_per_segment_shape(monkeypatch):
 
 
 # values of the solver that inverted every segment's base in every round;
-# circle_blocked's are of its cold 39-waypoint input (``cold_circle``), which
-# solving with a base factored on every call still gives (test below)
+# circle_blocked's are of its cold 39-waypoint input (``cold_circle``),
+# started from the straight line's states at the splits; solving with a base
+# factored on every call still gives them (test below)
 PINNED = {
     "circle_blocked.yaml": (
         SplitConfig(num_splits=4, rho=2.0),
-        13.784596500377992,
-        (0.5059591662734724, 0.4063000393731381, 0.32881471759437253,
-         0.26127137092373587, 0.2038462688988672, 0.15776677977511822),
+        13.785439469972662,
+        (0.506410826900284, 0.40627631863410973, 0.3289069466490165,
+         0.26139638472354665, 0.20382192979250233, 0.15777199285111165),
         True,
     ),
     "arm_two_link.yaml": (SplitConfig(num_splits=2), 8.52186862285497, (0.09387752912163319,), False),

@@ -79,8 +79,8 @@ def test_nlp_solution_carries_projection_fallback():
 
 def test_every_least_squares_answer_of_a_run_is_counted(monkeypatch):
     # N = 2 with dynamics: 5d equality rows on 4d variables, and the resting
-    # pins q_1 = q_0 + dt v_0 cannot meet; the initial point's projection,
-    # the solve's and the base KKT matrix all fall back to least squares
+    # pins q_1 = q_0 + dt v_0 cannot meet; the solve's projection of its
+    # start and the base KKT matrix both fall back to least squares
     answered = []
     for name in ("lstsq", "pinv"):
         real = getattr(np.linalg, name)
@@ -101,7 +101,7 @@ def test_every_least_squares_answer_of_a_run_is_counted(monkeypatch):
         dynamics_enabled=True,
     )
     report = run(scenario, SplitConfig(num_splits=0))
-    assert len(answered) == 3
+    assert len(answered) == 2
     assert report.kkt_fallbacks == len(answered)
 
 
