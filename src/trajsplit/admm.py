@@ -145,8 +145,9 @@ class SolveReport:
     """Everything one run produced, timings split by phase.
 
     ``factorizations`` totals the base KKT inverses the run built, one per
-    segment shape and level; ``kkt_fallbacks`` counts every least-squares
-    answer, each segment solve's projection of its start included;
+    segment shape and level; ``qp_steps`` totals the QP active-set steps;
+    ``kkt_fallbacks`` counts every least-squares answer, each segment
+    solve's projection of its start included;
     ``failed_segments`` lists the segments whose last solve did not
     converge.  The ``coarse_*`` fields give the coarse level's waypoints (0
     for none), rounds and verdicts; a split run of 40 or more waypoints has
@@ -174,6 +175,7 @@ class SolveReport:
     num_segments: int
     split_indices: tuple[int, ...]
     deadline_reached: bool = False
+    qp_steps: int = 0
     qp_nonoptimal: int = 0
     kkt_fallbacks: int = 0
     factorizations: int = 0
@@ -427,12 +429,12 @@ def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None
     iteration_seconds: list[float] = []
     primal_seconds = 0.0
     consensus_seconds = 0.0
-    nonconverged = qp_nonoptimal = kkt_fallbacks = factorizations = 0
+    nonconverged = qp_steps = qp_nonoptimal = kkt_fallbacks = factorizations = 0
     if level:
         # the counters and seconds of both levels add up
         primal_seconds, consensus_seconds = level.wall_seconds_primal, level.wall_seconds_consensus
         nonconverged, qp_nonoptimal = level.nonconverged_segment_solves, level.qp_nonoptimal
-        kkt_fallbacks, factorizations = level.kkt_fallbacks, level.factorizations
+        qp_steps, kkt_fallbacks, factorizations = level.qp_steps, level.kkt_fallbacks, level.factorizations
     converged = False
     deadline_reached = False
     iterations = 0
@@ -445,6 +447,7 @@ def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None
         solutions = primal_update(scenario, segments, consensus, cfg, factors, deadline)
         primal_seconds += time.perf_counter() - tp
         nonconverged += sum(1 for s in solutions if not s.converged)
+        qp_steps += sum(s.qp_steps for s in solutions)
         qp_nonoptimal += sum(s.qp_nonoptimal for s in solutions)
         kkt_fallbacks += sum(s.kkt_fallbacks for s in solutions)
         tc = time.perf_counter()
@@ -482,6 +485,7 @@ def _run(scenario: Scenario, cfg: SplitConfig, t0: float, deadline: float | None
         num_segments=len(segments),
         split_indices=splits,
         deadline_reached=deadline_reached,
+        qp_steps=qp_steps,
         qp_nonoptimal=qp_nonoptimal,
         kkt_fallbacks=kkt_fallbacks,
         factorizations=factorizations,

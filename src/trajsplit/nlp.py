@@ -4,7 +4,8 @@ The nonlinear program  min f(x)  s.t.  A x = b,  g(x) <= 0,  lo <= x <= hi,
 f quadratic, is solved by repeatedly minimizing a convex model: f itself,
 exact affine equalities, linearized inequalities with an l1 exact penalty on
 their violation, all inside an infinity-norm trust region.  The convex
-subproblems are solved by a Schur-complement primal active-set method.  The
+subproblems are solved by a Schur-complement dual active-set method, which
+starts at the unconstrained optimum and adds only violated constraints.  The
 objective is quadratic and the equalities affine, so the KKT matrix of the
 Hessian and the equalities is fixed: a solve factors it once, and a run
 factors it once per segment shape (a ``FactorCache`` keeps it), since only
@@ -12,9 +13,10 @@ the consensus linear term changes between rounds.  A segment's cost,
 dynamics and pins act on each coordinate alone and alike, so that matrix is
 one equal block per coordinate and only one block is inverted; the
 collision rows, the only ones that mix coordinates, enter through the Schur
-complement.  The trust region and joint limits are bounds that fix
-variables, and the linearized rows are elastic: each row's penalty slack is
-fixed at zero or tied to the row, never a variable.
+complement.  The trust region and joint limits are bounds, held at their
+values while active, and the linearized rows are elastic: a row's multiplier
+is capped at its penalty weight, and a row at the cap is tied (its weight
+moves into the gradient), so no slack is ever a variable.
 
 Collision constraints enter as the inequality evaluator; dynamics and
 boundary pins are affine equalities and stay exactly satisfied at every
@@ -42,13 +44,16 @@ from .model import Scenario
 
 @dataclass
 class QpStats:
-    """Tallies of QP outcomes that are not a clean optimum.
+    """Tallies of QP work and of outcomes that are not a clean optimum.
 
-    ``nonoptimal`` counts ``solve_qp`` returns that hit the iteration cap;
-    ``kkt_fallbacks`` counts singular systems answered by least squares: a
-    base KKT matrix, a Schur system, or the Gram matrix of a projection.
+    ``steps`` counts ``solve_qp``'s active-set steps; ``nonoptimal`` counts
+    its returns that hit the iteration cap or found the hard rows
+    infeasible; ``kkt_fallbacks`` counts singular systems answered by least
+    squares: a base KKT matrix, a Schur system, or the Gram matrix of a
+    projection.
     """
 
+    steps: int = 0
     nonoptimal: int = 0
     kkt_fallbacks: int = 0
 
@@ -108,14 +113,15 @@ def _coordinate_block(hessian: np.ndarray, a_eq: np.ndarray, d: int) -> tuple[np
 def kkt_inverse(hessian: np.ndarray, a_eq: np.ndarray, coordinates: int = 1, shift: float = 0.0) -> KktInverse:
     """Inverse of the base KKT matrix [[H + shift I, A'], [A, 0]] of a QP, symmetrized.
 
-    Every active-set step of ``solve_qp`` reuses it: the optimum of the base
-    problem is one product with it, and a constraint row c entering the
-    working set needs only the column K^-1 [c; 0] (for a bound, a column of
-    the inverse itself).  ``coordinates`` claims that the matrix splits into
-    that many equal blocks, index t in block t mod ``coordinates``, as a
-    segment's waypoint-major packing does; the claim is checked exactly,
-    and a matrix it does not hold for is inverted as one block.  A singular
-    block is answered by the pseudo-inverse, marked ``pseudo``.
+    Every active-set step of ``solve_qp`` reuses it: the dual method's start,
+    the optimum of the base problem, is one product with it, and a
+    constraint c entering the working set needs only the column K^-1 [c; 0]
+    (for a bound, a column of the inverse itself).  ``coordinates`` claims
+    that the matrix splits into that many equal blocks, index t in block
+    t mod ``coordinates``, as a segment's waypoint-major packing does; the
+    claim is checked exactly, and a matrix it does not hold for is inverted
+    as one block.  A singular block is answered by the pseudo-inverse,
+    marked ``pseudo``.
     """
     block = _coordinate_block(hessian, a_eq, coordinates) if coordinates > 1 else None
     h, a = (hessian, a_eq) if block is None else block
@@ -149,8 +155,7 @@ class FactorCache:
         self.scenario, self.segments = scenario, {}
 
 
-_FREE, _TIGHT, _TIED = 0, 1, 2  # row states; only elastic rows are ever tied
-QP_TOLERANCE = 1e-11  # a step this short in every coordinate reaches the working-set optimum
+QP_TOLERANCE = 1e-11  # violations, multiplier rates and Schur pivots this small count as zero
 
 
 def solve_qp(
@@ -160,7 +165,6 @@ def solve_qp(
     b_eq: np.ndarray,
     a_in: np.ndarray,
     b_in: np.ndarray,
-    x0: np.ndarray,
     *,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
@@ -174,170 +178,145 @@ def solve_qp(
 
     ``penalty`` gives each row of A_in an l1 weight >= 0, or inf for a hard
     row (the default for every row).  A finite weight makes the row elastic,
-    as in Fletcher's Sl1QP: it stands for a slack s_r >= 0 with
-    a_r x - s_r <= b_r at cost penalty_r s_r, but the slack is never a
-    variable.  It is either fixed at 0 (the row acts as a hard inequality)
-    or tied to its row (s_r = a_r x - b_r > 0, and the weight moves into the
-    gradient).
+    as in Fletcher's Sl1QP: its multiplier is capped at the weight, and a
+    row whose multiplier reaches the cap is tied: its slack a_r x - b_r may
+    grow, and the weight moves into the gradient.
 
-    Primal active set over one inverted base KKT matrix [[H, A_eq'], [A_eq,
-    0]] (``base_inverse`` from ``kkt_inverse``, or built here from
-    ``hessian``, which is read for nothing else): each step
-    solves only the Schur system of the working set, whose entries are
-    active bounds (the variable is fixed exactly at the bound value) and
-    tight rows.  H must be positive definite on the nullspace of A_eq.  ``x0`` must satisfy the hard rows
-    and the bounds (the equalities are restored by the first full step if
-    slightly violated).  Returns (x, optimal); when the iteration cap is hit
-    the iterate reached so far is returned with optimal=False.  ``stats``,
-    when given, tallies non-optimal returns and least-squares fallbacks; a
-    pseudo-inverse ``base_inverse`` is left to the caller to count.
+    Dual active set (Goldfarb & Idnani, 1983) over one inverted base KKT
+    matrix [[H, A_eq'], [A_eq, 0]] (``base_inverse`` from ``kkt_inverse``, or
+    built here from ``hessian``, which is read for nothing else).  It starts
+    at the base problem's optimum K^-1 [-g; b_eq] with an empty working set,
+    whose entries are bounds held at their value and rows held tight.  Each
+    step takes the most violated constraint (a bound, a free row, or a tied
+    row now satisfied, which re-enters from the tied side with multiplier
+    weight - lambda') and moves x and the working-set multipliers together
+    until the constraint holds (it joins the working set), a working-set
+    multiplier reaches 0 (that entry leaves), or an elastic multiplier
+    reaches its weight (that row ties, or a row entered from the tied side
+    goes free).  Only the Schur system of the working set is solved.  H
+    must be positive definite on the nullspace of A_eq.
+
+    Returns (x, optimal), with the working set's bounds exactly at their
+    values.  optimal=False when the iteration cap is hit (the iterate
+    reached so far is returned) or the dual step is unbounded: the hard rows
+    and bounds admit no point.  ``stats``, when given, tallies steps,
+    non-optimal returns and least-squares fallbacks; a pseudo-inverse
+    ``base_inverse`` is left to the caller to count.
     """
     n, m = gradient.shape[0], a_in.shape[0]
     lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
     weight = np.full(m, np.inf) if penalty is None else np.asarray(penalty, dtype=float)
-    elastic = weight < np.inf
     if max_iterations is None:
         max_iterations = 3 * (n + m + np.count_nonzero(np.isfinite(lo)) + np.count_nonzero(np.isfinite(hi))) + 100
     kinv = kkt_inverse(hessian, a_eq) if base_inverse is None else base_inverse
-    if base_inverse is None and kinv.pseudo and stats is not None:
-        stats.kkt_fallbacks += 1
+    stats = QpStats() if stats is None else stats
+    if base_inverse is None:
+        stats.kkt_fallbacks += kinv.pseudo
     b = np.asarray(b_in, dtype=float)
-    row_norms = np.sqrt(np.einsum("ij,ij->i", a_in, a_in))
-
-    # optimum of the base problem, K^-1 rhs; tying a row subtracts weight * [a_r; 0] from rhs
-    rhs = np.concatenate([-gradient, b_eq])
-    free_opt = kinv.solve(rhs)
-    columns: dict[int, np.ndarray] = {}
-
-    def row_column(r: int) -> np.ndarray:
-        if r not in columns:
-            nz = np.flatnonzero(a_in[r])
-            columns[r] = a_in[r, nz] @ kinv.rows(nz)
-        return columns[r]
+    # what counts as a violation of upper bounds, lower bounds and rows
+    slack = QP_TOLERANCE * (1.0 + np.abs(np.concatenate([hi, lo, b])))
+    row_columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # working set: entries (variable j for a bound, n + r for row r), their
-    # columns K^-1 [c; 0], the Schur matrix and the right-hand sides
+    # sides (-1 for a lower bound or a row entered from the tied side), caps
+    # and values (c'x is held at the value), their columns K^-1 [c; 0] and
+    # the Schur matrix; the multipliers lam of c keep side * lam in [0, cap]
     entries: list[int] = []
-    cols = np.zeros((rhs.size, 0))
+    side, cap, values, lam = np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0)
+    cols = np.zeros((n + a_eq.shape[0], 0))
     schur = np.zeros((0, 0))
-    values = np.zeros(0)
+    held = np.zeros(2 * n + m, dtype=bool)  # upper bounds, lower bounds and rows in the working set
+    tied = np.zeros(m, dtype=bool)  # the row's weight is in the gradient
 
-    def add(e: int) -> None:
-        nonlocal cols, schur, values
+    def column(e: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """K^-1 [c; 0] of entry e, its Schur row against the working set, and its pivot."""
         if e < n:
-            col, cross, value, pivot = kinv.rows(e), cols[e], fixed_at[e], kinv.entry(e)
-        else:
-            r = e - n
-            nz = np.flatnonzero(a_in[r])
-            col = row_column(r)
-            cross = a_in[r, nz] @ cols[nz]
-            value = b[r]
-            pivot = a_in[r, nz] @ col[nz]
-        k = len(entries)
-        grown = np.empty((k + 1, k + 1))
-        grown[:k, :k] = schur
-        grown[k, :k] = grown[:k, k] = cross
-        grown[k, k] = pivot
-        cols, schur, values = np.column_stack([cols, col]), grown, np.append(values, value)
-        entries.append(e)
+            return kinv.rows(e), cols[e], kinv.entry(e)
+        if e not in row_columns:
+            nz = np.flatnonzero(a_in[e - n])
+            row_columns[e] = nz, a_in[e - n, nz] @ kinv.rows(nz)
+        nz, col = row_columns[e]
+        a = a_in[e - n, nz]
+        return col, a @ cols[nz], a @ col[nz]
 
-    def remove(pos: int) -> None:
-        nonlocal cols, schur, values
-        keep = np.arange(len(entries)) != pos
-        cols, schur, values = cols[:, keep], schur[np.ix_(keep, keep)], values[keep]
-        entries.pop(pos)
+    def finish(optimal: bool) -> tuple[np.ndarray, bool]:
+        index = np.array(entries, dtype=int)
+        x[index[index < n]] = values[index < n]
+        stats.steps += steps
+        stats.nonoptimal += not optimal
+        return x, optimal
 
-    def tie(r: int, sign: float) -> None:
-        """Tie (sign=1) or untie (sign=-1, the row turns tight) elastic row r's slack."""
-        state[r] = _TIED if sign > 0 else _TIGHT
-        rhs[:n] -= sign * weight[r] * a_in[r]
-        free_opt[:] -= sign * weight[r] * row_column(r)
-
-    x = np.array(x0, dtype=float)
-    fixed = np.zeros(n, dtype=bool)
-    fixed_at = np.zeros(n)
-    upper_side = np.zeros(n, dtype=bool)
-    state = np.full(m, _FREE)
-    for r in np.flatnonzero(elastic & (a_in @ x > b)):
-        tie(int(r), 1.0)
-
-    for _ in range(max_iterations):
-        if entries:
-            lhs = cols.T @ rhs - values
-            try:
-                lam = np.linalg.solve(schur, lhs)
-            except np.linalg.LinAlgError:
-                lam = np.linalg.lstsq(schur, lhs, rcond=None)[0]
-                if stats is not None:
+    x = kinv.solve(np.concatenate([-gradient, b_eq]))[:n]
+    steps = 0
+    while True:
+        ax = a_in @ x - b
+        over = np.concatenate([x - hi, lo - x, np.where(tied, -ax, ax)])
+        over[held | (over <= slack)] = 0.0
+        i = int(np.argmax(over)) if over.size else 0
+        if not over.size or over[i] == 0.0:
+            return finish(True)
+        # p: entry e, entered from side s, with value, multiplier cap and the multiplier taken so far
+        e = i if i < n else i - n
+        s = -1.0 if n <= i < 2 * n or (e >= n and tied[e - n]) else 1.0
+        value = b[e - n] if e >= n else hi[e] if s > 0 else lo[e]
+        limit, taken = (weight[e - n] if e >= n else np.inf), 0.0
+        while True:
+            if steps == max_iterations:
+                return finish(False)
+            steps += 1
+            col, cross, pivot = column(e)
+            # raising p's multiplier by t moves x by -s t z and lam by s t dlam;
+            # p's violation falls at rate sigma, zero when c is dependent on the set
+            dlam, z, sigma, drop, ratio = -cross, col[:n], pivot, 0, [np.inf]
+            if entries:
+                try:
+                    dlam = -np.linalg.solve(schur, cross)
+                except np.linalg.LinAlgError:
+                    dlam = -np.linalg.lstsq(schur, cross, rcond=None)[0]
                     stats.kkt_fallbacks += 1
-            target = free_opt[:n] - cols[:n] @ lam
-            np.copyto(target, fixed_at, where=fixed)
-        else:
-            target = free_opt[:n].copy()
-        p = target - x
-        if not n or np.abs(p).max() <= QP_TOLERANCE:
-            x = target
-            if not entries:
-                return x, True
-            # multipliers signed so that >= 0 is optimal; a tight elastic row
-            # also needs weight - lam >= 0, else its slack is released (tied)
-            index = np.array(entries)
-            bound = index < n
-            signed = lam.copy()
-            signed[bound] *= np.where(upper_side[index[bound]], 1.0, -1.0)
-            release = np.full(lam.size, np.inf)
-            row = ~bound
-            row[row] = elastic[index[row] - n]
-            release[row] = weight[index[row] - n] - lam[row]
-            if min(signed.min(), release.min()) >= -1e-9:
-                return x, True
-            untie = release.min() < signed.min()
-            drop = int(np.argmin(release if untie else signed))
-            e = entries[drop]
-            remove(drop)
-            if e < n:
-                fixed[e] = False
-            elif untie:
-                tie(e - n, 1.0)
-            else:
-                state[e - n] = _FREE
-            continue
-        # longest feasible step toward the working-set optimum (fixed
-        # variables have p = 0 exactly, so no bound of theirs can block)
-        pn = float(np.sqrt(p @ p))
-        thresh = 1e-12 * max(1.0, pn)
-        bound_limit = np.full(n, np.inf)
-        np.divide(hi - x, p, out=bound_limit, where=p > thresh)
-        np.divide(lo - x, p, out=bound_limit, where=p < -thresh)
-        j = int(np.argmin(bound_limit))
-        alpha, r = min(float(bound_limit[j]), 1.0), -1
-        if m:
-            ap = a_in @ p
-            row_thresh = 1e-12 * np.maximum(1.0, row_norms * pn)
-            # a free row rising to its bound, or a tied slack falling to 0
-            blocks = np.where(state == _TIED, -ap, np.where(state == _FREE, ap, 0.0)) > row_thresh
-            row_limit = np.full(m, np.inf)
-            np.divide(b - a_in @ x, ap, out=row_limit, where=blocks)
-            r = int(np.argmin(row_limit))
-            if row_limit[r] < alpha:
-                alpha = float(row_limit[r])
-            else:
-                r = -1
-        alpha = max(alpha, 0.0)
-        x = x + alpha * p
-        if r >= 0:
-            if state[r] == _TIED:
-                tie(r, -1.0)
-            state[r] = _TIGHT
-            add(n + r)
-        elif alpha < 1.0:
-            fixed[j], upper_side[j] = True, p[j] > 0
-            fixed_at[j] = x[j] = hi[j] if upper_side[j] else lo[j]
-            add(j)
-    if stats is not None:
-        stats.nonoptimal += 1
-    return x, False
+                z = z + cols[:n] @ dlam
+                sigma += cross @ dlam
+                # the step at which each entry's multiplier reaches 0, or its cap
+                rate, held_lam = side * s * dlam, side * lam
+                ratio = np.full(len(entries), np.inf)
+                np.divide(held_lam, -rate, out=ratio, where=rate < -QP_TOLERANCE)
+                np.divide(cap - held_lam, rate, out=ratio, where=(rate > QP_TOLERANCE) & (cap < np.inf))
+                drop = int(np.argmin(ratio))
+            violation = s * ((x[e] if e < n else a_in[e - n] @ x) - value)
+            bounds = (max(violation, 0.0) / sigma if sigma > QP_TOLERANCE * pivot else np.inf, limit - taken, ratio[drop])
+            event = min(range(3), key=bounds.__getitem__)
+            if bounds[event] == np.inf:
+                # p is the working set's combination with weights -dlam: its violation
+                # is round-off of that combination, or no point meets the hard rows
+                return finish(violation <= QP_TOLERANCE * (1.0 + abs(value) + np.abs(dlam) @ (1.0 + np.abs(values))))
+            t = max(bounds[event], 0.0)
+            x -= (s * t) * z
+            lam += (s * t) * dlam
+            taken += t
+            if event == 0:  # p holds: it joins the working set
+                k = len(entries)
+                grown = np.empty((k + 1, k + 1))
+                grown[:k, :k] = schur
+                grown[k, :k] = grown[:k, k] = cross
+                grown[k, k] = pivot
+                schur, cols = grown, np.column_stack([cols, col])
+                side, cap, values = np.append(side, s), np.append(cap, limit), np.append(values, value)
+                lam = np.append(lam, s * taken)
+                entries.append(e)
+                held[e + n] = held[e if e < n else e + n] = True
+            elif event == 1:  # p's multiplier reached its weight: p ties, or goes free from the tied side
+                tied[e - n] = s > 0
+            else:  # an entry's multiplier reached 0, or its weight: it leaves, free or tied
+                gone = entries.pop(drop)
+                held[gone + n] = held[gone if gone < n else gone + n] = False
+                keep = np.arange(len(side)) != drop
+                schur, cols = schur[np.ix_(keep, keep)], cols[:, keep]
+                if gone >= n and rate[drop] > 0:
+                    tied[gone - n] = side[drop] > 0
+                side, cap, values, lam = side[keep], cap[keep], values[keep], lam[keep]
+                continue
+            break
 
 
 # --- problem description ------------------------------------------------------
@@ -443,6 +422,7 @@ class NlpSolution:
     max_inequality_violation: float
     iterations: int
     converged: bool
+    qp_steps: int = 0
     qp_nonoptimal: int = 0
     kkt_fallbacks: int = 0
 
@@ -548,7 +528,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         lo_eff = np.maximum(lower, x - delta)
         hi_eff = np.minimum(upper, x + delta)
         sol, _ = solve_qp(
-            h, gx - h @ x - PROX_REGULARIZATION * x, a_eq, b_eq, rows_jac, rows_jac @ x - rows_vals, x,
+            h, gx - h @ x - PROX_REGULARIZATION * x, a_eq, b_eq, rows_jac, rows_jac @ x - rows_vals,
             lower=lo_eff, upper=hi_eff, penalty=np.full(len(rows_vals), mu), base_inverse=base, stats=qp_stats,
         )
         x_new = np.clip(sol, lo_eff, hi_eff)
@@ -598,6 +578,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         max_inequality_violation=float(np.max(rows_vals, initial=0.0)),
         iterations=iterations,
         converged=converged,
+        qp_steps=qp_stats.steps,
         qp_nonoptimal=qp_stats.nonoptimal,
         kkt_fallbacks=qp_stats.kkt_fallbacks,
     )

@@ -322,6 +322,7 @@ def report_to_dict(report, scenario_path: str, config, seed: int | None = None) 
             "segment_solves_converged": report.segment_solves_converged,
             "nonconverged_segment_solves": report.nonconverged_segment_solves,
             "deadline_reached": report.deadline_reached,
+            "qp_steps": report.qp_steps,
             "qp_nonoptimal": report.qp_nonoptimal,
             "kkt_fallbacks": report.kkt_fallbacks,
             "factorizations": report.factorizations,

@@ -137,8 +137,8 @@ def test_solve_with_block_claim_matches_solve_without():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_violated_elastic_row_of_zeros_changes_nothing(d):
-    # a row with a zero Jacobian at x0 (a collision gradient can be zero) is
-    # tied from the start: it adds a constant penalty and reads no row of the inverse
+    # a violated row with a zero Jacobian (a collision gradient can be zero)
+    # ties at once: it adds a constant penalty and reads no row of the inverse
     scenario = SCENARIOS["circle_blocked.yaml"]
     hessian = build_segment_objective(scenario, 0, 9).hessian_matrix
     a_eq, b_eq = segment_equalities(scenario, 0, 9)
@@ -148,10 +148,10 @@ def test_violated_elastic_row_of_zeros_changes_nothing(d):
     inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
     assert inverse.rows(np.zeros(0, dtype=int)).shape == (0, inverse.block.shape[0] * d)
     args = dict(lower=np.full(n, -5.0), upper=np.full(n, 5.0), base_inverse=inverse)
-    want, want_optimal = solve_qp(hessian, gradient, a_eq, b_eq, keepout, np.array([-0.5]), np.zeros(n),
+    want, want_optimal = solve_qp(hessian, gradient, a_eq, b_eq, keepout, np.array([-0.5]),
                                   penalty=np.array([10.0]), **args)
     got, optimal = solve_qp(hessian, gradient, a_eq, b_eq, np.vstack([np.zeros(n), keepout]),
-                            np.array([-1.0, -0.5]), np.zeros(n), penalty=np.array([10.0, 10.0]), **args)
+                            np.array([-1.0, -0.5]), penalty=np.array([10.0, 10.0]), **args)
     assert optimal and want_optimal
     np.testing.assert_array_equal(got, want)
 

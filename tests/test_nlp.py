@@ -56,7 +56,7 @@ class TestSolveQp:
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(30):
             hessian, gradient, a_eq, b_eq, a_in, b_in = random_qp(rng, n=5, m_in=3)
-            x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in, np.zeros(5))
+            x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in)
             assert ok
             want_val, want_x = enumerate_qp(hessian, gradient, a_eq, b_eq, a_in, b_in)
             got_val = 0.5 * x @ hessian @ x + gradient @ x
@@ -66,7 +66,7 @@ class TestSolveQp:
     def test_with_equalities(self, rng):
         for _ in range(15):
             hessian, gradient, a_eq, b_eq, a_in, b_in = random_qp(rng, n=4, m_in=3, n_eq=1)
-            x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in, np.zeros(4))
+            x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in)
             assert ok
             want_val, _ = enumerate_qp(hessian, gradient, a_eq, b_eq, a_in, b_in)
             got_val = 0.5 * x @ hessian @ x + gradient @ x
@@ -81,7 +81,7 @@ class TestSolveQp:
         gradient = rng.normal(size=n)
         a_eq = rng.normal(size=(m, n))
         b_eq = rng.normal(size=m)
-        x, ok = solve_qp(hessian, gradient, a_eq, b_eq, np.zeros((0, n)), np.zeros(0), np.zeros(n))
+        x, ok = solve_qp(hessian, gradient, a_eq, b_eq, np.zeros((0, n)), np.zeros(0))
         assert ok
         kkt = np.block([[hessian, a_eq.T], [a_eq, np.zeros((m, m))]])
         ref = np.linalg.solve(kkt, np.concatenate([-gradient, b_eq]))[:n]
@@ -710,7 +710,7 @@ class TestConvexifySegment:
         obj = build_segment_objective(scenario, 0, 2)
         ref_x, ok = solve_qp(
             obj.hessian_matrix + 1e-12 * np.eye(layout.size), obj.linear,
-            problem.a_eq, problem.b_eq, np.zeros((0, layout.size)), np.zeros(0), x0,
+            problem.a_eq, problem.b_eq, np.zeros((0, layout.size)), np.zeros(0),
         )
         assert ok
         np.testing.assert_allclose(sol.point, ref_x, atol=1e-6)

@@ -1,6 +1,6 @@
-"""QP outcomes that are not a clean optimum are counted, not dropped:
-iteration-capped active-set returns and least-squares KKT fallbacks, per
-NLP solve and as run totals in the report."""
+"""QP work and the QP outcomes that are not a clean optimum are counted,
+not dropped: active-set steps, iteration-capped returns and least-squares
+KKT fallbacks, per NLP solve and as run totals in the report."""
 
 from dataclasses import replace
 
@@ -13,15 +13,18 @@ from trajsplit.cli import bundled_scenario_dir
 from trajsplit.nlp import NlpProblem, QpStats, QuadraticFunction, project_to_affine, solve, solve_qp
 from trajsplit.scenario_io import load_scenario, report_to_dict
 
+from conftest import stretched
+
 NO_ROWS = (np.zeros((0, 2)), np.zeros(0))
 
 
 def test_iteration_cap_counts_as_nonoptimal():
-    # the unconstrained optimum (2, 2) lies beyond x0 <= 1: the first step
-    # stops at that bound and the cap ends the solve before it can go on
+    # the unconstrained optimum (2, 2) lies beyond both rows x <= 1: the
+    # first step makes one of them tight and the cap ends the solve before
+    # the second can be
     stats = QpStats()
     x, ok = solve_qp(np.eye(2), np.array([-2.0, -2.0]), *NO_ROWS,
-                     np.array([[1.0, 0.0]]), np.array([1.0]), np.zeros(2),
+                     np.eye(2), np.array([1.0, 1.0]),
                      max_iterations=1, stats=stats)
     assert not ok
     assert stats.nonoptimal == 1
@@ -31,23 +34,23 @@ def test_iteration_cap_counts_as_nonoptimal():
 def test_clean_solve_counts_nothing():
     stats = QpStats()
     _, ok = solve_qp(np.eye(2), np.array([-2.0, -2.0]), *NO_ROWS,
-                     np.array([[1.0, 0.0]]), np.array([1.0]), np.zeros(2), stats=stats)
+                     np.array([[1.0, 0.0]]), np.array([1.0]), stats=stats)
     assert ok
-    assert stats == QpStats()
+    assert stats == QpStats(steps=1)
 
 
 def test_singular_kkt_counts_as_fallback():
     # duplicated equality rows make the KKT matrix exactly singular
     stats = QpStats()
     a_eq = np.array([[1.0, 1.0], [1.0, 1.0]])
-    x, ok = solve_qp(np.eye(2), np.zeros(2), a_eq, np.array([1.0, 1.0]), *NO_ROWS, np.zeros(2), stats=stats)
+    x, ok = solve_qp(np.eye(2), np.zeros(2), a_eq, np.array([1.0, 1.0]), *NO_ROWS, stats=stats)
     assert ok
     np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-12)
     assert stats.kkt_fallbacks >= 1
 
 
-def quadratic_problem(a_eq=None, b_eq=None):
-    objective = QuadraticFunction(hessian_matrix=2.0 * np.eye(2), linear=np.array([-20.0, 0.0]))
+def quadratic_problem(a_eq=None, b_eq=None, linear=(-20.0, 0.0)):
+    objective = QuadraticFunction(hessian_matrix=2.0 * np.eye(2), linear=np.array(linear))
     return NlpProblem(dim=2, objective=objective, a_eq=a_eq, b_eq=b_eq, x0=np.zeros(2))
 
 
@@ -116,15 +119,39 @@ def test_long_monolithic_horizon_is_clean():
     assert (report.qp_nonoptimal, report.kkt_fallbacks) == (0, 0)
 
 
+def test_long_monolithic_horizon_takes_few_qp_steps():
+    # each QP starts at its unconstrained optimum and adds only what that
+    # point violates: a few collision rows and trust-region bounds
+    report = run(stretched("circle_blocked.yaml", 160), SplitConfig(num_splits=0))
+    assert 0 < report.qp_steps <= 30
+
+
+def test_qp_steps_sum_over_both_levels(monkeypatch):
+    steps = []
+    real = admm.solve
+
+    def recording(problem, options=None):
+        solution = real(problem, options)
+        steps.append(solution.qp_steps)
+        return solution
+
+    monkeypatch.setattr(admm, "solve", recording)
+    report = run(stretched("circle_blocked.yaml", 160), SplitConfig(num_splits=3, rho=2.0, eps=0.05))
+    assert report.coarse_waypoints == 40
+    assert steps[0] > 0  # the coarse level's mono solve
+    assert report.qp_steps == sum(steps)
+
+
 def test_nlp_solution_carries_nonoptimal_returns(monkeypatch):
-    # cap every QP at one step: the trust region blocks the first step
+    # cap every QP at one step: the first QP's optimum (10, 10) lies beyond
+    # the trust region in both coordinates, and one step holds only one bound
     capped = solve_qp
 
     def one_step(*args, **kwargs):
         return capped(*args, max_iterations=1, **kwargs)
 
     monkeypatch.setattr(nlp, "solve_qp", one_step)
-    solution = solve(quadratic_problem())
+    solution = solve(quadratic_problem(linear=(-20.0, -20.0)))
     assert solution.qp_nonoptimal >= 1
     assert solution.qp_nonoptimal <= solution.iterations
 
@@ -137,7 +164,7 @@ def assert_totals_sum_over_segment_solves(monkeypatch):
     real = admm.solve
 
     def flagged(problem, options=None):
-        return replace(real(problem, options), qp_nonoptimal=1, kkt_fallbacks=2)
+        return replace(real(problem, options), qp_steps=3, qp_nonoptimal=1, kkt_fallbacks=2)
 
     monkeypatch.setattr(admm, "solve", flagged)
     scenario = Scenario(
@@ -155,7 +182,9 @@ def assert_totals_sum_over_segment_solves(monkeypatch):
     solves = report.iterations * report.num_segments
     assert report.qp_nonoptimal == solves
     assert report.kkt_fallbacks == 2 * solves
+    assert report.qp_steps == 3 * solves
     doc = report_to_dict(report, "inline", config)
+    assert doc["result"]["qp_steps"] == 3 * solves
     assert doc["result"]["qp_nonoptimal"] == solves
     assert doc["result"]["kkt_fallbacks"] == 2 * solves
 
