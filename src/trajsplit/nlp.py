@@ -11,12 +11,13 @@ Hessian and the equalities is fixed: a solve factors it once, and a run
 factors it once per segment shape (a ``FactorCache`` keeps it), since only
 the consensus linear term changes between rounds.  A segment's cost,
 dynamics and pins act on each coordinate alone and alike, so that matrix is
-one equal block per coordinate and only one block is inverted; the
-collision rows, the only ones that mix coordinates, enter through the Schur
-complement.  The trust region and joint limits are bounds, held at their
-values while active, and the linearized rows are elastic: a row's multiplier
-is capped at its penalty weight, and a row at the cap is tied (its weight
-moves into the gradient), so no slack is ever a variable.
+one equal block per coordinate and only one block is inverted; with dynamics
+each velocity and its Euler row are an exact 2x2 pivot, eliminated in closed
+form, so only positions, pins and unpaired rows are factored.  Collision rows,
+the only ones that mix coordinates, enter through the QP's Schur complement.
+Trust region and joint limits are bounds, held while active; linearized rows
+are elastic: a row's multiplier is capped at its penalty weight, and a row at
+the cap is tied (its weight moves into the gradient), so no slack is a variable.
 
 Collision constraints enter as the inequality evaluator; dynamics and
 boundary pins are affine equalities and stay exactly satisfied at every
@@ -87,27 +88,64 @@ class KktInverse:
         return self.block[i // self.coordinates, i // self.coordinates]
 
 
-def _diagonal_blocks(matrix: np.ndarray, d: int) -> np.ndarray:
-    """View of the d blocks of ``matrix`` taking rows and columns t mod d = c, stacked last."""
-    rows, cols = matrix.shape
-    return matrix.reshape(rows // d, d, cols // d, d).diagonal(0, 1, 3)
+def _coordinate_blocks(d: int, *matrices: np.ndarray) -> list[np.ndarray] | None:
+    """Block 0 of each matrix if every one is d equal blocks, row and column t
+    in block t mod d, with zeros between them; else None."""
+    blocks = []
+    for matrix in matrices:
+        rows, cols = matrix.shape
+        if rows % d or cols % d:
+            return None
+        grid = matrix.reshape(rows // d, d, cols // d, d)  # [row // d, row % d, col // d, col % d]
+        if any(grid[:, i, :, k].any() if i != k else not np.array_equal(grid[:, i, :, i], grid[:, 0, :, 0])
+               for i in range(d) for k in range(d)):
+            return None
+        blocks.append(grid[:, 0, :, 0])
+    return blocks
 
 
-def _coordinate_block(hessian: np.ndarray, a_eq: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Block 0 of H and A if [[H, A'], [A, 0]] is d equal blocks, index t in
-    block t mod d, with zeros between them; else None."""
-    if hessian.shape[0] % d or a_eq.shape[0] % d:
-        return None
-    hb, ab = _diagonal_blocks(hessian, d), _diagonal_blocks(a_eq, d)
-    h, a = hb[..., 0], ab[..., 0]
-    if (
-        np.count_nonzero(hessian) == d * np.count_nonzero(h)
-        and np.count_nonzero(a_eq) == d * np.count_nonzero(a)
-        and not np.count_nonzero(hb != h[..., None])
-        and not np.count_nonzero(ab != a[..., None])
-    ):
-        return h, a
-    return None
+# a block with fewer exact 2x2 pivots is inverted whole, which is faster there (BENCH_22.json)
+MIN_PIVOTS = 32
+
+
+def _pivots(kkt: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact 2x2 pivots of kkt = [[H, A'], [A, 0]], H n x n: variables j whose row of H
+    is zero off the diagonal and whose column of A has one nonzero, in row r; one per row."""
+    h, a = kkt[:n, :n], kkt[n:, :n]
+    lone = (np.count_nonzero(h, axis=1) == (np.diagonal(h) != 0)) & (np.count_nonzero(a, axis=0) == 1)
+    rows, cols = np.nonzero(a[:, lone])
+    r, first = np.unique(rows, return_index=True)
+    return np.flatnonzero(lone)[cols[first]], r
+
+
+def _condensed_inverse(kkt: np.ndarray, n: int, j: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The symmetric inverse of ``kkt``, written into it, with the pivot pairs
+    (variable j, row n + r) eliminated first.
+
+    A pair's block [[h, a], [a, 0]] has the inverse [[0, 1/a], [1/a, -h/a^2]]
+    and meets the rest C only through row r's entries u on C.  With f = (1/a,
+    -h/a^2) per pair, K^-1 is S^-1 on C, -S^-1 U f between C and the pairs, and
+    their own inverses plus f U' S^-1 U f' among them; S = K_CC + sum (h/a^2) u u'.
+    """
+    pairs = j.size
+    p = np.concatenate([j, n + r])
+    c = np.delete(np.arange(kkt.shape[0]), p)
+    h, a = kkt[j, j], kkt[n + r, j]
+    f = np.concatenate([1.0 / a, -h / a**2])
+    u = kkt[np.ix_(n + r, c)]
+    # S^-1 U is solved for, not formed from columns of S^-1: their differences lose digits
+    schur = kkt[np.ix_(c, c)] + (u.T * (h / a**2)) @ u
+    solved = np.linalg.solve(schur, np.concatenate([np.eye(c.size), u.T], axis=1))
+    inverse, y = solved[:, : c.size], solved[:, c.size :]
+    g = u @ y
+    among = np.tile(g + g.T, (2, 2)) * np.outer(0.5 * f, f)
+    q = np.arange(pairs)  # each pair's own inverse: 1/a between j and r, -h/a^2 at r
+    among[np.r_[q, q + pairs, q + pairs], np.r_[q + pairs, q, q + pairs]] += np.r_[f[:pairs], f]
+    kkt[np.ix_(c, c)] = 0.5 * (inverse + inverse.T)
+    kkt[np.ix_(c, p)] = between = np.tile(y, 2) * -f
+    kkt[np.ix_(p, c)] = between.T
+    kkt[np.ix_(p, p)] = among
+    return kkt
 
 
 def kkt_inverse(hessian: np.ndarray, a_eq: np.ndarray, coordinates: int = 1, shift: float = 0.0) -> KktInverse:
@@ -120,10 +158,13 @@ def kkt_inverse(hessian: np.ndarray, a_eq: np.ndarray, coordinates: int = 1, shi
     that the matrix splits into that many equal blocks, index t in block
     t mod ``coordinates``, as a segment's waypoint-major packing does; the
     claim is checked exactly, and a matrix it does not hold for is inverted
-    as one block.  A singular block is answered by the pseudo-inverse,
-    marked ``pseudo``.
+    as one block.  A block with ``MIN_PIVOTS`` or more exact 2x2 pivots (with
+    dynamics, each velocity and its Euler step or the goal's velocity pin) is
+    condensed, and only the Schur complement over the rest is factored.  A
+    singular matrix is answered by the whole block's pseudo-inverse, marked
+    ``pseudo``.
     """
-    block = _coordinate_block(hessian, a_eq, coordinates) if coordinates > 1 else None
+    block = _coordinate_blocks(coordinates, hessian, a_eq) if coordinates > 1 else None
     h, a = (hessian, a_eq) if block is None else block
     n, m = h.shape[0], a.shape[0]
     kkt = np.zeros((n + m, n + m))
@@ -131,7 +172,10 @@ def kkt_inverse(hessian: np.ndarray, a_eq: np.ndarray, coordinates: int = 1, shi
     kkt[:n, n:] = a.T
     kkt[n:, :n] = a
     kkt.reshape(-1)[: n * (n + m) : n + m + 1] += shift  # the diagonal of H
+    j, r = _pivots(kkt, n) if m >= MIN_PIVOTS else (np.zeros(0, dtype=int),) * 2
     try:
+        if j.size >= MIN_PIVOTS:
+            return KktInverse(_condensed_inverse(kkt, n, j, r), 1 if block is None else coordinates, False)
         inverse, pseudo = np.linalg.inv(kkt), False
     except np.linalg.LinAlgError:
         inverse, pseudo = np.linalg.pinv(kkt), True
@@ -206,9 +250,6 @@ def solve_qp(
     n, m = gradient.shape[0], a_in.shape[0]
     lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    weight = np.full(m, np.inf) if penalty is None else np.asarray(penalty, dtype=float)
-    if max_iterations is None:
-        max_iterations = 3 * (n + m + np.count_nonzero(np.isfinite(lo)) + np.count_nonzero(np.isfinite(hi))) + 100
     kinv = kkt_inverse(hessian, a_eq) if base_inverse is None else base_inverse
     stats = QpStats() if stats is None else stats
     if base_inverse is None:
@@ -216,6 +257,12 @@ def solve_qp(
     b = np.asarray(b_in, dtype=float)
     # what counts as a violation of upper bounds, lower bounds and rows
     slack = QP_TOLERANCE * (1.0 + np.abs(np.concatenate([hi, lo, b])))
+    x = kinv.solve(np.concatenate([-gradient, b_eq]))[:n]
+    if np.all(np.concatenate([x - hi, lo - x, a_in @ x - b]) <= slack):  # the start violates nothing
+        return x, True
+    weight = np.full(m, np.inf) if penalty is None else np.asarray(penalty, dtype=float)
+    if max_iterations is None:
+        max_iterations = 3 * (n + m + np.count_nonzero(np.isfinite(lo)) + np.count_nonzero(np.isfinite(hi))) + 100
     row_columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # working set: entries (variable j for a bound, n + r for row r), their
@@ -247,7 +294,6 @@ def solve_qp(
         stats.nonoptimal += not optimal
         return x, optimal
 
-    x = kinv.solve(np.concatenate([-gradient, b_eq]))[:n]
     steps = 0
     while True:
         ax = a_in @ x - b
@@ -353,8 +399,10 @@ class NlpProblem:
     may omit constraints that are satisfied at x (e.g. collision pairs far
     from contact), never violated ones.  ``base_inverse``, when given, must
     be ``kkt_inverse`` of the objective's Hessian and ``a_eq`` with shift
-    ``PROX_REGULARIZATION``; without it ``solve`` factors that matrix as one
-    block.  ``deadline`` is a ``time.perf_counter`` value.
+    ``PROX_REGULARIZATION``, that Hessian already checked (``convexify_segment``
+    checks it once per cache entry); without it ``solve`` checks the Hessian
+    and factors that matrix as one block.  ``deadline`` is a
+    ``time.perf_counter`` value.
     """
 
     dim: int
@@ -432,25 +480,39 @@ def _check_finite(value, what: str) -> None:
         raise EvaluatorError(f"{what} produced a non-finite value")
 
 
+def _check_hessian(h: np.ndarray, n: int, values: bool = True) -> None:
+    """Raise unless H is an (n, n) matrix and, with ``values``, finite and symmetric."""
+    if values:
+        _check_finite(h, "objective hessian")
+    t = 256  # symmetry by tiles, each read transposed while in cache: 5x faster than h == h.T at n = 2560
+    if h.shape != (n, n) or (values and not all(np.array_equal(h[i : i + t, k : k + t], h[k : k + t, i : i + t].T)
+                                                for i in range(0, n, t) for k in range(i, n, t))):
+        raise ConfigError(f"objective hessian must be a symmetric ({n}, {n}) matrix")
+
+
 def project_to_affine(
-    x: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, stats: QpStats | None = None
+    x: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, stats: QpStats | None = None, *, coordinates: int = 1
 ) -> np.ndarray:
     """Least-norm correction onto the affine set A x = b.
 
-    Redundant rows make the Gram matrix singular; the correction is then
-    taken by least squares and counted in ``stats.kkt_fallbacks``.
+    ``coordinates`` claims that A splits into that many equal blocks, as in
+    ``kkt_inverse`` (checked exactly); the Gram matrix of one block is then
+    solved with one right-hand side per coordinate.  Redundant rows make the
+    Gram matrix singular; the correction is then taken by least squares and
+    counted in ``stats.kkt_fallbacks``.
     """
     r = b_eq - a_eq @ x
     if float(np.max(np.abs(r), initial=0.0)) <= 1e-12:
         return x
-    gram = a_eq @ a_eq.T
+    block = _coordinate_blocks(coordinates, a_eq) if coordinates > 1 else None
+    a, d = (a_eq, 1) if block is None else (block[0], coordinates)
     try:
-        w = np.linalg.solve(gram, r)
+        w = np.linalg.solve(a @ a.T, r.reshape(-1, d))
     except np.linalg.LinAlgError:
         if stats is not None:
             stats.kkt_fallbacks += 1
         return x + np.linalg.lstsq(a_eq, r, rcond=None)[0]
-    return x + a_eq.T @ w
+    return x + (a.T @ w).reshape(-1)
 
 
 def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolution:
@@ -462,7 +524,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     ``deadline`` reached first, returns the iterate reached with
     ``converged=False``.  A non-finite objective array or evaluator output
     raises ``EvaluatorError``, an asymmetric Hessian ``ConfigError``; the
-    Hessian is checked once, since it is the same at every point.
+    Hessian is checked once, and only when no ``base_inverse`` is handed in.
     """
     opts = options or SolverOptions()
     n = problem.dim
@@ -475,37 +537,34 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     lower = problem.lower if problem.lower is not None else np.full(n, -np.inf)
     upper = problem.upper if problem.upper is not None else np.full(n, np.inf)
 
-    h = problem.objective.hessian_matrix
-    _check_finite(h, "objective hessian")
+    h, base = problem.objective.hessian_matrix, problem.base_inverse
+    _check_hessian(h, n, values=base is None)
     _check_finite(problem.objective.linear, "objective linear term")
-    if h.shape != (n, n) or np.count_nonzero(h != h.T):
-        raise ConfigError(f"objective hessian must be a symmetric ({n}, {n}) matrix")
 
     qp_stats = QpStats()
     # kkt_inverse of H + prox I and A_eq, the base of every QP of this solve
-    base = problem.base_inverse
     if base is None:
         base = kkt_inverse(h, a_eq, shift=PROX_REGULARIZATION)
     elif base.block.shape[0] * base.coordinates != n + a_eq.shape[0]:
         raise ConfigError(f"base_inverse must be of a KKT matrix of size {n + a_eq.shape[0]}")
     qp_stats.kkt_fallbacks += base.pseudo
     if a_eq.shape[0]:
-        x = project_to_affine(x, a_eq, b_eq, qp_stats)
+        x = project_to_affine(x, a_eq, b_eq, qp_stats, coordinates=base.coordinates)
     x = np.clip(x, lower, upper)
 
     def evaluate(point: np.ndarray):
         """Objective value, gradient, inequality rows."""
         f, g = problem.objective.value_and_grad(point)
-        _check_finite(f, "objective")
-        _check_finite(g, "objective gradient")
         if problem.inequalities is not None:
             vals, jac = problem.inequalities(point)
             vals = np.asarray(vals, dtype=float)
             jac = np.asarray(jac, dtype=float).reshape(len(vals), n)
-            _check_finite(vals, "inequality evaluator")
-            _check_finite(jac, "inequality jacobian")
         else:
             vals, jac = np.zeros(0), np.zeros((0, n))
+        if not np.isfinite(np.concatenate(([f], g, vals, jac.reshape(-1)))).all():  # the checks below name it
+            for value, what in ((f, "objective"), (g, "objective gradient"), (vals, "inequality evaluator"),
+                                (jac, "inequality jacobian")):
+                _check_finite(value, what)
         return f, g, vals, jac
 
     def penalty(vals: np.ndarray) -> float:
@@ -805,6 +864,7 @@ def convexify_segment(
     key = (layout.count, first_index == 0, last_index == scenario.num_waypoints - 1, coupled, rho)
     if key not in held:
         hessian = build_segment_objective(scenario, first_index, last_index, couplings, rho).hessian_matrix
+        _check_hessian(hessian, layout.size)
         a_eq, b_eq = segment_equalities(scenario, first_index, last_index)
         lower, upper = segment_bounds(scenario, layout)
         base = kkt_inverse(hessian, a_eq, layout.dim, PROX_REGULARIZATION)

@@ -24,6 +24,8 @@ else:
     # fixed example sequence and no per-example deadline: reproducible runs
     # whatever the speed of the machine
     settings.register_profile("trajsplit", derandomize=True, deadline=None)
+    # CI's longer property run: pytest --hypothesis-profile=ci
+    settings.register_profile("ci", settings.get_profile("trajsplit"), max_examples=400)
     settings.load_profile("trajsplit")
 
 

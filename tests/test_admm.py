@@ -339,8 +339,8 @@ class TestRun:
         projected = []
         real = nlp.project_to_affine
 
-        def recording(x, a_eq, b_eq, stats=None):
-            point = real(x, a_eq, b_eq, stats)
+        def recording(x, a_eq, b_eq, stats=None, **kwargs):
+            point = real(x, a_eq, b_eq, stats, **kwargs)
             projected.append((a_eq.shape[0], float(np.max(np.abs(a_eq @ point - b_eq)))))
             return point
 

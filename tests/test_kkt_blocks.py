@@ -2,12 +2,15 @@
 
 A segment's KKT matrix [[H + prox I, A_eq'], [A_eq, 0]] splits into one
 equal block per coordinate; ``kkt_inverse`` checks that and inverts one
-block.  Its answers must be those of the dense inverse of the assembled
-matrix, and a matrix that does not split is inverted whole.
+block, condensed first when it holds enough exact 2x2 pivots (with
+dynamics, a velocity and its own row).  Its answers must be those of the
+dense inverse of the assembled matrix, and a matrix that does not split is
+inverted whole.
 """
 
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from trajsplit import nlp  # noqa: E402
-from trajsplit.admm import SplitConfig, run  # noqa: E402
+from trajsplit.admm import SplitConfig, run, split_uniform  # noqa: E402
 from trajsplit.cli import bundled_scenario_dir  # noqa: E402
 from trajsplit.errors import ConfigError  # noqa: E402
 from trajsplit.nlp import (  # noqa: E402
@@ -30,6 +33,8 @@ from trajsplit.nlp import (  # noqa: E402
     solve_qp,
 )
 from trajsplit.scenario_io import load_scenario  # noqa: E402
+
+from conftest import stretched  # noqa: E402
 
 SCENARIOS = {name: load_scenario(bundled_scenario_dir() / name)
              for name in ("circle_blocked.yaml", "arm_two_link.yaml", "arm_three_link.yaml")}
@@ -59,12 +64,18 @@ def assert_same_inverse(inverse, want, rng):
 
 @st.composite
 def segments(draw):
-    """A segment's Hessian and equalities: point or arm, with or without dynamics, pins and couplings."""
+    """A segment's Hessian and equalities: point or arm, with or without dynamics, pins and couplings.
+
+    Short segments hold too few velocity pivots to be condensed; long ones,
+    near the whole of a longer grid, hold more than ``MIN_PIVOTS`` with
+    dynamics.  The last item says whether the block is condensed.
+    """
     scenario = SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))]
-    count = draw(st.integers(4, 12))
+    long = draw(st.booleans())
+    count = draw(st.integers(nlp.MIN_PIVOTS + 8, nlp.MIN_PIVOTS + 16) if long else st.integers(4, 12))
     scenario = replace(scenario, num_waypoints=count, dynamics_enabled=draw(st.booleans()))
-    first = draw(st.integers(0, count - 2))
-    last = draw(st.integers(first + 1, count - 1))
+    first = draw(st.integers(0, 2 if long else count - 2))
+    last = draw(st.integers(count - 3 if long else first + 1, count - 1))
     sd = 2 * scenario.dim if scenario.dynamics_enabled else scenario.dim
     # as in a split run, every unpinned end is coupled at rho > 0, which keeps
     # the KKT matrix well conditioned enough to compare two inverses at 1e-10
@@ -73,13 +84,15 @@ def segments(draw):
     rho = draw(st.sampled_from([2.0, 50.0]))
     hessian = build_segment_objective(scenario, first, last, couplings, rho).hessian_matrix
     a_eq, _ = segment_equalities(scenario, first, last)
-    return scenario.dim, hessian, a_eq, draw(st.integers(0, 2**32 - 1))
+    return scenario.dim, hessian, a_eq, draw(st.integers(0, 2**32 - 1)), long and scenario.dynamics_enabled
 
 
 @given(segments())
 def test_block_inverse_matches_dense_inverse(segment):
-    d, hessian, a_eq, seed = segment
-    inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
+    d, hessian, a_eq, seed, condensed = segment
+    with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
+        inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
+    assert spy.called == condensed
     assert inverse.coordinates == d
     assert inverse.block.shape[0] * d == hessian.shape[0] + a_eq.shape[0]
     assert_same_inverse(inverse, dense_inverse(hessian, a_eq), np.random.default_rng(seed))
@@ -87,7 +100,7 @@ def test_block_inverse_matches_dense_inverse(segment):
 
 @given(segments(), st.sampled_from(["cross", "unequal", "equality"]))
 def test_matrix_that_does_not_split_is_one_block(segment, defect):
-    d, hessian, a_eq, seed = segment
+    d, hessian, a_eq, seed, _ = segment
     rng = np.random.default_rng(seed)
     hessian = hessian.copy()
     if defect == "cross":
@@ -114,6 +127,74 @@ def test_one_coordinate_is_the_dense_inverse_bit_for_bit():
     inverse = kkt_inverse(hessian, a_eq, 1, SHIFT)
     want = dense_inverse(hessian, a_eq)
     np.testing.assert_array_equal(inverse.block, 0.5 * (want + want.T))
+
+
+# --- the condensed factor on blocks that runs build ----------------------------
+
+
+def coordinate_block(hessian, a_eq, d):
+    """The rows and columns of coordinate 0: the block ``kkt_inverse`` inverts."""
+    return hessian[::d, ::d], a_eq[::d, ::d]
+
+
+def assert_condensed_matches_dense(hessian, a_eq, d, tolerance):
+    """The condensed factor ran and agrees with the dense inverse to ``tolerance`` of its largest entry."""
+    with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
+        inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
+    assert spy.called and not inverse.pseudo and inverse.coordinates == d
+    want = dense_inverse(*coordinate_block(hessian, a_eq, d))
+    np.testing.assert_allclose(inverse.block, want, rtol=0, atol=tolerance * np.abs(want).max())
+    np.testing.assert_array_equal(inverse.block, inverse.block.T)
+
+
+@pytest.mark.parametrize("count", [40, 160, 640])
+def test_mono_block_is_condensed_and_matches_dense_inverse(count):
+    scenario = stretched("circle_blocked.yaml", count)
+    hessian = build_segment_objective(scenario, 0, count - 1).hessian_matrix
+    a_eq, _ = segment_equalities(scenario, 0, count - 1)
+    assert_condensed_matches_dense(hessian, a_eq, scenario.dim, 1e-9)
+
+
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+def test_split_segment_block_is_condensed_and_matches_dense_inverse(which):
+    # segments of a split4 run (4 segments) at N = 160, coupled at every split end at rho 2
+    scenario = stretched("circle_blocked.yaml", 160)
+    edges = [0, *split_uniform(160, 3), 159]
+    first, last = {"first": edges[:2], "middle": edges[1:3], "last": edges[-2:]}[which]
+    sd = 2 * scenario.dim
+    coupled = [k for k, pinned in ((0, first == 0), (last - first, last == 159)) if not pinned]
+    couplings = [ConsensusCoupling(k, np.ones(sd), np.zeros(sd)) for k in coupled]
+    hessian = build_segment_objective(scenario, first, last, couplings, 2.0).hessian_matrix
+    a_eq, _ = segment_equalities(scenario, first, last)
+    assert_condensed_matches_dense(hessian, a_eq, scenario.dim, 1e-9)
+
+
+def test_path_only_block_is_the_dense_inverse_bit_for_bit():
+    # a path graph's Laplacian couples every variable: no pivots, so no condensing
+    scenario = stretched("arm_three_link.yaml", 120)
+    hessian = build_segment_objective(scenario, 0, 119).hessian_matrix
+    a_eq, _ = segment_equalities(scenario, 0, 119)
+    with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
+        inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
+    assert not spy.called and inverse.coordinates == scenario.dim
+    want = dense_inverse(*coordinate_block(hessian, a_eq, scenario.dim))
+    np.testing.assert_array_equal(inverse.block, 0.5 * (want + want.T))
+
+
+def test_singular_condensed_block_is_a_pseudo_inverse():
+    # the start's position pins twice: the Schur complement is singular, so the
+    # whole block is answered by its pseudo-inverse
+    scenario = stretched("circle_blocked.yaml", 40)
+    hessian = build_segment_objective(scenario, 0, 39).hessian_matrix
+    a_eq, _ = segment_equalities(scenario, 0, 39)
+    pins = 39 * scenario.dim  # the first pin row: x of the start's position
+    a_eq = np.vstack([a_eq, a_eq[pins : pins + scenario.dim]])
+    with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
+        inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
+    assert spy.called and inverse.pseudo and inverse.coordinates == scenario.dim
+    h, a = coordinate_block(hessian, a_eq, scenario.dim)
+    kkt = np.block([[h + SHIFT * np.eye(h.shape[0]), a.T], [a, np.zeros((a.shape[0], a.shape[0]))]])
+    np.testing.assert_allclose(kkt @ inverse.block @ kkt, kkt, atol=1e-9)
 
 
 def test_solve_with_block_claim_matches_solve_without():
@@ -188,19 +269,24 @@ def mono_n160():
 
 
 def test_mono_inverts_one_coordinate_block(monkeypatch):
-    inverted = []
-    real = np.linalg.inv
+    factored = []
 
-    def spy(matrix, *args, **kwargs):
-        inverted.append(matrix.shape[0])
-        return real(matrix, *args, **kwargs)
+    def spying(real):
+        def spy(matrix, *args, **kwargs):
+            factored.append(matrix.shape[0])
+            return real(matrix, *args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(np.linalg, "inv", spy)
+    # every dense factorization, whether taken as an inverse or a solve
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, spying(getattr(np.linalg, name)))
     report = run(*mono_n160())
     assert report.converged
     # 160 waypoints of (x, y, vx, vy): 640 variables and 159 * 2 + 8 rows,
-    # 966 in all, 483 per coordinate
-    assert inverted and max(inverted) == 483
+    # 966 in all, 483 per coordinate; condensing pairs 159 velocities with
+    # their rows (158 Euler steps and the goal's velocity pin), which leaves
+    # 160 positions, v_0, the first Euler step and 3 pins
+    assert factored and max(factored) == 165
 
 
 def test_mono_transient_memory():
