@@ -95,7 +95,12 @@ class SplitConfig:
 
 @dataclass
 class SegmentProblem:
-    """One segment's waypoint range and its current packed iterate."""
+    """One segment's waypoint range and its current packed iterate.
+
+    ``rows`` holds the collision rows at ``x`` as (x, rows) after a solve of
+    a segment with obstacles, so that the next solve need not evaluate its
+    start again (see ``nlp.SolveRows``).
+    """
 
     index: int
     first: int
@@ -103,6 +108,7 @@ class SegmentProblem:
     layout: SegmentLayout
     x: np.ndarray
     last_solution: NlpSolution | None = None
+    rows: tuple | None = None
 
     def end_state(self) -> np.ndarray:
         return self.x[self.layout.state_slice(self.layout.count - 1)]
@@ -235,7 +241,8 @@ def primal_update(
     """Solve every segment, in segment order, from its warm start.
 
     Each solve sees only the consensus state of the previous round, so the
-    order does not change the result; the new iterates are written back.
+    order does not change the result; the new iterates are written back,
+    each with its collision rows, which the segment's next solve is handed.
     ``factors`` (the run's cache) and ``deadline`` go to every segment
     problem (see ``convexify_segment``).
     """
@@ -251,9 +258,12 @@ def primal_update(
             factors,
             deadline,
         )
+        if problem.inequalities is not None and segment.rows is not None:
+            problem.inequalities.carry(*segment.rows)
         solution = solve(problem, config.nlp_options)
         segment.x = solution.point
         segment.last_solution = solution
+        segment.rows = None if problem.inequalities is None else problem.inequalities.at(solution.point)
         solutions.append(solution)
     return solutions
 

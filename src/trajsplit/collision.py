@@ -2,12 +2,15 @@
 
 The robot body is a set of convex shapes placed by forward kinematics: one
 capsule per arm link, or a zero-radius disc for a point robot.  Every
-clearance query goes through ``clearances``, which evaluates all
-(configuration, link, obstacle) triples of a configuration stack.  Each pair
-is bounded by the distance from the obstacle's bounding circle to the link,
-which for a disc is the exact value.  Only polygon pairs, and with a cutoff
-(the solver's rows, the final check) only those within it, reach one call
-of the batched signed-distance kernel.
+clearance query evaluates all (configuration, link, obstacle) triples of a
+configuration stack.  Each pair is bounded by the distance from the
+obstacle's bounding circle to the link, which for a disc is the exact value.
+Only polygon pairs, and with a cutoff (the solver's rows, the final check)
+only those within it, reach one call of the batched signed-distance kernel.
+
+Gradients come from one gathered pass (``gathered_clearances``), which
+the solver's rows read directly and ``clearances`` scatters into dense
+arrays; values alone (the final check) need neither normals nor pull-back.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ ACTIVATION_FACTOR = 3.0
 # Broad-phase bounds are compared with a cutoff after this relative slack,
 # so that their roundoff can never turn away a pair the kernel would keep.
 CUTOFF_SLACK = 1e-9
+# the kernel's axis for a centre within 1e-12 of the link core
+_FIXED_AXIS = np.array([1.0, 0.0])
 
 
 def activation_distance(safety_margin: float) -> float:
@@ -69,15 +74,16 @@ def link_count(scenario: Scenario) -> int:
 
 
 def _broad_phase(scenario: Scenario, origins, endpoints):
-    """``clearance_bounds`` plus the link-core parameter t closest to each centre and the gap to it."""
+    """``clearance_bounds`` plus the link edges, the link-core parameter t
+    closest to each centre and the gap to it."""
     obstacles = scenario.obstacle_cores
-    edge = (endpoints - origins)[:, :, None, :]
+    edge = endpoints - origins
     rel = obstacles.centers - origins[:, :, None, :]
-    length2 = np.sum(edge * edge, axis=-1)
-    t = np.clip(np.sum(rel * edge, axis=-1) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
-    gap = rel - t[..., None] * edge
+    length2 = (edge * edge).sum(axis=-1)[..., None]
+    t = np.clip((rel * edge[:, :, None, :]).sum(axis=-1) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
+    gap = rel - t[..., None] * edge[:, :, None, :]
     bounds = np.hypot(gap[..., 0], gap[..., 1]) - obstacles.reach - getattr(scenario.robot, "link_radius", 0.0)
-    return bounds, t, gap
+    return bounds, edge, t, gap
 
 
 def clearance_bounds(scenario: Scenario, origins, endpoints) -> np.ndarray:
@@ -91,6 +97,21 @@ def clearance_bounds(scenario: Scenario, origins, endpoints) -> np.ndarray:
     return _broad_phase(scenario, origins, endpoints)[0]
 
 
+def _near(bounds: np.ndarray, cutoff: float | None) -> np.ndarray:
+    """Mask of the bounds within ``cutoff``, after its slack; all of them without one."""
+    if cutoff is None:
+        return np.ones(bounds.shape, dtype=bool)
+    return bounds <= cutoff + CUTOFF_SLACK * max(1.0, abs(cutoff))
+
+
+def _kernel_pairs(scenario: Scenario, origins, endpoints, config, link, obstacle) -> tuple:
+    """The exact kernel's arguments for gathered (configuration, link, obstacle) triples."""
+    model, obstacles = scenario.robot, scenario.obstacle_cores
+    body = origins[config, link, None] if isinstance(model, Point2D) else np.stack(
+        [origins[config, link], endpoints[config, link]], axis=1)
+    return body, getattr(model, "link_radius", 0.0), obstacles.cores[obstacle], obstacles.radii[obstacle]
+
+
 def _pull_back(model, origins, config, link, witness, normal) -> np.ndarray:
     """Gradients of gathered pairs: cross(witness - origin_j, normal) for arm joints j <= link."""
     if isinstance(model, Point2D):
@@ -98,6 +119,36 @@ def _pull_back(model, origins, config, link, witness, normal) -> np.ndarray:
     r = witness[:, None, :] - origins[config]
     cross = r[..., 0] * normal[:, None, 1] - r[..., 1] * normal[:, None, 0]
     return cross * (np.arange(origins.shape[1]) <= link[:, None])
+
+
+def gathered_clearances(scenario: Scenario, configs, cutoff: float | None = None):
+    """The triples whose bound is within ``cutoff`` (all without one),
+    gathered with their signed distances and gradients.
+
+    Returns the bounds of every triple, (m, links, obstacles), and for the
+    gathered ones, in (configuration, link, obstacle) order, their indices,
+    exact values (pairs,) and gradients (pairs, n), from one kinematics pass
+    and one broad phase.  Disc pairs take their bound and the closed-form
+    normal and witness (see ``clearances``), polygon pairs the kernel's from
+    one call, and one pull-back maps them all.  Needs obstacles.
+    """
+    model = scenario.robot
+    origins, endpoints = link_segments(model, configs)
+    bounds, edge, t, gap = _broad_phase(scenario, origins, endpoints)
+    near = _near(bounds, cutoff)
+    config, link, obstacle = np.nonzero(near)
+    if not config.size:
+        return bounds, (config, link, obstacle), np.zeros(0), np.zeros((0, model.dim))
+    value, gap = bounds[near], gap[near]
+    length = np.hypot(gap[:, 0], gap[:, 1])[:, None]
+    normal = np.where(length <= 1e-12, _FIXED_AXIS, -gap / np.maximum(length, 1e-12))
+    witness = origins[config, link] + t[near][:, None] * edge[config, link]
+    disc = scenario.obstacle_cores.disc
+    polygon = np.arange(value.size) if disc is None else (~disc[obstacle]).nonzero()[0]
+    if polygon.size:
+        value[polygon], witness[polygon], _, normal[polygon] = core_signed_distance(
+            *_kernel_pairs(scenario, origins, endpoints, config[polygon], link[polygon], obstacle[polygon]))
+    return bounds, (config, link, obstacle), value, _pull_back(model, origins, config, link, witness, normal)
 
 
 def clearances(scenario: Scenario, configs, with_gradients: bool = False, cutoff: float | None = None):
@@ -114,39 +165,27 @@ def clearances(scenario: Scenario, configs, with_gradients: bool = False, cutoff
     its own threshold).  Only polygon pairs reach the exact kernel; with a
     ``cutoff``, only those whose bound is within it.  Pairs beyond the cutoff
     read their bound and a zero gradient, so every value up to it is exact.
+    The gradients are ``gathered_clearances`` scattered into dense arrays.
     """
     configs = np.asarray(configs, dtype=float)
     model = scenario.robot
-    values = np.zeros((len(configs), link_count(scenario), len(scenario.obstacles)))
-    gradients = np.zeros(values.shape + (model.dim,)) if with_gradients else None
-    if scenario.obstacles:
-        obstacles = scenario.obstacle_cores
-        origins, endpoints = link_segments(model, configs)
-        values[:], t, gap = _broad_phase(scenario, origins, endpoints)
-        near = (np.ones(values.shape, dtype=bool) if cutoff is None
-                else values <= cutoff + CUTOFF_SLACK * max(1.0, abs(cutoff)))
-        polygon = near if obstacles.disc is None else near & ~obstacles.disc
-        config, link, obstacle = np.nonzero(polygon)
-        if config.size:
-            body = origins[config, link, None] if isinstance(model, Point2D) else np.stack(
-                [origins[config, link], endpoints[config, link]], axis=1)
-            radius = getattr(model, "link_radius", 0.0)
-            pairs = (body, radius, obstacles.cores[obstacle], obstacles.radii[obstacle])
-            if not with_gradients:
-                values[polygon] = core_clearance(*pairs)
-            else:
-                values[polygon], witness, _, normal = core_signed_distance(*pairs)
-                gradients[polygon] = _pull_back(model, origins, config, link, witness, normal)
-        if with_gradients and obstacles.disc is not None:
-            disc = near & obstacles.disc
-            config, link, _ = np.nonzero(disc)
-            if config.size:
-                gap = gap[disc]
-                length = np.hypot(gap[:, 0], gap[:, 1])[:, None]
-                normal = np.where(length <= 1e-12, [1.0, 0.0], -gap / np.maximum(length, 1e-12))
-                witness = origins[config, link] + t[disc][:, None] * (endpoints - origins)[config, link]
-                gradients[disc] = _pull_back(model, origins, config, link, witness, normal)
-    return (values, gradients) if with_gradients else values
+    if not scenario.obstacles:
+        values = np.zeros((len(configs), link_count(scenario), 0))
+        return (values, np.zeros(values.shape + (model.dim,))) if with_gradients else values
+    if with_gradients:
+        values, index, value, gradient = gathered_clearances(scenario, configs, cutoff)
+        gradients = np.zeros(values.shape + (model.dim,))
+        values[index], gradients[index] = value, gradient
+        return values, gradients
+    origins, endpoints = link_segments(model, configs)
+    values = _broad_phase(scenario, origins, endpoints)[0]
+    polygon = _near(values, cutoff)
+    if scenario.obstacle_cores.disc is not None:
+        polygon &= ~scenario.obstacle_cores.disc
+    config, link, obstacle = np.nonzero(polygon)
+    if config.size:
+        values[polygon] = core_clearance(*_kernel_pairs(scenario, origins, endpoints, config, link, obstacle))
+    return values
 
 
 def min_scenario_clearance(scenario: Scenario, state: RobotState) -> float:

@@ -38,6 +38,7 @@ def link_segments(model: RobotModel, qs) -> tuple[np.ndarray, np.ndarray]:
     ``qs`` is (m, n); both results are (m, links, 2).  Planar arm: joint
     angles accumulate along the chain and each link runs from the previous
     endpoint.  Point robot: one degenerate zero-length link at the point.
+    An arm's two results are views of one (m, links + 1, 2) joint array.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != model.dim:
@@ -45,12 +46,16 @@ def link_segments(model: RobotModel, qs) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(model, Point2D):
         return qs[:, None, :], qs[:, None, :]
     assert isinstance(model, PlanarArm)
-    m = len(qs)
-    # running sums start from the base, in chain order
-    angles = np.cumsum(np.concatenate([np.full((m, 1), model.base.angle), qs], axis=1), axis=1)[:, 1:]
-    steps = np.asarray(model.link_lengths)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    base = np.broadcast_to([model.base.x, model.base.y], (m, 1, 2))
-    joints = np.cumsum(np.concatenate([base, steps], axis=1), axis=1)
+    # running sums start from the base, in chain order; each step is written in place
+    angles = qs.copy()
+    angles[:, 0] += model.base.angle
+    angles.cumsum(axis=1, out=angles)
+    joints = np.empty((len(qs), model.dim + 1, 2))
+    joints[:, 0] = model.base.x, model.base.y
+    np.cos(angles, out=joints[:, 1:, 0])
+    np.sin(angles, out=joints[:, 1:, 1])
+    joints[:, 1:] *= model.link_lengths[:, None]
+    joints.cumsum(axis=1, out=joints)
     return joints[:, :-1], joints[:, 1:]
 
 

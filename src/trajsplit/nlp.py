@@ -14,12 +14,14 @@ dynamics and pins act on each coordinate alone and alike, so that matrix is
 one equal block per coordinate and only one block is inverted; with dynamics
 each velocity and its Euler row are an exact 2x2 pivot, eliminated in closed
 form, so only positions, pins and unpaired rows are factored.  Collision rows,
-the only ones that mix coordinates, enter through the QP's Schur complement.
+the only ones that mix coordinates, enter through the QP's Schur complement,
+whose working set is a count over preallocated buffers that double when full.
 Trust region and joint limits are bounds, held while active; linearized rows
 are elastic: a row's multiplier is capped at its penalty weight, and a row at
 the cap is tied (its weight moves into the gradient), so no slack is a variable.
 
-Collision constraints enter as the inequality evaluator; dynamics and
+Collision constraints enter as the inequality evaluator, which a segment's
+solve calls at most once per point (``SolveRows``); dynamics and
 boundary pins are affine equalities and stay exactly satisfied at every
 iterate, so the penalty only ever acts on collision violation.  The
 trust-region and penalty schedule is fixed (``INITIAL_TRUST_RADIUS`` and the
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .collision import activation_distance, clearances
+from .collision import activation_distance, gathered_clearances
 from .collision import linearize_collision_constraint, pair_distance  # noqa: F401  (wrapped by benchmark/tracing.py)
 from .errors import ConfigError, EvaluatorError
 from .model import Scenario
@@ -240,6 +242,11 @@ def solve_qp(
     goes free).  Only the Schur system of the working set is solved.  H
     must be positive definite on the nullspace of A_eq.
 
+    The working set is a count k over buffers that double when full (its
+    entries, sides, caps, values, multipliers, columns K^-1 [c; 0] and Schur
+    matrix); an entry that leaves shifts the later ones left, keeping their
+    order.  Each step writes every constraint's violation into one buffer.
+
     Returns (x, optimal), with the working set's bounds exactly at their
     values.  optimal=False when the iteration cap is hit (the iterate
     reached so far is returned) or the dual step is unbounded: the hard rows
@@ -258,48 +265,58 @@ def solve_qp(
     # what counts as a violation of upper bounds, lower bounds and rows
     slack = QP_TOLERANCE * (1.0 + np.abs(np.concatenate([hi, lo, b])))
     x = kinv.solve(np.concatenate([-gradient, b_eq]))[:n]
-    if np.all(np.concatenate([x - hi, lo - x, a_in @ x - b]) <= slack):  # the start violates nothing
+    over = np.empty(2 * n + m)
+    upper_over, lower_over, row_over = over[:n], over[n : 2 * n], over[2 * n :]
+
+    def violations() -> np.ndarray:
+        """x - hi, lo - x and a_in x - b, written into ``over``."""
+        np.subtract(x, hi, out=upper_over)
+        np.subtract(lo, x, out=lower_over)
+        np.matmul(a_in, x, out=row_over)
+        np.subtract(row_over, b, out=row_over)
+        return over
+
+    if (violations() <= slack).all():  # the start violates nothing
         return x, True
     weight = np.full(m, np.inf) if penalty is None else np.asarray(penalty, dtype=float)
     if max_iterations is None:
         max_iterations = 3 * (n + m + np.count_nonzero(np.isfinite(lo)) + np.count_nonzero(np.isfinite(hi))) + 100
     row_columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    # working set: entries (variable j for a bound, n + r for row r), their
-    # sides (-1 for a lower bound or a row entered from the tied side), caps
-    # and values (c'x is held at the value), their columns K^-1 [c; 0] and
-    # the Schur matrix; the multipliers lam of c keep side * lam in [0, cap]
-    entries: list[int] = []
-    side, cap, values, lam = np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0)
-    cols = np.zeros((n + a_eq.shape[0], 0))
-    schur = np.zeros((0, 0))
+    # working set of k entries (variable j for a bound, n + r for row r),
+    # their sides (-1 for a lower bound or a row entered from the tied side),
+    # caps and values (c'x is held at the value), multipliers lam (side * lam
+    # stays in [0, cap]), columns K^-1 [c; 0] and Schur matrix
+    k, entries, table = 0, np.zeros(8, dtype=int), np.zeros((4, 8))
+    side, cap, values, lam = table
+    cols, schur = np.zeros((n + a_eq.shape[0], 8)), np.zeros((8, 8))
     held = np.zeros(2 * n + m, dtype=bool)  # upper bounds, lower bounds and rows in the working set
     tied = np.zeros(m, dtype=bool)  # the row's weight is in the gradient
 
     def column(e: int) -> tuple[np.ndarray, np.ndarray, float]:
         """K^-1 [c; 0] of entry e, its Schur row against the working set, and its pivot."""
         if e < n:
-            return kinv.rows(e), cols[e], kinv.entry(e)
+            return kinv.rows(e), cols[e, :k], kinv.entry(e)
         if e not in row_columns:
             nz = np.flatnonzero(a_in[e - n])
             row_columns[e] = nz, a_in[e - n, nz] @ kinv.rows(nz)
         nz, col = row_columns[e]
         a = a_in[e - n, nz]
-        return col, a @ cols[nz], a @ col[nz]
+        return col, a @ cols[nz, :k], a @ col[nz]
 
     def finish(optimal: bool) -> tuple[np.ndarray, bool]:
-        index = np.array(entries, dtype=int)
-        x[index[index < n]] = values[index < n]
+        index = entries[:k]
+        x[index[index < n]] = values[:k][index < n]
         stats.steps += steps
         stats.nonoptimal += not optimal
         return x, optimal
 
     steps = 0
     while True:
-        ax = a_in @ x - b
-        over = np.concatenate([x - hi, lo - x, np.where(tied, -ax, ax)])
+        violations()
+        np.negative(row_over, out=row_over, where=tied)
         over[held | (over <= slack)] = 0.0
-        i = int(np.argmax(over)) if over.size else 0
+        i = int(over.argmax()) if over.size else 0
         if not over.size or over[i] == 0.0:
             return finish(True)
         # p: entry e, entered from side s, with value, multiplier cap and the multiplier taken so far
@@ -315,52 +332,53 @@ def solve_qp(
             # raising p's multiplier by t moves x by -s t z and lam by s t dlam;
             # p's violation falls at rate sigma, zero when c is dependent on the set
             dlam, z, sigma, drop, ratio = -cross, col[:n], pivot, 0, [np.inf]
-            if entries:
+            if k:
                 try:
-                    dlam = -np.linalg.solve(schur, cross)
+                    dlam = -np.linalg.solve(schur[:k, :k], cross)
                 except np.linalg.LinAlgError:
-                    dlam = -np.linalg.lstsq(schur, cross, rcond=None)[0]
+                    dlam = -np.linalg.lstsq(schur[:k, :k], cross, rcond=None)[0]
                     stats.kkt_fallbacks += 1
-                z = z + cols[:n] @ dlam
+                z = z + cols[:n, :k] @ dlam
                 sigma += cross @ dlam
                 # the step at which each entry's multiplier reaches 0, or its cap
-                rate, held_lam = side * s * dlam, side * lam
-                ratio = np.full(len(entries), np.inf)
+                rate, held_lam = side[:k] * s * dlam, side[:k] * lam[:k]
+                ratio = np.full(k, np.inf)
                 np.divide(held_lam, -rate, out=ratio, where=rate < -QP_TOLERANCE)
-                np.divide(cap - held_lam, rate, out=ratio, where=(rate > QP_TOLERANCE) & (cap < np.inf))
-                drop = int(np.argmin(ratio))
+                np.divide(cap[:k] - held_lam, rate, out=ratio, where=(rate > QP_TOLERANCE) & (cap[:k] < np.inf))
+                drop = int(ratio.argmin())
             violation = s * ((x[e] if e < n else a_in[e - n] @ x) - value)
             bounds = (max(violation, 0.0) / sigma if sigma > QP_TOLERANCE * pivot else np.inf, limit - taken, ratio[drop])
             event = min(range(3), key=bounds.__getitem__)
             if bounds[event] == np.inf:
                 # p is the working set's combination with weights -dlam: its violation
                 # is round-off of that combination, or no point meets the hard rows
-                return finish(violation <= QP_TOLERANCE * (1.0 + abs(value) + np.abs(dlam) @ (1.0 + np.abs(values))))
+                return finish(violation <= QP_TOLERANCE * (1.0 + abs(value) + np.abs(dlam) @ (1.0 + np.abs(values[:k]))))
             t = max(bounds[event], 0.0)
             x -= (s * t) * z
-            lam += (s * t) * dlam
+            lam[:k] += (s * t) * dlam
             taken += t
             if event == 0:  # p holds: it joins the working set
-                k = len(entries)
-                grown = np.empty((k + 1, k + 1))
-                grown[:k, :k] = schur
-                grown[k, :k] = grown[:k, k] = cross
-                grown[k, k] = pivot
-                schur, cols = grown, np.column_stack([cols, col])
-                side, cap, values = np.append(side, s), np.append(cap, limit), np.append(values, value)
-                lam = np.append(lam, s * taken)
-                entries.append(e)
+                if k == entries.size:
+                    entries, table, cols = (np.concatenate([a, np.zeros_like(a)], axis=-1) for a in (entries, table, cols))
+                    side, cap, values, lam = table
+                    schur = np.pad(schur, (0, k))
+                schur[k, :k] = schur[:k, k] = cross
+                schur[k, k] = pivot
+                cols[:, k], entries[k], table[:, k] = col, e, (s, limit, value, s * taken)
+                k += 1
                 held[e + n] = held[e if e < n else e + n] = True
             elif event == 1:  # p's multiplier reached its weight: p ties, or goes free from the tied side
                 tied[e - n] = s > 0
             else:  # an entry's multiplier reached 0, or its weight: it leaves, free or tied
-                gone = entries.pop(drop)
+                gone = entries[drop]
                 held[gone + n] = held[gone if gone < n else gone + n] = False
-                keep = np.arange(len(side)) != drop
-                schur, cols = schur[np.ix_(keep, keep)], cols[:, keep]
                 if gone >= n and rate[drop] > 0:
                     tied[gone - n] = side[drop] > 0
-                side, cap, values, lam = side[keep], cap[keep], values[keep], lam[keep]
+                for a in (entries, table, cols):
+                    a[..., drop : k - 1] = a[..., drop + 1 : k]
+                schur[drop : k - 1, :k] = schur[drop + 1 : k, :k]
+                schur[: k - 1, drop : k - 1] = schur[: k - 1, drop + 1 : k]
+                k -= 1
                 continue
             break
 
@@ -532,10 +550,18 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     if x.shape != (n,):
         raise ConfigError(f"x0 must have shape ({n},), got {x.shape}")
 
-    a_eq = problem.a_eq if problem.a_eq is not None else np.zeros((0, n))
-    b_eq = problem.b_eq if problem.b_eq is not None else np.zeros(0)
-    lower = problem.lower if problem.lower is not None else np.full(n, -np.inf)
-    upper = problem.upper if problem.upper is not None else np.full(n, np.inf)
+    a_eq = np.asarray(problem.a_eq, dtype=float) if problem.a_eq is not None else np.zeros((0, n))
+    b_eq = np.asarray(problem.b_eq, dtype=float) if problem.b_eq is not None else np.zeros(0)
+    lower = np.asarray(problem.lower, dtype=float) if problem.lower is not None else np.full(n, -np.inf)
+    upper = np.asarray(problem.upper, dtype=float) if problem.upper is not None else np.full(n, np.inf)
+    if a_eq.ndim != 2 or a_eq.shape[1] != n:
+        raise ConfigError(f"a_eq must have shape (rows, {n}), got {a_eq.shape}")
+    if b_eq.shape != a_eq.shape[:1]:
+        got = "none" if problem.b_eq is None else b_eq.shape
+        raise ConfigError(f"b_eq must have shape ({a_eq.shape[0]},), one value per row of a_eq, got {got}")
+    for name, bound in (("lower", lower), ("upper", upper)):
+        if bound.shape != (n,):
+            raise ConfigError(f"{name} must have shape ({n},), got {bound.shape}")
 
     h, base = problem.objective.hessian_matrix, problem.base_inverse
     _check_hessian(h, n, values=base is None)
@@ -550,15 +576,17 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     qp_stats.kkt_fallbacks += base.pseudo
     if a_eq.shape[0]:
         x = project_to_affine(x, a_eq, b_eq, qp_stats, coordinates=base.coordinates)
-    x = np.clip(x, lower, upper)
+    x = np.minimum(np.maximum(x, lower), upper)
 
     def evaluate(point: np.ndarray):
         """Objective value, gradient, inequality rows."""
         f, g = problem.objective.value_and_grad(point)
         if problem.inequalities is not None:
             vals, jac = problem.inequalities(point)
-            vals = np.asarray(vals, dtype=float)
-            jac = np.asarray(jac, dtype=float).reshape(len(vals), n)
+            vals, jac = np.asarray(vals, dtype=float), np.asarray(jac, dtype=float)
+            if vals.ndim != 1 or jac.shape != (vals.shape[0], n):
+                raise EvaluatorError(f"inequality evaluator must return values (rows,) and a jacobian "
+                                     f"(rows, {n}), got {vals.shape} and {jac.shape}")
         else:
             vals, jac = np.zeros(0), np.zeros((0, n))
         if not np.isfinite(np.concatenate(([f], g, vals, jac.reshape(-1)))).all():  # the checks below name it
@@ -568,10 +596,10 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         return f, g, vals, jac
 
     def penalty(vals: np.ndarray) -> float:
-        return float(np.sum(np.maximum(vals, 0.0)))
+        return float(np.maximum(vals, 0.0).sum())
 
     def eq_violation(point: np.ndarray) -> float:
-        return float(np.max(np.abs(a_eq @ point - b_eq), initial=0.0)) if a_eq.shape[0] else 0.0
+        return float(np.abs(a_eq @ point - b_eq).max()) if a_eq.shape[0] else 0.0
 
     mu, delta = INITIAL_PENALTY, INITIAL_TRUST_RADIUS
 
@@ -590,7 +618,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
             h, gx - h @ x - PROX_REGULARIZATION * x, a_eq, b_eq, rows_jac, rows_jac @ x - rows_vals,
             lower=lo_eff, upper=hi_eff, penalty=np.full(len(rows_vals), mu), base_inverse=base, stats=qp_stats,
         )
-        x_new = np.clip(sol, lo_eff, hi_eff)
+        x_new = np.minimum(np.maximum(sol, lo_eff), hi_eff)
 
         dx = x_new - x
         model_obj = fx + gx @ dx + 0.5 * dx @ h @ dx
@@ -613,13 +641,13 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
                 delta = max(delta * TRUST_SHRINK, MIN_TRUST_RADIUS)
 
             if merit_new < merit:
-                stalled = float(np.max(np.abs(dx), initial=0.0)) <= opts.step_tolerance
+                stalled = float(np.abs(dx).max(initial=0.0)) <= opts.step_tolerance
                 x, merit = x_new, merit_new
                 fx, gx, rows_vals, rows_jac = trial
             elif delta <= MIN_TRUST_RADIUS * 1.01:
                 break
         if stalled:
-            if max(float(np.max(rows_vals, initial=0.0)), eq_violation(x)) <= opts.feasibility_tolerance:
+            if max(float(rows_vals.max(initial=0.0)), eq_violation(x)) <= opts.feasibility_tolerance:
                 converged = True
                 break
             if mu >= PENALTY_CAP:
@@ -634,7 +662,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         point=x,
         objective=fx,
         max_equality_violation=eq_violation(x),
-        max_inequality_violation=float(np.max(rows_vals, initial=0.0)),
+        max_inequality_violation=float(rows_vals.max(initial=0.0)),
         iterations=iterations,
         converged=converged,
         qp_steps=qp_stats.steps,
@@ -829,13 +857,40 @@ def _collision_rows(scenario: Scenario, layout: SegmentLayout) -> InequalityFn |
     columns = layout.state_dim * np.arange(layout.count)[:, None] + np.arange(layout.dim)
 
     def rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sd, grad = clearances(scenario, layout.positions(x), with_gradients=True, cutoff=activation)
-        waypoint, link, obstacle = np.nonzero(sd <= activation)
+        _, (waypoint, _, _), sd, grad = gathered_clearances(scenario, layout.positions(x), activation)
+        keep = sd <= activation
+        waypoint = waypoint[keep]
         jac = np.zeros((waypoint.size, layout.size))
-        jac[np.arange(waypoint.size)[:, None], columns[waypoint]] = -grad[waypoint, link, obstacle]
-        return margin - sd[waypoint, link, obstacle], jac
+        jac[np.arange(waypoint.size)[:, None], columns[waypoint]] = -grad[keep]
+        return margin - sd[keep], jac
 
     return rows
+
+
+class SolveRows:
+    """A segment's row evaluator for one solve: no point is evaluated twice.
+
+    Rows are kept per point, keyed by its bytes, with those handed to
+    ``carry`` (the previous solution's), so a solve that starts there,
+    unmoved by its projection and clip, does not evaluate its start again.
+    ``at`` gives a known point's (point, rows), for the segment to carry on.
+    """
+
+    def __init__(self, rows: InequalityFn) -> None:
+        self.rows, self.known = rows, {}
+
+    def carry(self, x: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> None:
+        self.known[x.tobytes()] = rows
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        key = x.tobytes()
+        found = self.known.get(key)
+        if found is None:
+            found = self.known[key] = self.rows(x)
+        return found
+
+    def at(self, x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        return x, self.known[x.tobytes()]
 
 
 def convexify_segment(
@@ -855,7 +910,8 @@ def convexify_segment(
     monolithic problem.  The segment's Hessian, equalities, bounds, row
     evaluator and base KKT inverse depend only on its shape; a ``factors``
     cache built for this scenario keeps them, so later calls build only the
-    consensus term.  ``deadline`` goes to ``solve``.
+    consensus term.  ``deadline`` goes to ``solve``.  The problem's rows are
+    a fresh ``SolveRows`` over the cached evaluator.
     """
     layout = segment_layout(scenario, first_index, last_index)
     g, c = _consensus_linear(layout, couplings, rho)
@@ -878,7 +934,7 @@ def convexify_segment(
         objective=QuadraticFunction(hessian_matrix=hessian, linear=g, constant=c),
         a_eq=a_eq,
         b_eq=b_eq,
-        inequalities=rows,
+        inequalities=None if rows is None else SolveRows(rows),
         lower=lower,
         upper=upper,
         x0=np.array(x0, dtype=float),

@@ -24,6 +24,7 @@ from trajsplit.admm import (
     split_uniform,
     splitting_residual,
 )
+from trajsplit.cli import bundled_scenario_dir
 from trajsplit.errors import ConfigError
 from trajsplit.model import PlanarArm, Point2D, RobotState, Scenario
 from trajsplit.nlp import (
@@ -33,6 +34,7 @@ from trajsplit.nlp import (
     segment_layout,
     solve,
 )
+from trajsplit.scenario_io import load_scenario
 
 from conftest import cold_circle, stretched
 
@@ -263,6 +265,43 @@ class TestPrimalUpdate:
         for seg, old in zip(segments, before):
             assert seg.last_solution is not None
             assert not np.array_equal(seg.x, old)
+
+    @staticmethod
+    def spy_on_rows(monkeypatch) -> list:
+        """Every configuration stack the solver's row evaluator is called with."""
+        evaluated = []
+        real = nlp.gathered_clearances
+
+        def spy(scenario, configs, cutoff=None):
+            evaluated.append(np.array(configs))
+            return real(scenario, configs, cutoff)
+
+        monkeypatch.setattr(nlp, "gathered_clearances", spy)
+        return evaluated
+
+    def test_no_segment_evaluates_a_point_twice(self, monkeypatch):
+        # a segment's second solve starts at its first one's solution, whose rows it carries
+        scenario = load_scenario(bundled_scenario_dir() / "arm_suite" / "prob_00.yaml")
+        evaluated = self.spy_on_rows(monkeypatch)
+        report = run(scenario, SplitConfig(num_splits=1))
+        assert report.iterations == 2
+        keys = [(q.shape, q.tobytes()) for q in evaluated]
+        assert keys and len(set(keys)) == len(keys)
+
+    def test_start_moved_by_the_projection_is_evaluated_afresh(self, monkeypatch):
+        scenario = load_scenario(bundled_scenario_dir() / "arm_suite" / "prob_00.yaml")
+        layout = segment_layout(scenario, 0, 9)
+        x0 = initial_point(scenario)[: layout.size]
+        x0[layout.position_slice(0)] += 0.3  # off the start pin
+        fresh = solve(convexify_segment(scenario, 0, 9, x0))
+        evaluated = self.spy_on_rows(monkeypatch)
+        problem = convexify_segment(scenario, 0, 9, x0)
+        # rows carried at x0 would read as one violated row; the solve must never see them
+        problem.inequalities.carry(x0, (np.array([5.0]), np.zeros((1, layout.size))))
+        carried = solve(problem)
+        np.testing.assert_array_equal(evaluated[0][0], scenario.start.position)
+        assert carried.point.tobytes() == fresh.point.tobytes()
+        assert carried.converged and carried.iterations == fresh.iterations
 
 
 class TestScalarToyRecursion:

@@ -19,6 +19,7 @@ from trajsplit.collision import (  # noqa: E402
     activation_distance,
     clearance_bounds,
     clearances,
+    gathered_clearances,
     link_count,
     pair_distance,
 )
@@ -255,6 +256,40 @@ def test_broad_phase_bounds_and_cutoff(world, data):
     # a pair left to its bound has no gradient
     assert np.all(gradients[values != exact] == 0.0)
     assert clearances(scenario, configs, cutoff=cutoff).tobytes() == values.tobytes()
+
+
+@given(worlds(), st.floats(0.0, 0.3), st.booleans(), st.one_of(st.none(), st.floats(-0.5, 1.0)))
+def test_gathered_rows_equal_dense_clearances(world, margin, dynamics, cutoff):
+    scenario, configs = world
+    count = len(configs)
+    scenario = replace(scenario, safety_margin=margin, dynamics_enabled=dynamics, num_waypoints=max(count, 2))
+    activation = activation_distance(margin)
+    layout = segment_layout(scenario, 0, count - 1)
+    x = layout.pack(configs, np.ones_like(configs))
+    rows, jac = convexify_segment(scenario, 0, count - 1, x).inequalities(x)
+    # the solver's rows are margin - sd of exactly the pairs within the
+    # activation distance, in (waypoint, link, obstacle) order, each gradient
+    # at its waypoint's position block
+    exact, exact_gradients = clearances(scenario, configs, with_gradients=True)
+    waypoint, link, obstacle = np.nonzero(exact <= activation)
+    assert rows.tobytes() == (margin - exact[waypoint, link, obstacle]).tobytes()
+    want = np.zeros((waypoint.size, layout.size))
+    for r, (k, j, o) in enumerate(zip(waypoint, link, obstacle)):
+        want[r, layout.position_slice(k)] = -exact_gradients[k, j, o]
+    assert jac.tobytes() == want.tobytes()
+
+    # the gathered pairs at any cutoff are the dense ones; the rest read their bound and no gradient
+    for limit in (activation, cutoff):
+        bounds, index, value, gradient = gathered_clearances(scenario, configs, limit)
+        values, gradients = clearances(scenario, configs, with_gradients=True, cutoff=limit)
+        assert value.tobytes() == values[index].tobytes() == exact[index].tobytes()
+        assert gradient.tobytes() == gradients[index].tobytes() == exact_gradients[index].tobytes()
+        beyond = np.ones(values.shape, dtype=bool)
+        beyond[index] = False
+        assert values[beyond].tobytes() == bounds[beyond].tobytes()
+        assert not gradients[beyond].any()
+        if limit is not None:
+            assert np.all(bounds[beyond] > limit)
 
 
 def test_broad_phase_worlds_draw_overlaps():

@@ -279,6 +279,22 @@ class TestSolve:
         with pytest.raises(EvaluatorError):
             solve(problem)
 
+    @pytest.mark.parametrize("fields, error, match", [
+        (dict(a_eq=np.ones((1, 3)), b_eq=np.zeros(1)), ConfigError, "a_eq"),
+        (dict(a_eq=np.ones((1, 2)), b_eq=np.zeros(2)), ConfigError, "b_eq"),
+        (dict(a_eq=np.ones((1, 2))), ConfigError, "b_eq"),
+        (dict(lower=np.zeros(3)), ConfigError, "lower"),
+        (dict(upper=np.zeros((2, 1))), ConfigError, "upper"),
+        (dict(inequalities=lambda x: (np.zeros((1, 1)), np.zeros((1, 2)))), EvaluatorError, "values"),
+        (dict(inequalities=lambda x: (np.zeros(1), np.zeros((1, 3)))), EvaluatorError, "jacobian"),
+        (dict(inequalities=lambda x: (np.zeros(1), np.zeros(2))), EvaluatorError, "jacobian"),
+    ])
+    def test_malformed_problem_raises_a_named_error(self, fields, error, match):
+        # each would otherwise surface as numpy's own ValueError from deep in the loop
+        obj = QuadraticFunction(hessian_matrix=np.eye(2), linear=np.zeros(2))
+        with pytest.raises(error, match=match):
+            solve(NlpProblem(dim=2, objective=obj, x0=np.zeros(2), **fields))
+
     def test_bad_options_rejected(self):
         with pytest.raises(ConfigError):
             SolverOptions(max_outer_iterations=0)

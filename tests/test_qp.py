@@ -20,9 +20,9 @@ KKT_TOL = 1e-8
 def convex_qps(draw):
     """A strictly convex QP and a point that meets its hard rows, bounds and equalities."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
     n_eq = draw(st.integers(0, n - 1))
-    n_rows = draw(st.integers(0, 6))
+    n_rows = draw(st.integers(0, 12))
     n_duplicates = draw(st.integers(0, 2)) if n_rows else 0
     n_combined = draw(st.integers(0, 2)) if n_rows >= 2 else 0
     n_elastic = draw(st.integers(0, 3))
@@ -89,6 +89,29 @@ def test_solution_satisfies_kkt(qp):
                      lower=lower, upper=upper, penalty=penalty, stats=stats)
     assert ok
     assert (stats.nonoptimal, stats.kkt_fallbacks) == (0, 0)
+    h, g, e, a, b, lo, hi, z = slack_form(hessian, gradient, a_eq, a_in, b_in, lower, upper, penalty, x)
+    stationarity, feasibility = qp_kkt_residuals(h, g, e, b_eq, a, b, lo, hi, z)
+    assert feasibility <= KKT_TOL
+    assert stationarity <= KKT_TOL
+
+
+def test_working_set_outgrows_its_buffers_and_loses_entries():
+    # minimize |x - c|^2 / 2 with c_i from 5.5 to 15, so every upper bound x_i <= 1
+    # is violated first: all 20 join, past the 8 and 16 entries the buffers
+    # first hold; a hard row 0.01 sum(x) <= 0.15 then pushes coordinates back
+    # off their bounds, which leave, and four light elastic rows x_i <= 0.5 tie
+    n, soft = 20, [2, 7, 11, 19]
+    hessian, gradient = np.eye(n), -(5.0 + 10.0 * np.arange(1, n + 1) / n)
+    a_in = np.vstack([np.full((1, n), 0.01), np.eye(n)[soft]])
+    b_in = np.concatenate([[0.15], np.full(len(soft), 0.5)])
+    penalty = np.concatenate([[np.inf], np.full(len(soft), 0.3)])
+    lower, upper, a_eq, b_eq = np.full(n, -np.inf), np.ones(n), np.zeros((0, n)), np.zeros(0)
+    stats = QpStats()
+    x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in,
+                     lower=lower, upper=upper, penalty=penalty, stats=stats)
+    assert ok
+    assert (stats.nonoptimal, stats.kkt_fallbacks) == (0, 0)
+    assert stats.steps > n and np.count_nonzero(x < 1.0) >= 3
     h, g, e, a, b, lo, hi, z = slack_form(hessian, gradient, a_eq, a_in, b_in, lower, upper, penalty, x)
     stationarity, feasibility = qp_kkt_residuals(h, g, e, b_eq, a, b, lo, hi, z)
     assert feasibility <= KKT_TOL
