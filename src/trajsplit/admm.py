@@ -7,9 +7,9 @@ the split copies into the consensus targets, and pushes the duals by rho
 times the remaining disagreement.  The loop stops when the mean position
 disagreement across splits drops below the splitting tolerance.  Rounds
 change only the consensus linear terms and warm starts: a run's
-``FactorCache`` builds each segment's Hessian, equalities, bounds, rows and
-base KKT inverse (one per-coordinate block) once per segment shape (waypoint
-count, pinned start, pinned goal, coupled waypoints, rho).
+``FactorCache`` builds each segment's Hessian, equalities (both one
+coordinate's blocks), bounds, rows and base KKT inverse once per segment
+shape (waypoint count, pinned start, pinned goal, coupled waypoints, rho).
 
 The gain of splitting is that each segment's cost grows with its own
 waypoints, not the whole trajectory's.  The segments of a round are

@@ -10,12 +10,13 @@ objective is quadratic and the equalities affine, so the KKT matrix of the
 Hessian and the equalities is fixed: a solve factors it once, and a run
 factors it once per segment shape (a ``FactorCache`` keeps it), since only
 the consensus linear term changes between rounds.  A segment's cost,
-dynamics and pins act on each coordinate alone and alike, so that matrix is
-one equal block per coordinate and only one block is inverted; with dynamics
-each velocity and its Euler row are an exact 2x2 pivot, eliminated in closed
-form, so only positions, pins and unpaired rows are factored.  Collision rows,
-the only ones that mix coordinates, enter through the QP's Schur complement,
-whose working set is a count over preallocated buffers that double when full.
+dynamics and pins act on each coordinate alone and alike: H = kron(B, I_d)
+and A_eq = kron(A_1, I_d) are held as B and A_1, and only their KKT matrix
+is inverted.  With dynamics each velocity and its Euler row are an exact
+2x2 pivot, eliminated in closed form, so only positions, pins and unpaired
+rows are factored.  Collision rows, the only ones that mix coordinates,
+enter through the QP's Schur complement, whose working set is a count over
+preallocated buffers that double when full.
 Trust region and joint limits are bounds, held while active; linearized rows
 are elastic: a row's multiplier is capped at its penalty weight, and a row at
 the cap is tied (its weight moves into the gradient), so no slack is a variable.
@@ -62,11 +63,11 @@ class QpStats:
 
 
 class KktInverse:
-    """Inverse of a base KKT matrix [[H, A'], [A, 0]] held as equal diagonal blocks.
+    """Inverse of a base KKT matrix [[H, A'], [A, 0]], H = kron(B, I_d) and A = kron(A_1, I_d).
 
-    KKT index t, a variable or an equality row, lies in block t mod
-    ``coordinates`` at position t // ``coordinates``; every block's inverse
-    is ``block``, and the entries between blocks are zero.  ``block`` is
+    ``block`` inverts [[B, A_1'], [A_1, 0]]: KKT index t, a variable or an
+    equality row, lies in coordinate t mod d at position t // d, d =
+    ``coordinates``, and entries between coordinates are zero.  ``block`` is
     symmetric, so a row of the inverse is also its column.  ``pseudo`` is
     True when the matrix was singular and ``block`` is a pseudo-inverse.
     """
@@ -76,7 +77,7 @@ class KktInverse:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """K^-1 rhs: one product of the block with a column per coordinate."""
-        return (self.block @ rhs.reshape(-1, self.coordinates)).reshape(-1)
+        return _per_coordinate(self.block, rhs)
 
     def rows(self, idx) -> np.ndarray:
         """K^-1[idx] for an index or an index array."""
@@ -90,20 +91,9 @@ class KktInverse:
         return self.block[i // self.coordinates, i // self.coordinates]
 
 
-def _coordinate_blocks(d: int, *matrices: np.ndarray) -> list[np.ndarray] | None:
-    """Block 0 of each matrix if every one is d equal blocks, row and column t
-    in block t mod d, with zeros between them; else None."""
-    blocks = []
-    for matrix in matrices:
-        rows, cols = matrix.shape
-        if rows % d or cols % d:
-            return None
-        grid = matrix.reshape(rows // d, d, cols // d, d)  # [row // d, row % d, col // d, col % d]
-        if any(grid[:, i, :, k].any() if i != k else not np.array_equal(grid[:, i, :, i], grid[:, 0, :, 0])
-               for i in range(d) for k in range(d)):
-            return None
-        blocks.append(grid[:, 0, :, 0])
-    return blocks
+def _per_coordinate(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """kron(matrix, I_d) x: ``matrix`` times each coordinate's column of x.reshape(columns, d)."""
+    return (matrix @ x.reshape(matrix.shape[1], -1)).reshape(-1)
 
 
 # a block with fewer exact 2x2 pivots is inverted whole, which is faster there (BENCH_22.json)
@@ -156,35 +146,31 @@ def kkt_inverse(hessian: np.ndarray, a_eq: np.ndarray, coordinates: int = 1, shi
     Every active-set step of ``solve_qp`` reuses it: the dual method's start,
     the optimum of the base problem, is one product with it, and a
     constraint c entering the working set needs only the column K^-1 [c; 0]
-    (for a bound, a column of the inverse itself).  ``coordinates`` claims
-    that the matrix splits into that many equal blocks, index t in block
-    t mod ``coordinates``, as a segment's waypoint-major packing does; the
-    claim is checked exactly, and a matrix it does not hold for is inverted
-    as one block.  A block with ``MIN_PIVOTS`` or more exact 2x2 pivots (with
-    dynamics, each velocity and its Euler step or the goal's velocity pin) is
-    condensed, and only the Schur complement over the rest is factored.  A
-    singular matrix is answered by the whole block's pseudo-inverse, marked
-    ``pseudo``.
+    (for a bound, a column of the inverse itself).  ``hessian`` and ``a_eq``
+    are the one-coordinate blocks B and A_1 of H = kron(B, I_d) and
+    A = kron(A_1, I_d); ``coordinates`` is d and only labels the result.  A
+    block with ``MIN_PIVOTS`` or more exact 2x2 pivots (with dynamics, each
+    velocity and its Euler step or the goal's velocity pin) is condensed, and
+    only the Schur complement over the rest is factored.  A singular matrix
+    is answered by the whole block's pseudo-inverse, marked ``pseudo``.
     """
-    block = _coordinate_blocks(coordinates, hessian, a_eq) if coordinates > 1 else None
-    h, a = (hessian, a_eq) if block is None else block
-    n, m = h.shape[0], a.shape[0]
+    n, m = hessian.shape[0], a_eq.shape[0]
     kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = h
-    kkt[:n, n:] = a.T
-    kkt[n:, :n] = a
+    kkt[:n, :n] = hessian
+    kkt[:n, n:] = a_eq.T
+    kkt[n:, :n] = a_eq
     kkt.reshape(-1)[: n * (n + m) : n + m + 1] += shift  # the diagonal of H
     j, r = _pivots(kkt, n) if m >= MIN_PIVOTS else (np.zeros(0, dtype=int),) * 2
     try:
         if j.size >= MIN_PIVOTS:
-            return KktInverse(_condensed_inverse(kkt, n, j, r), 1 if block is None else coordinates, False)
+            return KktInverse(_condensed_inverse(kkt, n, j, r), coordinates, False)
         inverse, pseudo = np.linalg.inv(kkt), False
     except np.linalg.LinAlgError:
         inverse, pseudo = np.linalg.pinv(kkt), True
     # symmetrized, so that row i is column i; kkt's buffer takes the result
     np.add(inverse, inverse.T, out=kkt)
     kkt *= 0.5
-    return KktInverse(kkt, 1 if block is None else coordinates, pseudo)
+    return KktInverse(kkt, coordinates, pseudo)
 
 
 class FactorCache:
@@ -194,7 +180,7 @@ class FactorCache:
     goal, coupled waypoints, rho) to its read-only Hessian, equalities,
     bounds, row evaluator and base ``KktInverse`` (see ``convexify_segment``):
     a segment's KKT matrix depends on nothing else, so each shape is
-    factored once per run, as one per-coordinate block.
+    factored once per run, from one coordinate's blocks.
     """
 
     def __init__(self, scenario: Scenario | None = None) -> None:
@@ -230,7 +216,8 @@ def solve_qp(
 
     Dual active set (Goldfarb & Idnani, 1983) over one inverted base KKT
     matrix [[H, A_eq'], [A_eq, 0]] (``base_inverse`` from ``kkt_inverse``, or
-    built here from ``hessian``, which is read for nothing else).  It starts
+    built here from ``hessian``, which is read for nothing else; ``hessian``
+    and ``a_eq`` are blocks as there, for d = n // len(hessian)).  It starts
     at the base problem's optimum K^-1 [-g; b_eq] with an empty working set,
     whose entries are bounds held at their value and rows held tight.  Each
     step takes the most violated constraint (a bound, a free row, or a tied
@@ -257,7 +244,7 @@ def solve_qp(
     n, m = gradient.shape[0], a_in.shape[0]
     lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    kinv = kkt_inverse(hessian, a_eq) if base_inverse is None else base_inverse
+    kinv = kkt_inverse(hessian, a_eq, n // hessian.shape[0]) if base_inverse is None else base_inverse
     stats = QpStats() if stats is None else stats
     if base_inverse is None:
         stats.kkt_fallbacks += kinv.pseudo
@@ -289,7 +276,7 @@ def solve_qp(
     # stays in [0, cap]), columns K^-1 [c; 0] and Schur matrix
     k, entries, table = 0, np.zeros(8, dtype=int), np.zeros((4, 8))
     side, cap, values, lam = table
-    cols, schur = np.zeros((n + a_eq.shape[0], 8)), np.zeros((8, 8))
+    cols, schur = np.zeros((n + len(b_eq), 8)), np.zeros((8, 8))
     held = np.zeros(2 * n + m, dtype=bool)  # upper bounds, lower bounds and rows in the working set
     tied = np.zeros(m, dtype=bool)  # the row's weight is in the gradient
 
@@ -388,17 +375,18 @@ def solve_qp(
 
 @dataclass(frozen=True)
 class QuadraticFunction:
-    """f(x) = 1/2 x'Hx + g'x + c with exact derivatives."""
+    """f(x) = 1/2 x'Hx + g'x + c with exact derivatives; H = kron(``hessian_matrix``, I_d),
+    d = x.size // len(``hessian_matrix``), so a general Hessian is d = 1."""
 
     hessian_matrix: np.ndarray = field(repr=False)
     linear: np.ndarray = field(repr=False)
     constant: float = 0.0
 
     def value(self, x: np.ndarray) -> float:
-        return float(0.5 * x @ self.hessian_matrix @ x + self.linear @ x + self.constant)
+        return self.value_and_grad(x)[0]
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        hx = self.hessian_matrix @ x
+        hx = _per_coordinate(self.hessian_matrix, x)
         return float(0.5 * x @ hx + self.linear @ x + self.constant), hx + self.linear
 
 
@@ -415,12 +403,13 @@ class NlpProblem:
     its rows serve both the convex model and the merit and feasibility
     accounting.  It may return a different number of rows each time: rows
     may omit constraints that are satisfied at x (e.g. collision pairs far
-    from contact), never violated ones.  ``base_inverse``, when given, must
-    be ``kkt_inverse`` of the objective's Hessian and ``a_eq`` with shift
-    ``PROX_REGULARIZATION``, that Hessian already checked (``convexify_segment``
-    checks it once per cache entry); without it ``solve`` checks the Hessian
-    and factors that matrix as one block.  ``deadline`` is a
-    ``time.perf_counter`` value.
+    from contact), never violated ones.  With a (k, k) Hessian, ``a_eq`` is
+    (rows, k), A_eq = kron(a_eq, I_d), and ``b_eq`` holds rows * d values,
+    row-major.  ``base_inverse``, when given, must be ``kkt_inverse`` of the
+    Hessian and ``a_eq`` with shift ``PROX_REGULARIZATION``, that Hessian
+    already checked (``convexify_segment`` checks it once per cache entry);
+    without it ``solve`` checks the Hessian and factors the KKT matrix.
+    ``deadline`` is a ``time.perf_counter`` value.
     """
 
     dim: int
@@ -499,38 +488,35 @@ def _check_finite(value, what: str) -> None:
 
 
 def _check_hessian(h: np.ndarray, n: int, values: bool = True) -> None:
-    """Raise unless H is an (n, n) matrix and, with ``values``, finite and symmetric."""
+    """Raise unless H is a (k, k) matrix, k dividing n, and, with ``values``, finite and symmetric."""
     if values:
         _check_finite(h, "objective hessian")
+    k = h.shape[0] if h.ndim else 0
     t = 256  # symmetry by tiles, each read transposed while in cache: 5x faster than h == h.T at n = 2560
-    if h.shape != (n, n) or (values and not all(np.array_equal(h[i : i + t, k : k + t], h[k : k + t, i : i + t].T)
-                                                for i in range(0, n, t) for k in range(i, n, t))):
-        raise ConfigError(f"objective hessian must be a symmetric ({n}, {n}) matrix")
+    if h.shape != (k, k) or not k or n % k or (
+            values and not all(np.array_equal(h[i : i + t, j : j + t], h[j : j + t, i : i + t].T)
+                               for i in range(0, k, t) for j in range(i, k, t))):
+        raise ConfigError(f"objective hessian must be a symmetric ({n}, {n}) matrix, or (k, k) with k dividing {n}")
 
 
-def project_to_affine(
-    x: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, stats: QpStats | None = None, *, coordinates: int = 1
-) -> np.ndarray:
-    """Least-norm correction onto the affine set A x = b.
+def project_to_affine(x: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, stats: QpStats | None = None) -> np.ndarray:
+    """Least-norm correction onto the affine set kron(A, I_d) x = b, d = x.size // A's columns.
 
-    ``coordinates`` claims that A splits into that many equal blocks, as in
-    ``kkt_inverse`` (checked exactly); the Gram matrix of one block is then
-    solved with one right-hand side per coordinate.  Redundant rows make the
-    Gram matrix singular; the correction is then taken by least squares and
-    counted in ``stats.kkt_fallbacks``.
+    The Gram matrix of A is solved with one right-hand side per coordinate.
+    Redundant rows make it singular; the correction is then taken by least
+    squares and counted in ``stats.kkt_fallbacks``.
     """
-    r = b_eq - a_eq @ x
+    r = b_eq - _per_coordinate(a_eq, x)
     if float(np.max(np.abs(r), initial=0.0)) <= 1e-12:
         return x
-    block = _coordinate_blocks(coordinates, a_eq) if coordinates > 1 else None
-    a, d = (a_eq, 1) if block is None else (block[0], coordinates)
+    r = r.reshape(a_eq.shape[0], -1)
     try:
-        w = np.linalg.solve(a @ a.T, r.reshape(-1, d))
+        w = np.linalg.solve(a_eq @ a_eq.T, r)
     except np.linalg.LinAlgError:
         if stats is not None:
             stats.kkt_fallbacks += 1
-        return x + np.linalg.lstsq(a_eq, r, rcond=None)[0]
-    return x + (a.T @ w).reshape(-1)
+        return x + np.linalg.lstsq(a_eq, r, rcond=None)[0].reshape(-1)
+    return x + (a_eq.T @ w).reshape(-1)
 
 
 def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolution:
@@ -541,7 +527,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     Never raises on non-convergence: the iteration limit, or the problem's
     ``deadline`` reached first, returns the iterate reached with
     ``converged=False``.  A non-finite objective array or evaluator output
-    raises ``EvaluatorError``, an asymmetric Hessian ``ConfigError``; the
+    raises ``EvaluatorError``; an asymmetric Hessian, an array of the wrong
+    shape, or bounds that are NaN or cross raise ``ConfigError``.  The
     Hessian is checked once, and only when no ``base_inverse`` is handed in.
     """
     opts = options or SolverOptions()
@@ -550,32 +537,34 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     if x.shape != (n,):
         raise ConfigError(f"x0 must have shape ({n},), got {x.shape}")
 
-    a_eq = np.asarray(problem.a_eq, dtype=float) if problem.a_eq is not None else np.zeros((0, n))
+    h, base = problem.objective.hessian_matrix, problem.base_inverse
+    _check_hessian(h, n, values=base is None)
+    k, d = h.shape[0], n // h.shape[0]  # the Hessian acts on each of d coordinates alike
+    a_eq = np.asarray(problem.a_eq, dtype=float) if problem.a_eq is not None else np.zeros((0, k))
     b_eq = np.asarray(problem.b_eq, dtype=float) if problem.b_eq is not None else np.zeros(0)
     lower = np.asarray(problem.lower, dtype=float) if problem.lower is not None else np.full(n, -np.inf)
     upper = np.asarray(problem.upper, dtype=float) if problem.upper is not None else np.full(n, np.inf)
-    if a_eq.ndim != 2 or a_eq.shape[1] != n:
-        raise ConfigError(f"a_eq must have shape (rows, {n}), got {a_eq.shape}")
-    if b_eq.shape != a_eq.shape[:1]:
+    if a_eq.ndim != 2 or a_eq.shape[1] != k:
+        raise ConfigError(f"a_eq must have shape (rows, {k}), got {a_eq.shape}")
+    if b_eq.shape != (a_eq.shape[0] * d,):
         got = "none" if problem.b_eq is None else b_eq.shape
-        raise ConfigError(f"b_eq must have shape ({a_eq.shape[0]},), one value per row of a_eq, got {got}")
-    for name, bound in (("lower", lower), ("upper", upper)):
-        if bound.shape != (n,):
-            raise ConfigError(f"{name} must have shape ({n},), got {bound.shape}")
-
-    h, base = problem.objective.hessian_matrix, problem.base_inverse
-    _check_hessian(h, n, values=base is None)
+        raise ConfigError(f"b_eq must have shape ({a_eq.shape[0] * d},), one value per row and coordinate, got {got}")
+    for name, array in (("linear", problem.objective.linear), ("lower", lower), ("upper", upper)):
+        if np.shape(array) != (n,):
+            raise ConfigError(f"{name} must have shape ({n},), got {np.shape(array)}")
+    if not (lower <= upper).all():
+        raise ConfigError("lower must not exceed upper, and neither bound may be NaN")
     _check_finite(problem.objective.linear, "objective linear term")
 
     qp_stats = QpStats()
     # kkt_inverse of H + prox I and A_eq, the base of every QP of this solve
     if base is None:
-        base = kkt_inverse(h, a_eq, shift=PROX_REGULARIZATION)
-    elif base.block.shape[0] * base.coordinates != n + a_eq.shape[0]:
-        raise ConfigError(f"base_inverse must be of a KKT matrix of size {n + a_eq.shape[0]}")
+        base = kkt_inverse(h, a_eq, d, PROX_REGULARIZATION)
+    elif base.block.shape[0] != k + a_eq.shape[0] or base.coordinates != d:
+        raise ConfigError(f"base_inverse must be of a KKT matrix of size {n + b_eq.size}")
     qp_stats.kkt_fallbacks += base.pseudo
     if a_eq.shape[0]:
-        x = project_to_affine(x, a_eq, b_eq, qp_stats, coordinates=base.coordinates)
+        x = project_to_affine(x, a_eq, b_eq, qp_stats)
     x = np.minimum(np.maximum(x, lower), upper)
 
     def evaluate(point: np.ndarray):
@@ -599,7 +588,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         return float(np.maximum(vals, 0.0).sum())
 
     def eq_violation(point: np.ndarray) -> float:
-        return float(np.abs(a_eq @ point - b_eq).max()) if a_eq.shape[0] else 0.0
+        return float(np.abs(_per_coordinate(a_eq, point) - b_eq).max()) if a_eq.shape[0] else 0.0
 
     mu, delta = INITIAL_PENALTY, INITIAL_TRUST_RADIUS
 
@@ -615,13 +604,13 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         lo_eff = np.maximum(lower, x - delta)
         hi_eff = np.minimum(upper, x + delta)
         sol, _ = solve_qp(
-            h, gx - h @ x - PROX_REGULARIZATION * x, a_eq, b_eq, rows_jac, rows_jac @ x - rows_vals,
+            h, gx - _per_coordinate(h, x) - PROX_REGULARIZATION * x, a_eq, b_eq, rows_jac, rows_jac @ x - rows_vals,
             lower=lo_eff, upper=hi_eff, penalty=np.full(len(rows_vals), mu), base_inverse=base, stats=qp_stats,
         )
         x_new = np.minimum(np.maximum(sol, lo_eff), hi_eff)
 
         dx = x_new - x
-        model_obj = fx + gx @ dx + 0.5 * dx @ h @ dx
+        model_obj = fx + gx @ dx + 0.5 * dx @ _per_coordinate(h, dx)
         lin_vals = rows_vals + rows_jac @ dx
         model_merit = model_obj + mu * penalty(lin_vals)
         predicted = merit - model_merit
@@ -776,27 +765,27 @@ def build_segment_objective(
     split waypoints (the coupled ones) carry half weight since both segments
     sharing the split account for that waypoint.  In path-only mode the cost
     is the squared finite-difference velocity of each edge; edges are owned
-    by exactly one segment so no halving is needed.
+    by exactly one segment so no halving is needed.  The Hessian is one
+    coordinate's block: p_k at s k and v_k at s k + 1, s = state_dim // dim.
     """
     layout = segment_layout(scenario, first_index, last_index)
-    n, d, count = layout.size, layout.dim, layout.count
+    count, s = layout.count, layout.state_dim // layout.dim
     g, c = _consensus_linear(layout, couplings, rho)
-    h = np.zeros((n, n))
+    h = np.zeros((count * s, count * s))
     if layout.dynamics:
         weight = np.ones(count)
         weight[[cp.waypoint for cp in couplings]] = 0.5
-        velocity = layout.state_dim * np.arange(count)[:, None] + d + np.arange(d)
-        h[velocity, velocity] = 2.0 * weight[:, None]
+        velocity = s * np.arange(count) + 1
+        h[velocity, velocity] = 2.0 * weight
     else:
-        # squared edge differences: a path-graph Laplacian on each coordinate
+        # squared edge differences: a path-graph Laplacian
         scale = 2.0 / (layout.dt * layout.dt)
-        degree = (np.arange(count) > 0).astype(float) + (np.arange(count) < count - 1)
-        np.fill_diagonal(h, scale * np.repeat(degree, d))
-        edge = np.arange(n - d)
-        h[edge, edge + d] = h[edge + d, edge] = -scale
+        np.fill_diagonal(h, scale * ((np.arange(count) > 0).astype(float) + (np.arange(count) < count - 1)))
+        edge = np.arange(count - 1)
+        h[edge, edge + 1] = h[edge + 1, edge] = -scale
     for cp in couplings:
-        diagonal = np.arange(n)[layout.state_slice(cp.waypoint)]
-        h[diagonal, diagonal] += rho
+        state = s * cp.waypoint + np.arange(s)
+        h[state, state] += rho
     return QuadraticFunction(hessian_matrix=h, linear=g, constant=c)
 
 
@@ -807,25 +796,25 @@ def segment_equalities(
 
     The global start pins position (and velocity, with dynamics) of the first
     waypoint; the global goal pins the last.  Split-point waypoints are never
-    pinned, consensus terms steer them instead.
+    pinned, consensus terms steer them instead.  ``a_eq`` is one coordinate's
+    block, on the Hessian's columns; the values are per row and coordinate.
     """
     layout = segment_layout(scenario, first_index, last_index)
-    n, d, sd = layout.size, layout.dim, layout.state_dim
-    # q_{k+1} - q_k - dt v_k = 0 per waypoint pair and coordinate; q holds the q_k columns
-    edges = layout.count - 1 if layout.dynamics else 0
-    q = (sd * np.arange(edges)[:, None] + np.arange(d)).reshape(-1)
+    count, sd, s = layout.count, layout.state_dim, layout.state_dim // layout.dim
+    # q_{k+1} - q_k - dt v_k = 0 per waypoint pair; q holds the q_k columns
+    q = s * np.arange(count - 1 if layout.dynamics else 0)
     pins = [(0, scenario.start)] if first_index == 0 else []
     if last_index == scenario.num_waypoints - 1:
-        pins.append((layout.count - 1, scenario.goal))
-    pinned = (sd * np.array([k for k, _ in pins], dtype=int)[:, None] + np.arange(sd)).reshape(-1)
+        pins.append((count - 1, scenario.goal))
+    pinned = (s * np.array([k for k, _ in pins], dtype=int)[:, None] + np.arange(s)).reshape(-1)
     rows = np.arange(q.size)
-    a_eq = np.zeros((q.size + pinned.size, n))
-    a_eq[rows, q + sd] = 1.0
+    a_eq = np.zeros((q.size + pinned.size, count * s))
+    a_eq[rows, q + s] = 1.0
     a_eq[rows, q] = -1.0
-    a_eq[rows, q + d] = -layout.dt
+    a_eq[rows, q + 1] = -layout.dt
     a_eq[q.size + np.arange(pinned.size), pinned] = 1.0
     values = [np.concatenate([state.position, state.velocity])[:sd] for _, state in pins]
-    return a_eq, np.concatenate([np.zeros(q.size), *values])
+    return a_eq, np.concatenate([np.zeros(q.size * layout.dim), *values])
 
 
 def segment_bounds(scenario: Scenario, layout: SegmentLayout) -> tuple[np.ndarray | None, np.ndarray | None]:

@@ -143,6 +143,14 @@ def fd_jacobian(func, x, step=1e-6):
     return jac
 
 
+# --- segment matrices, expanded ---------------------------------------------------
+
+
+def dense(block, d):
+    """The d-coordinate matrix of a one-coordinate block: kron(block, I_d), index t in coordinate t mod d."""
+    return np.kron(block, np.eye(d))
+
+
 # --- brute-force QP oracle ------------------------------------------------------
 #
 # Minimize 1/2 x'Hx + g'x s.t. A_eq x = b_eq, A_in x <= b_in by enumerating

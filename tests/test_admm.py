@@ -36,7 +36,7 @@ from trajsplit.nlp import (
 )
 from trajsplit.scenario_io import load_scenario
 
-from conftest import cold_circle, stretched
+from conftest import cold_circle, dense, stretched
 
 
 def corridor(n=10, dt=0.25, margin=0.05):
@@ -378,9 +378,10 @@ class TestRun:
         projected = []
         real = nlp.project_to_affine
 
-        def recording(x, a_eq, b_eq, stats=None, **kwargs):
-            point = real(x, a_eq, b_eq, stats, **kwargs)
-            projected.append((a_eq.shape[0], float(np.max(np.abs(a_eq @ point - b_eq)))))
+        def recording(x, a_eq, b_eq, stats=None):
+            point = real(x, a_eq, b_eq, stats)
+            d = x.size // a_eq.shape[1]
+            projected.append((a_eq.shape[0] * d, float(np.max(np.abs(dense(a_eq, d) @ point - b_eq)))))
             return point
 
         for name, module in list(sys.modules.items()):  # wherever a module of the package holds it
@@ -391,8 +392,9 @@ class TestRun:
         edges = [0, *report.split_indices, scenario.num_waypoints - 1]
         blocks = [(coarse, 0, coarse.num_waypoints - 1)]
         blocks += [(scenario, a, b) for a, b in zip(edges, edges[1:])]
-        largest = max(segment_equalities(*block)[0].shape[0] for block in blocks)
-        assert projected and largest < segment_equalities(scenario, 0, scenario.num_waypoints - 1)[0].shape[0]
+        largest = max(segment_equalities(*block)[0].shape[0] * scenario.dim for block in blocks)
+        whole = segment_equalities(scenario, 0, scenario.num_waypoints - 1)[0].shape[0] * scenario.dim
+        assert projected and largest < whole
         assert max(rows for rows, _ in projected) <= largest
         assert max(gap for _, gap in projected) <= 1e-12
 

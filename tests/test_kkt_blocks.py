@@ -1,11 +1,12 @@
-"""The base KKT inverse held as one per-coordinate block.
+"""The base KKT inverse of one coordinate's blocks.
 
-A segment's KKT matrix [[H + prox I, A_eq'], [A_eq, 0]] splits into one
-equal block per coordinate; ``kkt_inverse`` checks that and inverts one
-block, condensed first when it holds enough exact 2x2 pivots (with
-dynamics, a velocity and its own row).  Its answers must be those of the
-dense inverse of the assembled matrix, and a matrix that does not split is
-inverted whole.
+A segment's cost, dynamics and pins act on each coordinate alone and alike,
+so its Hessian and equalities are built as one coordinate's blocks B and
+A_1 of H = kron(B, I_d) and A_eq = kron(A_1, I_d).  ``kkt_inverse`` inverts
+[[B + prox I, A_1'], [A_1, 0]], condensed first when it holds enough exact
+2x2 pivots (with dynamics, a velocity and its own row).  Its answers must be
+those of the dense inverse of the expanded matrix (``conftest.dense``), and
+a solve of the block problem must be that of the expanded one.
 """
 
 import tracemalloc
@@ -34,7 +35,7 @@ from trajsplit.nlp import (  # noqa: E402
 )
 from trajsplit.scenario_io import load_scenario  # noqa: E402
 
-from conftest import stretched  # noqa: E402
+from conftest import dense, stretched  # noqa: E402
 
 SCENARIOS = {name: load_scenario(bundled_scenario_dir() / name)
              for name in ("circle_blocked.yaml", "arm_two_link.yaml", "arm_three_link.yaml")}
@@ -64,7 +65,7 @@ def assert_same_inverse(inverse, want, rng):
 
 @st.composite
 def segments(draw):
-    """A segment's Hessian and equalities: point or arm, with or without dynamics, pins and couplings.
+    """A segment's Hessian and equality blocks: point or arm, with or without dynamics, pins and couplings.
 
     Short segments hold too few velocity pivots to be condensed; long ones,
     near the whole of a longer grid, hold more than ``MIN_PIVOTS`` with
@@ -83,42 +84,46 @@ def segments(draw):
     couplings = [ConsensusCoupling(k, np.zeros(sd), np.zeros(sd)) for k in coupled]
     rho = draw(st.sampled_from([2.0, 50.0]))
     hessian = build_segment_objective(scenario, first, last, couplings, rho).hessian_matrix
-    a_eq, _ = segment_equalities(scenario, first, last)
-    return scenario.dim, hessian, a_eq, draw(st.integers(0, 2**32 - 1)), long and scenario.dynamics_enabled
+    a_eq, b_eq = segment_equalities(scenario, first, last)
+    return scenario.dim, hessian, a_eq, b_eq, draw(st.integers(0, 2**32 - 1)), long and scenario.dynamics_enabled
 
 
 @given(segments())
 def test_block_inverse_matches_dense_inverse(segment):
-    d, hessian, a_eq, seed, condensed = segment
+    d, hessian, a_eq, _, seed, condensed = segment
     with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
         inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
     assert spy.called == condensed
     assert inverse.coordinates == d
-    assert inverse.block.shape[0] * d == hessian.shape[0] + a_eq.shape[0]
-    assert_same_inverse(inverse, dense_inverse(hessian, a_eq), np.random.default_rng(seed))
+    assert inverse.block.shape[0] * d == dense(hessian, d).shape[0] + dense(a_eq, d).shape[0]
+    assert_same_inverse(inverse, dense_inverse(dense(hessian, d), dense(a_eq, d)), np.random.default_rng(seed))
 
 
-@given(segments(), st.sampled_from(["cross", "unequal", "equality"]))
-def test_matrix_that_does_not_split_is_one_block(segment, defect):
-    d, hessian, a_eq, seed, _ = segment
+@given(segments())
+def test_block_problem_matches_expanded_problem(segment):
+    # the block objective and a solve of the block problem are those of the
+    # kron-expanded problem, solved as one coordinate (d = 1)
+    d, hessian, a_eq, b_eq, seed, _ = segment
     rng = np.random.default_rng(seed)
-    hessian = hessian.copy()
-    if defect == "cross":
-        # one entry between coordinates 0 and 1 of two variables
-        i, j = d * rng.integers(hessian.shape[0] // d, size=2)
-        hessian[i, j + 1] = hessian[j + 1, i] = 0.125
-    elif defect == "unequal":
-        # every block keeps its pattern, one of them its values no more
-        hessian[d - 1, d - 1] += 1.0
-    elif a_eq.shape[0]:
-        # an equality row of coordinate 0 that also reads coordinate 1
-        a_eq = a_eq.copy()
-        a_eq[0, 1] += 0.5
-    else:
-        a_eq = np.eye(hessian.shape[0])[:1] + np.eye(hessian.shape[0])[1:2]
-    inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
-    assert inverse.coordinates == 1
-    assert_same_inverse(inverse, dense_inverse(hessian, a_eq), rng)
+    n = hessian.shape[0] * d
+    linear = rng.normal(size=n)
+    block = nlp.QuadraticFunction(hessian_matrix=hessian, linear=linear, constant=0.5)
+    expanded = nlp.QuadraticFunction(hessian_matrix=dense(hessian, d), linear=linear, constant=0.5)
+    x = rng.normal(size=n)
+    (got, got_grad), (want, want_grad) = block.value_and_grad(x), expanded.value_and_grad(x)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
+    assert block.value(x) == got
+
+    def keepout(x):
+        return np.array([0.5 - x[n // 2]]), -np.eye(1, x.size, n // 2)
+
+    problems = [NlpProblem(dim=n, objective=objective, a_eq=a, b_eq=b_eq, inequalities=keepout)
+                for objective, a in ((block, a_eq), (expanded, dense(a_eq, d)))]
+    blocks, whole = (solve(p, SolverOptions(max_outer_iterations=100)) for p in problems)
+    assert blocks.converged == whole.converged
+    assert blocks.iterations == whole.iterations
+    np.testing.assert_allclose(blocks.point, whole.point, rtol=0, atol=1e-10)
 
 
 def test_one_coordinate_is_the_dense_inverse_bit_for_bit():
@@ -142,7 +147,7 @@ def assert_condensed_matches_dense(hessian, a_eq, d, tolerance):
     with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
         inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
     assert spy.called and not inverse.pseudo and inverse.coordinates == d
-    want = dense_inverse(*coordinate_block(hessian, a_eq, d))
+    want = dense_inverse(*coordinate_block(dense(hessian, d), dense(a_eq, d), d))
     np.testing.assert_allclose(inverse.block, want, rtol=0, atol=tolerance * np.abs(want).max())
     np.testing.assert_array_equal(inverse.block, inverse.block.T)
 
@@ -177,7 +182,7 @@ def test_path_only_block_is_the_dense_inverse_bit_for_bit():
     with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
         inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
     assert not spy.called and inverse.coordinates == scenario.dim
-    want = dense_inverse(*coordinate_block(hessian, a_eq, scenario.dim))
+    want = dense_inverse(*coordinate_block(dense(hessian, scenario.dim), dense(a_eq, scenario.dim), scenario.dim))
     np.testing.assert_array_equal(inverse.block, 0.5 * (want + want.T))
 
 
@@ -187,43 +192,27 @@ def test_singular_condensed_block_is_a_pseudo_inverse():
     scenario = stretched("circle_blocked.yaml", 40)
     hessian = build_segment_objective(scenario, 0, 39).hessian_matrix
     a_eq, _ = segment_equalities(scenario, 0, 39)
-    pins = 39 * scenario.dim  # the first pin row: x of the start's position
-    a_eq = np.vstack([a_eq, a_eq[pins : pins + scenario.dim]])
+    pins = 39  # the first pin row: the start's position
+    a_eq = np.vstack([a_eq, a_eq[pins : pins + 1]])
     with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
         inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
     assert spy.called and inverse.pseudo and inverse.coordinates == scenario.dim
-    h, a = coordinate_block(hessian, a_eq, scenario.dim)
+    h, a = coordinate_block(dense(hessian, scenario.dim), dense(a_eq, scenario.dim), scenario.dim)
     kkt = np.block([[h + SHIFT * np.eye(h.shape[0]), a.T], [a, np.zeros((a.shape[0], a.shape[0]))]])
     np.testing.assert_allclose(kkt @ inverse.block @ kkt, kkt, atol=1e-9)
-
-
-def test_solve_with_block_claim_matches_solve_without():
-    # a base inverted as 3 blocks, handed in, changes only how it is factored
-    hessian = build_segment_objective(SCENARIOS["arm_three_link.yaml"], 0, 29).hessian_matrix
-    a_eq, b_eq = segment_equalities(SCENARIOS["arm_three_link.yaml"], 0, 29)
-    objective = nlp.QuadraticFunction(hessian_matrix=hessian, linear=np.linspace(-1.0, 1.0, hessian.shape[0]))
-
-    def keepout(x):
-        return np.array([0.5 - x[3]]), -np.eye(1, x.size, 3)
-
-    problems = [NlpProblem(dim=hessian.shape[0], objective=objective, a_eq=a_eq, b_eq=b_eq,
-                           inequalities=keepout, base_inverse=base)
-                for base in (None, kkt_inverse(hessian, a_eq, 3, nlp.PROX_REGULARIZATION))]
-    whole, blocks = (solve(p, SolverOptions(max_outer_iterations=100)) for p in problems)
-    assert whole.converged and blocks.converged
-    assert whole.iterations == blocks.iterations
-    assert blocks.objective == pytest.approx(whole.objective, rel=1e-12)
-    np.testing.assert_allclose(blocks.point, whole.point, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_violated_elastic_row_of_zeros_changes_nothing(d):
     # a violated row with a zero Jacobian (a collision gradient can be zero)
     # ties at once: it adds a constant penalty and reads no row of the inverse
+    # d = 1 factors the expanded matrices as one coordinate, d = 2 the blocks
     scenario = SCENARIOS["circle_blocked.yaml"]
     hessian = build_segment_objective(scenario, 0, 9).hessian_matrix
     a_eq, b_eq = segment_equalities(scenario, 0, 9)
-    n = hessian.shape[0]
+    n = hessian.shape[0] * scenario.dim
+    if d == 1:
+        hessian, a_eq = dense(hessian, scenario.dim), dense(a_eq, scenario.dim)
     gradient = np.linspace(-1.0, 1.0, n)
     keepout = -np.eye(1, n, 4)
     inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
@@ -240,12 +229,12 @@ def test_violated_elastic_row_of_zeros_changes_nothing(d):
 def test_solve_from_a_zero_gradient_row():
     # stay outside the unit ball, starting at its centre, where the row's gradient is zero
     target = np.array([2.0, 0.5, 1.0, 1.0])
-    objective = nlp.QuadraticFunction(hessian_matrix=np.eye(4), linear=-target)
+    objective = nlp.QuadraticFunction(hessian_matrix=np.eye(2), linear=-target)  # the block of 2 coordinates
 
     def outside(x):
         return np.array([1.0 - x @ x]), -2.0 * x[None, :]
 
-    base = kkt_inverse(np.eye(4), np.zeros((0, 4)), 2, nlp.PROX_REGULARIZATION)
+    base = kkt_inverse(np.eye(2), np.zeros((0, 2)), 2, nlp.PROX_REGULARIZATION)
     assert base.coordinates == 2
     problem = NlpProblem(dim=4, objective=objective, inequalities=outside, base_inverse=base)
     sol = solve(problem, SolverOptions(max_outer_iterations=200))

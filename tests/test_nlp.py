@@ -25,7 +25,7 @@ from trajsplit.nlp import (
     solve_qp,
 )
 
-from conftest import enumerate_qp
+from conftest import dense, enumerate_qp
 
 
 def point_scenario(n=5, obstacles=(), margin=0.05, dynamics=True, dt=0.5):
@@ -288,12 +288,21 @@ class TestSolve:
         (dict(inequalities=lambda x: (np.zeros((1, 1)), np.zeros((1, 2)))), EvaluatorError, "values"),
         (dict(inequalities=lambda x: (np.zeros(1), np.zeros((1, 3)))), EvaluatorError, "jacobian"),
         (dict(inequalities=lambda x: (np.zeros(1), np.zeros(2))), EvaluatorError, "jacobian"),
+        (dict(objective=QuadraticFunction(hessian_matrix=np.eye(2), linear=np.zeros(3))), ConfigError, "linear"),
+        (dict(objective=QuadraticFunction(hessian_matrix=np.eye(2), linear=np.zeros((2, 1)))), ConfigError, "linear"),
+        # a (1, 1) block acts on both coordinates: one row of it holds one value per coordinate
+        (dict(objective=QuadraticFunction(hessian_matrix=np.eye(1), linear=np.zeros(2)), a_eq=np.ones((1, 1)),
+              b_eq=np.zeros(1)), ConfigError, "b_eq"),
+        (dict(lower=np.ones(2), upper=np.zeros(2)), ConfigError, "lower"),
+        (dict(lower=np.array([np.nan, 0.0])), ConfigError, "lower"),
+        (dict(upper=np.array([0.0, np.nan])), ConfigError, "upper"),
     ])
     def test_malformed_problem_raises_a_named_error(self, fields, error, match):
-        # each would otherwise surface as numpy's own ValueError from deep in the loop
-        obj = QuadraticFunction(hessian_matrix=np.eye(2), linear=np.zeros(2))
+        # each would otherwise surface as numpy's own ValueError from deep in
+        # the loop, a solve that leaves its own bounds, or a blamed objective
+        fields = {"objective": QuadraticFunction(hessian_matrix=np.eye(2), linear=np.zeros(2)), **fields}
         with pytest.raises(error, match=match):
-            solve(NlpProblem(dim=2, objective=obj, x0=np.zeros(2), **fields))
+            solve(NlpProblem(dim=2, x0=np.zeros(2), **fields))
 
     def test_bad_options_rejected(self):
         with pytest.raises(ConfigError):
@@ -592,23 +601,32 @@ class TestSegmentConstraints:
             pos[k + 1] = pos[k] + 0.3 * vel[k]
         np.testing.assert_allclose(pos[4], scenario.goal.position, atol=1e-12)
         x = layout.pack(pos, vel)
-        np.testing.assert_allclose(a_eq @ x, b_eq, atol=1e-12)
+        np.testing.assert_allclose(dense(a_eq, 2) @ x, b_eq, atol=1e-12)
 
     def test_equality_row_counts(self):
         scenario = point_scenario(n=5)
         d = 2
         a_eq, _ = segment_equalities(scenario, 0, 4)
         # 4 dynamics edges + start pos/vel pins + goal pos/vel pins
-        assert a_eq.shape[0] == 4 * d + 2 * d + 2 * d
+        assert a_eq.shape[0] * d == 4 * d + 2 * d + 2 * d
         a_mid, _ = segment_equalities(scenario, 1, 3)
-        assert a_mid.shape[0] == 2 * d  # interior segment: dynamics only
+        assert a_mid.shape[0] * d == 2 * d  # interior segment: dynamics only
         a_first, _ = segment_equalities(scenario, 0, 2)
-        assert a_first.shape[0] == 2 * d + 2 * d  # dynamics + start pins only
+        assert a_first.shape[0] * d == 2 * d + 2 * d  # dynamics + start pins only
+
+    @pytest.mark.parametrize("dynamics, stride", [(True, 2), (False, 1)])
+    def test_segment_matrices_are_one_coordinates_block(self, dynamics, stride):
+        # a state of `stride` entries per waypoint, as for a one-dimensional robot
+        scenario = point_scenario(n=5, dynamics=dynamics)
+        a_eq, b_eq = segment_equalities(scenario, 0, 3)
+        assert build_segment_objective(scenario, 0, 3).hessian_matrix.shape == (4 * stride, 4 * stride)
+        assert a_eq.shape[1] == 4 * stride and b_eq.shape == (a_eq.shape[0] * 2,)
 
     def test_first_segment_pins_start_not_split(self):
         scenario = point_scenario(n=5)
         layout = segment_layout(scenario, 0, 2)
         a_eq, b_eq = segment_equalities(scenario, 0, 2)
+        a_eq = dense(a_eq, 2)
         # every pin row touches waypoint 0, never the last waypoint
         pin_rows = [r for r in range(a_eq.shape[0]) if np.count_nonzero(a_eq[r]) == 1]
         assert pin_rows
@@ -620,6 +638,7 @@ class TestSegmentConstraints:
     def test_dynamics_row_shape(self):
         scenario = point_scenario(n=4, dt=0.5)
         a_eq, b_eq = segment_equalities(scenario, 1, 2)  # interior edge, no pins
+        a_eq = dense(a_eq, 2)
         layout = segment_layout(scenario, 1, 2)
         assert a_eq.shape == (2, layout.size)
         # q1 - q0 - dt v0 = 0 per dimension
@@ -725,8 +744,8 @@ class TestConvexifySegment:
         assert sol.converged
         obj = build_segment_objective(scenario, 0, 2)
         ref_x, ok = solve_qp(
-            obj.hessian_matrix + 1e-12 * np.eye(layout.size), obj.linear,
-            problem.a_eq, problem.b_eq, np.zeros((0, layout.size)), np.zeros(0),
+            dense(obj.hessian_matrix, 2) + 1e-12 * np.eye(layout.size), obj.linear,
+            dense(problem.a_eq, 2), problem.b_eq, np.zeros((0, layout.size)), np.zeros(0),
         )
         assert ok
         np.testing.assert_allclose(sol.point, ref_x, atol=1e-6)
