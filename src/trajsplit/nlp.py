@@ -13,10 +13,11 @@ the consensus linear term changes between rounds.  A segment's cost,
 dynamics and pins act on each coordinate alone and alike: H = kron(B, I_d)
 and A_eq = kron(A_1, I_d) are held as B and A_1, and only their KKT matrix
 is inverted.  With dynamics each velocity and its Euler row are an exact
-2x2 pivot, eliminated in closed form, so only positions, pins and unpaired
-rows are factored.  Collision rows, the only ones that mix coordinates,
-enter through the QP's Schur complement, whose working set is a count over
-preallocated buffers that double when full.
+2x2 pivot, and each pin fixes its variable, both eliminated in closed form;
+the free positions are left with a tridiagonal, which one LDL' sweep
+inverts in place in the output.  Collision rows, the only ones that mix
+coordinates, enter through the QP's Schur complement, whose working set is
+a count over preallocated buffers that double when full.
 Trust region and joint limits are bounds, held while active; linearized rows
 are elastic: a row's multiplier is capped at its penalty weight, and a row at
 the cap is tied (its weight moves into the gradient), so no slack is a variable.
@@ -96,47 +97,181 @@ def _per_coordinate(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (matrix @ x.reshape(matrix.shape[1], -1)).reshape(-1)
 
 
-# a block with fewer exact 2x2 pivots is inverted whole, which is faster there (BENCH_22.json)
+# a block with fewer exact 2x2 pivots is inverted whole; np.linalg.inv and the
+# structured inverse cost about the same from 32 to 40 pivots (BENCH_28.json)
 MIN_PIVOTS = 32
 
 
 def _pivots(kkt: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact 2x2 pivots of kkt = [[H, A'], [A, 0]], H n x n: variables j whose row of H
     is zero off the diagonal and whose column of A has one nonzero, in row r; one per row."""
-    h, a = kkt[:n, :n], kkt[n:, :n]
+    h, a = kkt[:n, :n], kkt[n:, :n] != 0
     lone = (np.count_nonzero(h, axis=1) == (np.diagonal(h) != 0)) & (np.count_nonzero(a, axis=0) == 1)
-    rows, cols = np.nonzero(a[:, lone])
-    r, first = np.unique(rows, return_index=True)
-    return np.flatnonzero(lone)[cols[first]], r
+    lone = np.flatnonzero(lone)
+    r, first = np.unique(a[:, lone].argmax(axis=0), return_index=True)
+    return lone[first], r
 
 
-def _condensed_inverse(kkt: np.ndarray, n: int, j: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The symmetric inverse of ``kkt``, written into it, with the pivot pairs
-    (variable j, row n + r) eliminated first.
+def _ldl(diag: np.ndarray, off: np.ndarray) -> tuple[list[float], list[float]]:
+    """Pivots and multipliers of the LDL' factor of the symmetric tridiagonal (``diag``, ``off``).
 
-    A pair's block [[h, a], [a, 0]] has the inverse [[0, 1/a], [1/a, -h/a^2]]
-    and meets the rest C only through row r's entries u on C.  With f = (1/a,
-    -h/a^2) per pair, K^-1 is S^-1 on C, -S^-1 U f between C and the pairs, and
-    their own inverses plus f U' S^-1 U f' among them; S = K_CC + sum (h/a^2) u u'.
+    Raises ``LinAlgError`` at a pivot that is not positive: the matrix is
+    not positive definite.
     """
-    pairs = j.size
-    p = np.concatenate([j, n + r])
-    c = np.delete(np.arange(kkt.shape[0]), p)
-    h, a = kkt[j, j], kkt[n + r, j]
-    f = np.concatenate([1.0 / a, -h / a**2])
-    u = kkt[np.ix_(n + r, c)]
-    # S^-1 U is solved for, not formed from columns of S^-1: their differences lose digits
-    schur = kkt[np.ix_(c, c)] + (u.T * (h / a**2)) @ u
-    solved = np.linalg.solve(schur, np.concatenate([np.eye(c.size), u.T], axis=1))
-    inverse, y = solved[:, : c.size], solved[:, c.size :]
-    g = u @ y
-    among = np.tile(g + g.T, (2, 2)) * np.outer(0.5 * f, f)
-    q = np.arange(pairs)  # each pair's own inverse: 1/a between j and r, -h/a^2 at r
-    among[np.r_[q, q + pairs, q + pairs], np.r_[q + pairs, q, q + pairs]] += np.r_[f[:pairs], f]
-    kkt[np.ix_(c, c)] = 0.5 * (inverse + inverse.T)
-    kkt[np.ix_(c, p)] = between = np.tile(y, 2) * -f
-    kkt[np.ix_(p, c)] = between.T
-    kkt[np.ix_(p, p)] = among
+    pivots: list[float] = []
+    multipliers: list[float] = []
+    for s, e in zip(diag.tolist(), [0.0, *off.tolist()]):
+        if pivots:
+            multipliers.append(e / pivots[-1])
+            s -= multipliers[-1] * e
+        if not s > 0.0:
+            raise np.linalg.LinAlgError("tridiagonal matrix is not positive definite")
+        pivots.append(s)
+    return pivots, multipliers
+
+
+def _ldl_solve(rows: list, pivots: list[float], multipliers: list[float]) -> None:
+    """Replace ``rows`` by T^-1 rows, T = L D L' from ``_ldl``: a forward and a backward sweep.
+
+    ``rows`` holds views of an array's rows, each step then one operation
+    on whole rows in place, or floats, which is faster for a single column.
+    """
+    for i in range(1, len(rows)):
+        rows[i] -= multipliers[i - 1] * rows[i - 1]
+    for i in reversed(range(len(rows))):
+        rows[i] /= pivots[i]
+        if i + 1 < len(rows):
+            rows[i] -= multipliers[i] * rows[i + 1]
+
+
+def _symmetrize(x: np.ndarray, tile: int = 128) -> None:
+    """Make x symmetric in place, a tile at a time: the upper triangle is copied to the lower,
+    and each diagonal tile is averaged with its transpose."""
+    for i in range(0, x.shape[0], tile):
+        mean = x[i : i + tile, i : i + tile] + x[i : i + tile, i : i + tile].T
+        mean *= 0.5
+        x[i : i + tile, i : i + tile] = mean
+        for j in range(i + tile, x.shape[0], tile):
+            x[j : j + tile, i : i + tile] = x[i : i + tile, j : j + tile].T
+
+
+def _condensed_inverse(kkt: np.ndarray, n: int, j: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+    """The symmetric inverse of ``kkt``, written into it, from its structure; None if it has another.
+
+    A pivot pair (variable j, row n + r) has the block [[h, a], [a, 0]], and
+    row r meets the other variables C in u; eliminating the pairs leaves
+    S = K_CC + sum (h/a^2) u u' over C and the unpaired rows.  There
+    1. a row that meets one remaining variable (a pin, or the first Euler
+       step once the start is pinned) fixes it: the pair changes no other
+       entry.  The fixed variables E and their rows F, in that order, have
+       a triangular A_FE = M^-1;
+    2. what is left must be a positive definite tridiagonal S_TT over the
+       free variables T (``LinAlgError`` if a pivot is not positive).  Rows
+       T of K^-1 are S_TT^-1 B_T, one LDL' sweep over rows of the output; B_T
+       is I on T, -S_TE M on F, -u/a on j and h u/a^2 on r;
+    3. every other row combines rows already written, read off K's rows:
+       E is M on F, j = (e_r - u X_C)/a, r = (e_j - h X_j)/a, and
+       F = M' (e_E - H_EC X_C - U_E' X_r).
+    No array of the output's size is made beside it: the last step makes it
+    symmetric a tile at a time.
+    """
+    size, pairs, rows = kkt.shape[0], j.size, n + r
+    h, a = kkt[j, j], kkt[rows, j]
+    free = np.ones(size, dtype=bool)
+    free[j] = free[rows] = False
+    pair = np.full(size, -1)
+    pair[rows] = np.arange(pairs)
+    # K's entries on the variables of C, by row: H's, the unpaired rows' and u
+    ki, kc = np.divmod(np.flatnonzero(kkt[:, :n] != 0), n)
+    keep = free[kc]
+    ki, kc = ki[keep], kc[keep]
+    kv = kkt[ki, kc]
+    in_h, in_u = ki < n, pair[ki] >= 0
+    meets: dict[int, dict[int, float]] = {row: {} for row in (np.flatnonzero(free[n:]) + n).tolist()}
+    unpaired = ~in_h & ~in_u
+    for row, var, value in zip(ki[unpaired].tolist(), kc[unpaired].tolist(), kv[unpaired].tolist()):
+        meets[row][var] = value
+    fixed: dict[int, int] = {}  # variable: the row that fixes it
+    left = list(meets)
+    while left:
+        for row in left:
+            live = [var for var in meets[row] if var not in fixed]
+            if len(live) < 2:
+                break
+        else:
+            return None  # rows that meet two free variables
+        if not live:
+            raise np.linalg.LinAlgError("a row meets no free variable")
+        fixed[live[0]] = row
+        left.remove(row)
+    e, f = np.array(list(fixed), dtype=int), np.array(list(fixed.values()), dtype=int)
+    a_fe = np.array([[meets[row].get(var, 0.0) for var in e] for row in f]).reshape(e.size, e.size)
+    m = np.linalg.inv(a_fe)  # triangular in the order of elimination
+    free[e] = False
+    t = np.flatnonzero(free[:n])
+    where, slot = np.full(size, -1), np.full(size, -1)
+    where[t], slot[e] = np.arange(t.size), np.arange(e.size)
+
+    # each pair row's entries u in columns, padded with zeros: variable and -u/a
+    up, uc, uv = pair[ki[in_u]], kc[in_u], kv[in_u]
+    count = np.bincount(up, minlength=pairs)
+    rank = np.arange(up.size) - (np.cumsum(count) - count)[up]
+    width = count.max(initial=0)
+    u_var, u_coef = np.zeros((pairs, width), dtype=int), np.zeros((pairs, width))
+    u_var[up, rank], u_coef[up, rank] = uc, -uv / a[up]
+    # S on C's variables: H there plus (h/a^2) u u'
+    si, sj, sv = [ki[in_h]], [kc[in_h]], [kv[in_h]]
+    for x in range(width):
+        for y in range(width):
+            si.append(u_var[:, x])
+            sj.append(u_var[:, y])
+            sv.append(h * u_coef[:, x] * u_coef[:, y])
+    si, sj, sv = (np.concatenate(c) for c in (si, sj, sv))
+    ti, tj = where[si], where[sj]
+    in_t = (ti >= 0) & (tj >= 0)
+    if np.any(np.abs(ti[in_t] - tj[in_t]) > 1):
+        return None  # not tridiagonal
+    diagonal, above = in_t & (ti == tj), in_t & (tj == ti + 1)
+    factor = _ldl(np.bincount(ti[diagonal], sv[diagonal], minlength=t.size),
+                  np.bincount(ti[above], sv[above], minlength=t.size)[: max(t.size - 1, 0)])
+    s_te = np.zeros((t.size, e.size))
+    te = (ti >= 0) & (slot[sj] >= 0)
+    np.add.at(s_te, (ti[te], slot[sj[te]]), sv[te])
+
+    # rows T: B_T, then the sweep
+    kkt[t] = 0.0
+    kkt[t, t] = 1.0
+    on_t = where[uc] >= 0
+    kkt[uc[on_t], j[up[on_t]]] = -uv[on_t] / a[up[on_t]]
+    kkt[uc[on_t], rows[up[on_t]]] = uv[on_t] * h[up[on_t]] / a[up[on_t]] ** 2
+    for column, values in zip(f, (-s_te @ m).T):
+        kkt[t, column] = values
+    _ldl_solve([kkt[k] for k in t.tolist()], *factor)
+    # rows E
+    kkt[e] = 0.0
+    for column, values in zip(f, m.T):
+        kkt[e, column] = values
+    # rows j and r, a block of pairs at a time
+    step = max(1, 2**14 // size)  # pairs per block: temporaries of 128 KB
+    for lo in range(0, pairs, step):
+        p = slice(lo, min(lo + step, pairs))
+        block = np.zeros((p.stop - lo, size))
+        for var, coef in zip(u_var[p].T, u_coef[p].T):
+            block += coef[:, None] * kkt[var]
+        q = np.arange(block.shape[0])
+        block[q, rows[p]] += 1.0 / a[p]
+        kkt[j[p]] = block
+        block *= (-h[p] / a[p])[:, None]
+        block[q, j[p]] += 1.0 / a[p]
+        kkt[rows[p]] = block
+    # rows F
+    z = np.zeros((e.size, size))
+    z[np.arange(e.size), e] = 1.0
+    he, ue = in_h & (slot[ki] >= 0), slot[uc] >= 0
+    np.subtract.at(z, slot[ki[he]], kv[he, None] * kkt[kc[he]])
+    np.subtract.at(z, slot[uc[ue]], uv[ue, None] * kkt[rows[up[ue]]])
+    kkt[f] = m.T @ z
+    _symmetrize(kkt)
     return kkt
 
 
@@ -150,9 +285,11 @@ def kkt_inverse(hessian: np.ndarray, a_eq: np.ndarray, coordinates: int = 1, shi
     are the one-coordinate blocks B and A_1 of H = kron(B, I_d) and
     A = kron(A_1, I_d); ``coordinates`` is d and only labels the result.  A
     block with ``MIN_PIVOTS`` or more exact 2x2 pivots (with dynamics, each
-    velocity and its Euler step or the goal's velocity pin) is condensed, and
-    only the Schur complement over the rest is factored.  A singular matrix
-    is answered by the whole block's pseudo-inverse, marked ``pseudo``.
+    velocity and its Euler step or the goal's velocity pin) whose rest is
+    pins around a tridiagonal (``_condensed_inverse``) is inverted from that
+    structure in O(size^2), written into the output; any other block by
+    ``np.linalg.inv``.  A singular matrix is answered by the whole block's
+    pseudo-inverse, marked ``pseudo``.
     """
     n, m = hessian.shape[0], a_eq.shape[0]
     kkt = np.zeros((n + m, n + m))
@@ -162,8 +299,8 @@ def kkt_inverse(hessian: np.ndarray, a_eq: np.ndarray, coordinates: int = 1, shi
     kkt.reshape(-1)[: n * (n + m) : n + m + 1] += shift  # the diagonal of H
     j, r = _pivots(kkt, n) if m >= MIN_PIVOTS else (np.zeros(0, dtype=int),) * 2
     try:
-        if j.size >= MIN_PIVOTS:
-            return KktInverse(_condensed_inverse(kkt, n, j, r), coordinates, False)
+        if j.size >= MIN_PIVOTS and (condensed := _condensed_inverse(kkt, n, j, r)) is not None:
+            return KktInverse(condensed, coordinates, False)
         inverse, pseudo = np.linalg.inv(kkt), False
     except np.linalg.LinAlgError:
         inverse, pseudo = np.linalg.pinv(kkt), True
@@ -499,17 +636,62 @@ def _check_hessian(h: np.ndarray, n: int, values: bool = True) -> None:
         raise ConfigError(f"objective hessian must be a symmetric ({n}, {n}) matrix, or (k, k) with k dividing {n}")
 
 
+# the start projection's Gram matrix is swept from this many rows; below, the
+# dense solve is faster (BENCH_28.json: they cross between 143 and 163 rows)
+GRAM_SWEEP_ROWS = 150
+
+
+def _pinned_step(a_eq: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+    """The least-norm s with A_eq s = r, one column per coordinate, when A_eq is pins and a band.
+
+    A pin, a row with one nonzero, fixes its variable's step.  The other
+    rows, on the free variables, have a tridiagonal Gram matrix when each
+    free variable meets two adjacent rows at most (with dynamics, the Euler
+    steps); one LDL' sweep per coordinate solves it.  None for fewer than
+    ``GRAM_SWEEP_ROWS`` rows, for pins alone, a variable pinned twice,
+    another pattern, or a Gram matrix that is not positive definite.
+    """
+    if a_eq.shape[0] < GRAM_SWEEP_ROWS:
+        return None
+    nonzero = a_eq != 0
+    pins = np.count_nonzero(nonzero, axis=1) == 1
+    pinned = nonzero[pins].argmax(axis=1)
+    if pins.all() or np.any(np.bincount(pinned) > 1):
+        return None
+    step = np.zeros((a_eq.shape[1], r.shape[1]))
+    step[pinned] = r[pins] / a_eq[pins, pinned][:, None]
+    a, nonzero = a_eq[~pins], nonzero[~pins]
+    rhs = r[~pins] - a @ step
+    a[:, pinned], nonzero[:, pinned] = 0.0, False
+    first, last = nonzero.argmax(axis=0), a.shape[0] - 1 - nonzero[::-1].argmax(axis=0)
+    if np.any(nonzero.any(axis=0) & (last - first > 1)):
+        return None
+    try:
+        factor = _ldl(np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", a[:-1], a[1:]))
+    except np.linalg.LinAlgError:
+        return None
+    columns = rhs.T.tolist()
+    for column in columns:
+        _ldl_solve(column, *factor)
+    return step + a.T @ np.array(columns).T
+
+
 def project_to_affine(x: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, stats: QpStats | None = None) -> np.ndarray:
     """Least-norm correction onto the affine set kron(A, I_d) x = b, d = x.size // A's columns.
 
-    The Gram matrix of A is solved with one right-hand side per coordinate.
-    Redundant rows make it singular; the correction is then taken by least
-    squares and counted in ``stats.kkt_fallbacks``.
+    With pins and banded rows (``_pinned_step``) the pins are applied and the
+    rest's tridiagonal Gram matrix is swept; otherwise the Gram matrix of A
+    is solved with one right-hand side per coordinate.  Redundant rows make
+    it singular; the correction is then taken by least squares and counted
+    in ``stats.kkt_fallbacks``.
     """
     r = b_eq - _per_coordinate(a_eq, x)
     if float(np.max(np.abs(r), initial=0.0)) <= 1e-12:
         return x
     r = r.reshape(a_eq.shape[0], -1)
+    step = _pinned_step(a_eq, r)
+    if step is not None:
+        return x + step.reshape(-1)
     try:
         w = np.linalg.solve(a_eq @ a_eq.T, r)
     except np.linalg.LinAlgError:
@@ -766,15 +948,22 @@ def build_segment_objective(
     sharing the split account for that waypoint.  In path-only mode the cost
     is the squared finite-difference velocity of each edge; edges are owned
     by exactly one segment so no halving is needed.  The Hessian is one
-    coordinate's block: p_k at s k and v_k at s k + 1, s = state_dim // dim.
+    coordinate's block (``_segment_hessian``).
     """
     layout = segment_layout(scenario, first_index, last_index)
-    count, s = layout.count, layout.state_dim // layout.dim
     g, c = _consensus_linear(layout, couplings, rho)
+    h = _segment_hessian(layout, [cp.waypoint for cp in couplings], rho)
+    return QuadraticFunction(hessian_matrix=h, linear=g, constant=c)
+
+
+def _segment_hessian(layout: SegmentLayout, coupled: Sequence[int], rho: float) -> np.ndarray:
+    """One coordinate's Hessian block of a segment's cost plus rho on the states of its
+    ``coupled`` waypoints: p_k at s k and v_k at s k + 1, s = state_dim // dim."""
+    count, s = layout.count, layout.state_dim // layout.dim
     h = np.zeros((count * s, count * s))
     if layout.dynamics:
         weight = np.ones(count)
-        weight[[cp.waypoint for cp in couplings]] = 0.5
+        weight[list(coupled)] = 0.5
         velocity = s * np.arange(count) + 1
         h[velocity, velocity] = 2.0 * weight
     else:
@@ -783,10 +972,10 @@ def build_segment_objective(
         np.fill_diagonal(h, scale * ((np.arange(count) > 0).astype(float) + (np.arange(count) < count - 1)))
         edge = np.arange(count - 1)
         h[edge, edge + 1] = h[edge + 1, edge] = -scale
-    for cp in couplings:
-        state = s * cp.waypoint + np.arange(s)
+    for k in coupled:
+        state = s * k + np.arange(s)
         h[state, state] += rho
-    return QuadraticFunction(hessian_matrix=h, linear=g, constant=c)
+    return h
 
 
 def segment_equalities(
@@ -856,6 +1045,11 @@ def _collision_rows(scenario: Scenario, layout: SegmentLayout) -> InequalityFn |
     return rows
 
 
+# an older evaluation's Jacobian this large is kept as its entries that are not
+# +0.0; a smaller one costs less memory than its compaction costs time
+COMPACT_BYTES = 2**16
+
+
 class SolveRows:
     """A segment's row evaluator for one solve: no point is evaluated twice.
 
@@ -863,23 +1057,35 @@ class SolveRows:
     ``carry`` (the previous solution's), so a solve that starts there,
     unmoved by its projection and clip, does not evaluate its start again.
     ``at`` gives a known point's (point, rows), for the segment to carry on.
+    An older evaluation's Jacobian of ``COMPACT_BYTES`` or more (the newest
+    stays dense) keeps only its entries that are not +0.0, so a long
+    segment's solve does not hold a dense Jacobian per point it visited.
     """
 
     def __init__(self, rows: InequalityFn) -> None:
-        self.rows, self.known = rows, {}
+        self.rows, self.known, self.newest = rows, {}, None
 
     def carry(self, x: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> None:
         self.known[x.tobytes()] = rows
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         key = x.tobytes()
-        found = self.known.get(key)
-        if found is None:
-            found = self.known[key] = self.rows(x)
-        return found
+        if key not in self.known:
+            rows = self.rows(x)
+            if self.newest is not None and self.known[self.newest][1].nbytes >= COMPACT_BYTES:
+                vals, jac = self.known[self.newest]
+                kept = np.flatnonzero((jac != 0) | np.signbit(jac))
+                self.known[self.newest] = vals, (jac.shape, kept, jac.reshape(-1)[kept])
+            self.known[key], self.newest = rows, key
+        vals, jac = self.known[key]
+        if isinstance(jac, tuple):
+            shape, kept, entries = jac
+            jac = np.zeros(shape)
+            jac.reshape(-1)[kept] = entries
+        return vals, jac
 
     def at(self, x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        return x, self.known[x.tobytes()]
+        return x, self(x)
 
 
 def convexify_segment(
@@ -908,7 +1114,7 @@ def convexify_segment(
     coupled = tuple(cp.waypoint for cp in couplings)
     key = (layout.count, first_index == 0, last_index == scenario.num_waypoints - 1, coupled, rho)
     if key not in held:
-        hessian = build_segment_objective(scenario, first_index, last_index, couplings, rho).hessian_matrix
+        hessian = _segment_hessian(layout, coupled, rho)
         _check_hessian(hessian, layout.size)
         a_eq, b_eq = segment_equalities(scenario, first_index, last_index)
         lower, upper = segment_bounds(scenario, layout)

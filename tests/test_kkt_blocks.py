@@ -3,10 +3,12 @@
 A segment's cost, dynamics and pins act on each coordinate alone and alike,
 so its Hessian and equalities are built as one coordinate's blocks B and
 A_1 of H = kron(B, I_d) and A_eq = kron(A_1, I_d).  ``kkt_inverse`` inverts
-[[B + prox I, A_1'], [A_1, 0]], condensed first when it holds enough exact
-2x2 pivots (with dynamics, a velocity and its own row).  Its answers must be
-those of the dense inverse of the expanded matrix (``conftest.dense``), and
-a solve of the block problem must be that of the expanded one.
+[[B + prox I, A_1'], [A_1, 0]], from its structure when it holds enough exact
+2x2 pivots (with dynamics, a velocity and its own row): the pins are
+eliminated in closed form and the positions' tridiagonal is swept.  Its
+answers must be those of the dense inverse of the expanded matrix
+(``conftest.dense``), and a solve of the block problem must be that of the
+expanded one.
 """
 
 import tracemalloc
@@ -29,6 +31,7 @@ from trajsplit.nlp import (  # noqa: E402
     SolverOptions,
     build_segment_objective,
     kkt_inverse,
+    project_to_affine,
     segment_equalities,
     solve,
     solve_qp,
@@ -67,16 +70,21 @@ def assert_same_inverse(inverse, want, rng):
 def segments(draw):
     """A segment's Hessian and equality blocks: point or arm, with or without dynamics, pins and couplings.
 
-    Short segments hold too few velocity pivots to be condensed; long ones,
-    near the whole of a longer grid, hold more than ``MIN_PIVOTS`` with
-    dynamics.  The last item says whether the block is condensed.
+    Short segments hold too few velocity pivots to be condensed.  Long ones
+    run from just under ``MIN_PIVOTS`` pivots to twice as many, anywhere on a
+    longer grid, so that both pinned ends, one or none occur.  With dynamics
+    a segment of k waypoints pairs each velocity with its Euler row, but for
+    v_0 when the start is pinned, and the last one with the goal's velocity
+    pin.  The last item says whether the block is condensed.
     """
     scenario = SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))]
     long = draw(st.booleans())
-    count = draw(st.integers(nlp.MIN_PIVOTS + 8, nlp.MIN_PIVOTS + 16) if long else st.integers(4, 12))
+    length = draw(st.integers(nlp.MIN_PIVOTS - 2, 2 * nlp.MIN_PIVOTS) if long else st.integers(2, 12))
+    count = draw(st.integers(max(length, 4), length + 10))
     scenario = replace(scenario, num_waypoints=count, dynamics_enabled=draw(st.booleans()))
-    first = draw(st.integers(0, 2 if long else count - 2))
-    last = draw(st.integers(count - 3 if long else first + 1, count - 1))
+    first = draw(st.integers(0, count - length))
+    last = first + length - 1
+    pivots = length - 1 - (first == 0) + (last == count - 1)
     sd = 2 * scenario.dim if scenario.dynamics_enabled else scenario.dim
     # as in a split run, every unpinned end is coupled at rho > 0, which keeps
     # the KKT matrix well conditioned enough to compare two inverses at 1e-10
@@ -85,7 +93,8 @@ def segments(draw):
     rho = draw(st.sampled_from([2.0, 50.0]))
     hessian = build_segment_objective(scenario, first, last, couplings, rho).hessian_matrix
     a_eq, b_eq = segment_equalities(scenario, first, last)
-    return scenario.dim, hessian, a_eq, b_eq, draw(st.integers(0, 2**32 - 1)), long and scenario.dynamics_enabled
+    return scenario.dim, hessian, a_eq, b_eq, draw(st.integers(0, 2**32 - 1)), (
+        scenario.dynamics_enabled and pivots >= nlp.MIN_PIVOTS)
 
 
 @given(segments())
@@ -124,6 +133,27 @@ def test_block_problem_matches_expanded_problem(segment):
     assert blocks.converged == whole.converged
     assert blocks.iterations == whole.iterations
     np.testing.assert_allclose(blocks.point, whole.point, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("count, which", [(40, "mono"), (160, "mono"), (320, "mono"),
+                                          (640, "first"), (640, "middle"), (640, "last")])
+def test_projection_matches_dense_least_norm(count, which):
+    # a dynamics block of GRAM_SWEEP_ROWS rows or more has its pins applied and
+    # its Euler rows' Gram matrix swept, a shorter one solves the dense Gram
+    # matrix; both give the dense least-norm step (segments of a split4 run)
+    scenario = stretched("circle_blocked.yaml", count)
+    edges = [0, *split_uniform(count, 3), count - 1]
+    first, last = {"mono": (0, count - 1), "first": edges[:2], "middle": edges[1:3], "last": edges[-2:]}[which]
+    a_eq, b_eq = segment_equalities(scenario, first, last)
+    x = np.random.default_rng(count).normal(size=a_eq.shape[1] * scenario.dim)
+    pinned_step, steps = nlp._pinned_step, []
+    with mock.patch.object(nlp, "_pinned_step", lambda *args: steps.append(pinned_step(*args)) or steps[-1]):
+        got = project_to_affine(x, a_eq, b_eq)
+    assert (steps[0] is not None) == (a_eq.shape[0] >= nlp.GRAM_SWEEP_ROWS)
+    expanded = dense(a_eq, scenario.dim)
+    want = x + np.linalg.lstsq(expanded, b_eq - expanded @ x, rcond=None)[0]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(expanded @ got, b_eq, rtol=0, atol=1e-12 * (1 + np.abs(b_eq).max()))
 
 
 def test_one_coordinate_is_the_dense_inverse_bit_for_bit():
@@ -186,9 +216,31 @@ def test_path_only_block_is_the_dense_inverse_bit_for_bit():
     np.testing.assert_array_equal(inverse.block, 0.5 * (want + want.T))
 
 
+@pytest.mark.parametrize("extra", ["hessian", "row"])
+def test_block_of_another_shape_is_the_dense_inverse_bit_for_bit(extra):
+    # a Hessian entry between positions 5 and 9, or a row p_3 - p_7 = 0, leaves
+    # no tridiagonal after the pairs and pins: the structured inverse declines
+    # and the block is inverted whole
+    scenario = stretched("circle_blocked.yaml", 40)
+    hessian = build_segment_objective(scenario, 0, 39).hessian_matrix
+    a_eq, _ = segment_equalities(scenario, 0, 39)
+    if extra == "hessian":
+        hessian = hessian.copy()
+        hessian[10, 18] = hessian[18, 10] = 0.1
+    else:
+        a_eq = np.vstack([a_eq, np.eye(1, a_eq.shape[1], 6) - np.eye(1, a_eq.shape[1], 14)])
+    condensed_inverse, returned = nlp._condensed_inverse, []
+    with mock.patch.object(nlp, "_condensed_inverse", lambda *args: returned.append(condensed_inverse(*args))):
+        inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
+    assert returned == [None] and not inverse.pseudo
+    want = dense_inverse(hessian, a_eq)
+    np.testing.assert_array_equal(inverse.block, 0.5 * (want + want.T))
+
+
 def test_singular_condensed_block_is_a_pseudo_inverse():
-    # the start's position pins twice: the Schur complement is singular, so the
-    # whole block is answered by its pseudo-inverse
+    # the start's position pins twice: once the first pin fixes p_0 the second
+    # meets no free variable, so the block is singular and answered whole by its
+    # pseudo-inverse
     scenario = stretched("circle_blocked.yaml", 40)
     hessian = build_segment_objective(scenario, 0, 39).hessian_matrix
     a_eq, _ = segment_equalities(scenario, 0, 39)
@@ -273,9 +325,11 @@ def test_mono_inverts_one_coordinate_block(monkeypatch):
     assert report.converged
     # 160 waypoints of (x, y, vx, vy): 640 variables and 159 * 2 + 8 rows,
     # 966 in all, 483 per coordinate; condensing pairs 159 velocities with
-    # their rows (158 Euler steps and the goal's velocity pin), which leaves
-    # 160 positions, v_0, the first Euler step and 3 pins
-    assert factored and max(factored) == 165
+    # their rows (158 Euler steps and the goal's velocity pin).  Of the 165
+    # rows left, the 3 pins and the first Euler step fix p_0, v_0, p_159 and
+    # p_1 (a 4 x 4 triangle is inverted), and the 157 free positions are swept,
+    # as is the projection's Gram matrix (163 rows): neither is factored dense
+    assert factored and max(factored) < 163
 
 
 def test_mono_transient_memory():
@@ -287,4 +341,29 @@ def test_mono_transient_memory():
     finally:
         tracemalloc.stop()
     assert report.converged
-    assert peak < 20e6
+    # the inverse itself is 483^2 doubles, 1.87 MB, built in place; the
+    # Hessian and equality blocks and the SCP's rows make up most of the rest
+    assert peak < 4.5e6
+
+
+# ||K X - I||_inf (the largest row sum) of the LU-condensed factor that the sweep
+# replaced, on the same blocks (BENCH_28.json)
+LU_CONDENSED_RESIDUAL = {"mono": 7.73e-12, "middle": 3.58e-12}
+
+
+@pytest.mark.parametrize("which", ["mono", "middle"])
+def test_condensed_residual(which):
+    # the mono N=160 block, and the middle segment of a split4 run at N = 160, coupled at both ends at rho 2
+    scenario = stretched("circle_blocked.yaml", 160)
+    first, last = (0, 159) if which == "mono" else [0, *split_uniform(160, 3), 159][1:3]
+    sd = 2 * scenario.dim
+    couplings = [] if which == "mono" else [ConsensusCoupling(k, np.ones(sd), np.zeros(sd)) for k in (0, last - first)]
+    hessian = build_segment_objective(scenario, first, last, couplings, 2.0).hessian_matrix
+    a_eq, _ = segment_equalities(scenario, first, last)
+    with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
+        inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
+    assert spy.called and not inverse.pseudo
+    n, m = hessian.shape[0], a_eq.shape[0]
+    kkt = np.block([[hessian + SHIFT * np.eye(n), a_eq.T], [a_eq, np.zeros((m, m))]])
+    residual = np.abs(kkt @ inverse.block - np.eye(n + m)).sum(axis=1).max()
+    assert residual <= 10 * LU_CONDENSED_RESIDUAL[which]

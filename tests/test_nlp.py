@@ -673,6 +673,30 @@ class TestSegmentConstraints:
         assert segment_bounds(scenario, layout) == (None, None)
 
 
+class TestSolveRows:
+    def test_older_large_jacobians_return_bit_for_bit_without_a_second_evaluation(self):
+        # rows of COMPACT_BYTES or more are kept as their entries that are not +0.0
+        # once a newer point is evaluated; -0.0 entries survive, and no point is evaluated twice
+        n = nlp.COMPACT_BYTES // 8
+        evaluated = []
+
+        def rows(x):
+            evaluated.append(x.copy())
+            jac = np.zeros((3, n))
+            jac[:, : x.size] = x
+            jac[1, -1] = -0.0
+            return x[:3] - 1.0, jac
+
+        solve_rows = nlp.SolveRows(rows)
+        points = [np.full(4, float(k)) for k in range(3)]
+        first = [(vals.copy(), jac.copy()) for vals, jac in (solve_rows(x) for x in points)]
+        for x, (vals, jac) in zip(points, first):
+            again_vals, again_jac = solve_rows(x)
+            assert again_vals.tobytes() == vals.tobytes() and again_jac.tobytes() == jac.tobytes()
+        assert solve_rows.at(points[0])[1][1].tobytes() == first[0][1].tobytes()
+        assert len(evaluated) == 3
+
+
 class TestConvexifySegment:
     def test_no_nearby_obstacle_no_rows(self):
         scenario = point_scenario(n=3, obstacles=[Circle((100.0, 0.0), 1.0)])
