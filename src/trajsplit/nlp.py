@@ -1,23 +1,23 @@
 """Trajectory NLP solver: sequential convexification over a factor-once QP.
 
-The nonlinear program  min f(x)  s.t.  A x = b,  g(x) <= 0,  lo <= x <= hi,
-f quadratic, is solved by repeatedly minimizing a convex model: f itself,
-exact affine equalities, linearized inequalities with an l1 exact penalty on
-their violation, all inside an infinity-norm trust region.  The convex
-subproblems are solved by a Schur-complement dual active-set method, which
-starts at the unconstrained optimum and adds only violated constraints.  The
-objective is quadratic and the equalities affine, so the KKT matrix of the
-Hessian and the equalities is fixed: a solve factors it once, and a run
-factors it once per segment shape (a ``FactorCache`` keeps it), since only
-the consensus linear term changes between rounds.  A segment's cost,
-dynamics and pins act on each coordinate alone and alike: H = kron(B, I_d)
-and A_eq = kron(A_1, I_d) are held as B and A_1, and only their KKT matrix
-is inverted.  With dynamics each velocity and its Euler row are an exact
-2x2 pivot, and each pin fixes its variable, both eliminated in closed form;
-the free positions are left with a tridiagonal, which one LDL' sweep
-inverts in place in the output.  Collision rows, the only ones that mix
-coordinates, enter through the QP's Schur complement, whose working set is
-a count over preallocated buffers that double when full.
+The nonlinear program  min f(x)  s.t.  A x = b,  g(x) <= 0,  lo <= x <= hi, f
+quadratic, is solved by repeatedly minimizing a convex model: f itself, exact
+affine equalities, linearized inequalities with an l1 exact penalty on their
+violation, all inside an infinity-norm trust region.  The convex subproblems
+are solved by a Schur-complement dual active-set method, which starts at the
+unconstrained optimum and adds only violated constraints.  The objective is
+quadratic and the equalities affine, so the KKT matrix of the Hessian and the
+equalities is fixed: a solve factors it once, and a run factors it once per
+segment shape (a ``FactorCache`` keeps it), since only the consensus linear
+term changes between rounds.  A segment's cost, dynamics and pins act on each
+coordinate alone and alike: H = kron(B, I_d) and A_eq = kron(A_1, I_d) are held
+as B's diagonal and superdiagonal (``Band``) and A_1's Euler rows and pins
+(``DynamicsRows``), with O(k) products.  With dynamics each velocity and its
+Euler row are an exact 2x2 pivot, and each pin fixes its variable, both
+eliminated in closed form; the free positions are left with a tridiagonal,
+which one LDL' sweep inverts in place in the output.  Collision rows, the only
+ones that mix coordinates, enter through the QP's Schur complement, whose
+working set is a count over preallocated buffers that double when full.
 Trust region and joint limits are bounds, held while active; linearized rows
 are elastic: a row's multiplier is capped at its penalty weight, and a row at
 the cap is tied (its weight moves into the gradient), so no slack is a variable.
@@ -92,9 +92,88 @@ class KktInverse:
         return self.block[i // self.coordinates, i // self.coordinates]
 
 
-def _per_coordinate(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _per_coordinate(matrix, x: np.ndarray) -> np.ndarray:
     """kron(matrix, I_d) x: ``matrix`` times each coordinate's column of x.reshape(columns, d)."""
     return (matrix @ x.reshape(matrix.shape[1], -1)).reshape(-1)
+
+
+class _Block:
+    """A one-coordinate block held as its structure; ``np.asarray`` expands it, for tests and oracles."""
+
+    ndim = 2
+    __array_ufunc__ = None  # numpy defers to the block's own products rather than expand it
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense, (i, j, v) = np.zeros(self.shape), _entries(self)
+        dense[i, j] = v
+        return dense
+
+
+@dataclass(frozen=True, eq=False)
+class Band(_Block):
+    """A symmetric tridiagonal block: ``bands``, each (k, 1), are its diagonal, then its superdiagonal and a 0 if any."""
+
+    bands: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.bands.shape[1],) * 2
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """B x for x of shape (k, d)."""
+        out = self.bands[0] * x
+        if len(self.bands) > 1:
+            upper = self.bands[1, :-1]
+            out[:-1] += upper * x[1:]
+            out[1:] += upper * x[:-1]
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class DynamicsRows(_Block):
+    """A segment's equality block A_1: ``steps`` Euler rows q_{k+1} - q_k - dt v_k = 0, then a pin
+    (coefficient 1) on each column in ``pinned``; ``count`` waypoints of ``s`` columns, v_k at s k + 1."""
+
+    count: int
+    s: int
+    dt: float
+    steps: int
+    pinned: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.steps + self.pinned.size, self.count * self.s
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A_1 x for x of shape (count * s, d): slices of x by waypoint, and a gather."""
+        q, e = x.reshape(self.count, self.s, -1), self.steps
+        return np.concatenate([q[1 : e + 1, 0] - q[:e, 0] - self.dt * q[:e, -1], x[self.pinned]]) if e else x[self.pinned]
+
+    def rmatmat(self, w: np.ndarray) -> np.ndarray:
+        """A_1' w for w of shape (rows, d)."""
+        out, e = np.zeros((self.count, self.s, w.shape[1])), self.steps
+        out[1 : e + 1, 0], out[:e, -1] = w[:e], -self.dt * w[:e]
+        out[:e, 0] -= w[:e]
+        out.reshape(self.shape[1], -1)[self.pinned] += w[e:]
+        return out.reshape(self.shape[1], -1)
+
+
+def _entries(matrix, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the entries of ``matrix`` (+ shift I, square) that may be nonzero."""
+    if isinstance(matrix, Band):
+        k, (diagonal, *upper) = np.arange(matrix.shape[0]), matrix.bands[..., 0]
+        upper = upper[0][:-1] if upper else np.zeros(k.size - 1)
+        return (np.concatenate([k, k[:-1], k[1:]]), np.concatenate([k, k[1:], k[:-1]]),
+                np.concatenate([diagonal + shift, upper, upper]))
+    if isinstance(matrix, DynamicsRows):  # p_k, v_k and p_{k+1} in Euler row k, then the pins
+        e, s, p = np.arange(matrix.steps), matrix.s, matrix.pinned
+        if not e.size:
+            return np.arange(p.size), p, np.ones(p.size)
+        return (np.concatenate([e, e, e, e.size + np.arange(p.size)]), np.concatenate([s * e, s * e + 1, s * e + s, p]),
+                np.repeat([-1.0, -matrix.dt, 1.0, 1.0], [e.size] * 3 + [p.size]))
+    matrix = matrix + shift * np.eye(matrix.shape[0]) if shift else matrix
+    i, j = np.nonzero(matrix)
+    return i, j, matrix[i, j]
 
 
 # a block with fewer exact 2x2 pivots is inverted whole; np.linalg.inv and the
@@ -102,13 +181,15 @@ def _per_coordinate(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
 MIN_PIVOTS = 32
 
 
-def _pivots(kkt: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact 2x2 pivots of kkt = [[H, A'], [A, 0]], H n x n: variables j whose row of H
-    is zero off the diagonal and whose column of A has one nonzero, in row r; one per row."""
-    h, a = kkt[:n, :n], kkt[n:, :n] != 0
-    lone = (np.count_nonzero(h, axis=1) == (np.diagonal(h) != 0)) & (np.count_nonzero(a, axis=0) == 1)
-    lone = np.flatnonzero(lone)
-    r, first = np.unique(a[:, lone].argmax(axis=0), return_index=True)
+def _pivots(ki: np.ndarray, kc: np.ndarray, kv: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact 2x2 pivots of kkt = [[H, A'], [A, 0]], H n x n, from its entries (ki, kc, kv) in columns < n:
+    variables j whose row of H is zero off the diagonal and whose column of A has one nonzero, in row r; one per row."""
+    ki, kc = ki[kv != 0], kc[kv != 0]
+    rows = ki >= n
+    lone = (np.bincount(ki[~rows & (ki != kc)], minlength=n) == 0) & (np.bincount(kc[rows], minlength=n) == 1)
+    lone, row = np.flatnonzero(lone), np.zeros(n, dtype=int)
+    row[kc[rows]] = ki[rows] - n
+    r, first = np.unique(row[lone], return_index=True)
     return lone[first], r
 
 
@@ -155,7 +236,7 @@ def _symmetrize(x: np.ndarray, tile: int = 128) -> None:
             x[j : j + tile, i : i + tile] = x[i : i + tile, j : j + tile].T
 
 
-def _condensed_inverse(kkt: np.ndarray, n: int, j: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+def _condensed_inverse(kkt: np.ndarray, n: int, j: np.ndarray, r: np.ndarray, entries) -> np.ndarray | None:
     """The symmetric inverse of ``kkt``, written into it, from its structure; None if it has another.
 
     A pivot pair (variable j, row n + r) has the block [[h, a], [a, 0]], and
@@ -181,11 +262,9 @@ def _condensed_inverse(kkt: np.ndarray, n: int, j: np.ndarray, r: np.ndarray) ->
     free[j] = free[rows] = False
     pair = np.full(size, -1)
     pair[rows] = np.arange(pairs)
-    # K's entries on the variables of C, by row: H's, the unpaired rows' and u
-    ki, kc = np.divmod(np.flatnonzero(kkt[:, :n] != 0), n)
-    keep = free[kc]
-    ki, kc = ki[keep], kc[keep]
-    kv = kkt[ki, kc]
+    # K's nonzero entries on the variables of C, row by row: H's, the unpaired rows' and u
+    keep = np.flatnonzero(free[entries[1]] & (entries[2] != 0))
+    ki, kc, kv = (a[keep[np.lexsort((entries[1][keep], entries[0][keep]))]] for a in entries)
     in_h, in_u = ki < n, pair[ki] >= 0
     meets: dict[int, dict[int, float]] = {row: {} for row in (np.flatnonzero(free[n:]) + n).tolist()}
     unpaired = ~in_h & ~in_u
@@ -275,31 +354,33 @@ def _condensed_inverse(kkt: np.ndarray, n: int, j: np.ndarray, r: np.ndarray) ->
     return kkt
 
 
-def kkt_inverse(hessian: np.ndarray, a_eq: np.ndarray, coordinates: int = 1, shift: float = 0.0) -> KktInverse:
+def kkt_inverse(hessian, a_eq, coordinates: int = 1, shift: float = 0.0) -> KktInverse:
     """Inverse of the base KKT matrix [[H + shift I, A'], [A, 0]] of a QP, symmetrized.
 
     Every active-set step of ``solve_qp`` reuses it: the dual method's start,
-    the optimum of the base problem, is one product with it, and a
-    constraint c entering the working set needs only the column K^-1 [c; 0]
-    (for a bound, a column of the inverse itself).  ``hessian`` and ``a_eq``
-    are the one-coordinate blocks B and A_1 of H = kron(B, I_d) and
-    A = kron(A_1, I_d); ``coordinates`` is d and only labels the result.  A
-    block with ``MIN_PIVOTS`` or more exact 2x2 pivots (with dynamics, each
-    velocity and its Euler step or the goal's velocity pin) whose rest is
-    pins around a tridiagonal (``_condensed_inverse``) is inverted from that
-    structure in O(size^2), written into the output; any other block by
-    ``np.linalg.inv``.  A singular matrix is answered by the whole block's
-    pseudo-inverse, marked ``pseudo``.
+    the optimum of the base problem, is one product with it, and a constraint c
+    entering the working set needs only the column K^-1 [c; 0] (for a bound, a
+    column of the inverse itself).  ``hessian`` and ``a_eq`` are the
+    one-coordinate blocks B and A_1 of H = kron(B, I_d) and A = kron(A_1, I_d),
+    arrays or a segment's ``Band`` and ``DynamicsRows``, whose entries are
+    written straight into the buffer and give the pattern; ``coordinates`` is
+    d and only labels the result.  A block with ``MIN_PIVOTS`` or more exact
+    2x2 pivots (with dynamics, each velocity and its Euler step or the goal's
+    velocity pin) whose rest is pins around a tridiagonal
+    (``_condensed_inverse``) is inverted from that structure in O(size^2),
+    written into the output; any other block by ``np.linalg.inv``.  A singular
+    matrix is answered by the whole block's pseudo-inverse, marked ``pseudo``.
     """
     n, m = hessian.shape[0], a_eq.shape[0]
+    (hi, hj, hv), (ai, aj, av) = _entries(hessian, shift), _entries(a_eq)
     kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = hessian
-    kkt[:n, n:] = a_eq.T
-    kkt[n:, :n] = a_eq
-    kkt.reshape(-1)[: n * (n + m) : n + m + 1] += shift  # the diagonal of H
-    j, r = _pivots(kkt, n) if m >= MIN_PIVOTS else (np.zeros(0, dtype=int),) * 2
+    kkt[hi, hj], kkt[n + ai, aj], kkt[aj, n + ai] = hv, av, av
+    j = r = np.zeros(0, dtype=int)
+    if m >= MIN_PIVOTS:  # K's entries in the variables' columns
+        entries = np.concatenate([hi, n + ai]), np.concatenate([hj, aj]), np.concatenate([hv, av])
+        j, r = _pivots(*entries, n)
     try:
-        if j.size >= MIN_PIVOTS and (condensed := _condensed_inverse(kkt, n, j, r)) is not None:
+        if j.size >= MIN_PIVOTS and (condensed := _condensed_inverse(kkt, n, j, r, entries)) is not None:
             return KktInverse(condensed, coordinates, False)
         inverse, pseudo = np.linalg.inv(kkt), False
     except np.linalg.LinAlgError:
@@ -314,8 +395,8 @@ class FactorCache:
     """The fixed parts of ``scenario``'s segment NLPs, shared by the solves of one run.
 
     ``segments`` maps a segment shape (waypoint count, pinned start, pinned
-    goal, coupled waypoints, rho) to its read-only Hessian, equalities,
-    bounds, row evaluator and base ``KktInverse`` (see ``convexify_segment``):
+    goal, coupled waypoints, rho) to its read-only ``Band``, ``DynamicsRows``,
+    values, bounds, row evaluator and base ``KktInverse`` (see ``convexify_segment``):
     a segment's KKT matrix depends on nothing else, so each shape is
     factored once per run, from one coordinate's blocks.
     """
@@ -512,19 +593,20 @@ def solve_qp(
 
 @dataclass(frozen=True)
 class QuadraticFunction:
-    """f(x) = 1/2 x'Hx + g'x + c with exact derivatives; H = kron(``hessian_matrix``, I_d),
-    d = x.size // len(``hessian_matrix``), so a general Hessian is d = 1."""
+    """f(x) = 1/2 x'Hx + g'x + c with exact derivatives; H = kron(``hessian_matrix``, I_d), d = x.size // k
+    for a (k, k) array or a segment's ``Band`` (O(k) products), so a general Hessian is d = 1."""
 
-    hessian_matrix: np.ndarray = field(repr=False)
+    hessian_matrix: np.ndarray | Band = field(repr=False)
     linear: np.ndarray = field(repr=False)
     constant: float = 0.0
 
     def value(self, x: np.ndarray) -> float:
         return self.value_and_grad(x)[0]
 
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_and_grad(self, x: np.ndarray, product: bool = False):
+        """f(x) and its gradient, then H x when ``product``."""
         hx = _per_coordinate(self.hessian_matrix, x)
-        return float(0.5 * x @ hx + self.linear @ x + self.constant), hx + self.linear
+        return (float(0.5 * x @ hx + self.linear @ x + self.constant), hx + self.linear, hx)[: 2 + product]
 
 
 # inequality rows g(x) <= 0: rows(x) -> (values, jacobian)
@@ -541,17 +623,17 @@ class NlpProblem:
     accounting.  It may return a different number of rows each time: rows
     may omit constraints that are satisfied at x (e.g. collision pairs far
     from contact), never violated ones.  With a (k, k) Hessian, ``a_eq`` is
-    (rows, k), A_eq = kron(a_eq, I_d), and ``b_eq`` holds rows * d values,
-    row-major.  ``base_inverse``, when given, must be ``kkt_inverse`` of the
-    Hessian and ``a_eq`` with shift ``PROX_REGULARIZATION``, that Hessian
-    already checked (``convexify_segment`` checks it once per cache entry);
-    without it ``solve`` checks the Hessian and factors the KKT matrix.
-    ``deadline`` is a ``time.perf_counter`` value.
+    (rows, k) or ``DynamicsRows``, A_eq = kron(a_eq, I_d), and ``b_eq`` holds
+    rows * d values, row-major.  ``base_inverse``, when given, must be
+    ``kkt_inverse`` of the Hessian and ``a_eq`` with shift
+    ``PROX_REGULARIZATION``, that Hessian already checked (``convexify_segment``
+    checks it once per cache entry); without it ``solve`` checks the Hessian
+    and factors the KKT matrix.  ``deadline`` is a ``time.perf_counter`` value.
     """
 
     dim: int
     objective: QuadraticFunction
-    a_eq: np.ndarray | None = None
+    a_eq: np.ndarray | DynamicsRows | None = None
     b_eq: np.ndarray | None = None
     inequalities: InequalityFn | None = None
     lower: np.ndarray | None = None
@@ -624,74 +706,50 @@ def _check_finite(value, what: str) -> None:
         raise EvaluatorError(f"{what} produced a non-finite value")
 
 
-def _check_hessian(h: np.ndarray, n: int, values: bool = True) -> None:
-    """Raise unless H is a (k, k) matrix, k dividing n, and, with ``values``, finite and symmetric."""
+def _check_hessian(h, n: int, values: bool = True) -> None:
+    """Raise unless H is a (k, k) matrix or ``Band``, k dividing n, and, with ``values``, finite and symmetric."""
     if values:
-        _check_finite(h, "objective hessian")
+        _check_finite(h.bands if isinstance(h, Band) else h, "objective hessian")
     k = h.shape[0] if h.ndim else 0
-    t = 256  # symmetry by tiles, each read transposed while in cache: 5x faster than h == h.T at n = 2560
-    if h.shape != (k, k) or not k or n % k or (
-            values and not all(np.array_equal(h[i : i + t, j : j + t], h[j : j + t, i : i + t].T)
-                               for i in range(0, k, t) for j in range(i, k, t))):
+    if h.shape != (k, k) or not k or n % k or (values and not isinstance(h, Band) and not np.array_equal(h, h.T)):
         raise ConfigError(f"objective hessian must be a symmetric ({n}, {n}) matrix, or (k, k) with k dividing {n}")
 
 
-# the start projection's Gram matrix is swept from this many rows; below, the
-# dense solve is faster (BENCH_28.json: they cross between 143 and 163 rows)
-GRAM_SWEEP_ROWS = 150
-
-
-def _pinned_step(a_eq: np.ndarray, r: np.ndarray) -> np.ndarray | None:
-    """The least-norm s with A_eq s = r, one column per coordinate, when A_eq is pins and a band.
-
-    A pin, a row with one nonzero, fixes its variable's step.  The other
-    rows, on the free variables, have a tridiagonal Gram matrix when each
-    free variable meets two adjacent rows at most (with dynamics, the Euler
-    steps); one LDL' sweep per coordinate solves it.  None for fewer than
-    ``GRAM_SWEEP_ROWS`` rows, for pins alone, a variable pinned twice,
-    another pattern, or a Gram matrix that is not positive definite.
+def _pinned_step(rows: DynamicsRows, r: np.ndarray) -> np.ndarray | None:
+    """The least-norm s with A_1 s = r, one column per coordinate, for a segment's rows: a pin fixes
+    its variable's step, and the Euler rows' Gram matrix on the free variables is a tridiagonal (rows
+    k and k + 1 share p_{k+1}), swept once per coordinate.  None if it is singular (a row all pinned).
     """
-    if a_eq.shape[0] < GRAM_SWEEP_ROWS:
-        return None
-    nonzero = a_eq != 0
-    pins = np.count_nonzero(nonzero, axis=1) == 1
-    pinned = nonzero[pins].argmax(axis=1)
-    if pins.all() or np.any(np.bincount(pinned) > 1):
-        return None
-    step = np.zeros((a_eq.shape[1], r.shape[1]))
-    step[pinned] = r[pins] / a_eq[pins, pinned][:, None]
-    a, nonzero = a_eq[~pins], nonzero[~pins]
-    rhs = r[~pins] - a @ step
-    a[:, pinned], nonzero[:, pinned] = 0.0, False
-    first, last = nonzero.argmax(axis=0), a.shape[0] - 1 - nonzero[::-1].argmax(axis=0)
-    if np.any(nonzero.any(axis=0) & (last - first > 1)):
-        return None
+    free = 1.0 - np.bincount(rows.pinned, minlength=rows.shape[1])  # 0 on pinned columns
+    step, e, f = np.zeros((rows.shape[1], r.shape[1])), rows.steps, free.reshape(rows.count, rows.s)
+    step[rows.pinned] = r[e:]
     try:
-        factor = _ldl(np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", a[:-1], a[1:]))
+        factor = _ldl(f[:e, 0] + rows.dt * rows.dt * f[:e, -1] + f[1 : e + 1, 0], -f[1:e, 0])
     except np.linalg.LinAlgError:
         return None
-    columns = rhs.T.tolist()
+    columns = (r[:e] - (rows @ step)[:e]).T.tolist()
     for column in columns:
         _ldl_solve(column, *factor)
-    return step + a.T @ np.array(columns).T
+    return step + free[:, None] * rows.rmatmat(np.vstack([np.array(columns).T, np.zeros_like(r[e:])]))
 
 
-def project_to_affine(x: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, stats: QpStats | None = None) -> np.ndarray:
+def project_to_affine(x: np.ndarray, a_eq, b_eq: np.ndarray, stats: QpStats | None = None) -> np.ndarray:
     """Least-norm correction onto the affine set kron(A, I_d) x = b, d = x.size // A's columns.
 
-    With pins and banded rows (``_pinned_step``) the pins are applied and the
-    rest's tridiagonal Gram matrix is swept; otherwise the Gram matrix of A
-    is solved with one right-hand side per coordinate.  Redundant rows make
-    it singular; the correction is then taken by least squares and counted
-    in ``stats.kkt_fallbacks``.
+    A segment's ``DynamicsRows`` take ``_pinned_step``; otherwise, or when
+    that Gram matrix is singular, the Gram matrix of A is solved with one
+    right-hand side per coordinate.  Redundant rows make it singular; the
+    correction is then taken by least squares and counted in
+    ``stats.kkt_fallbacks``.
     """
     r = b_eq - _per_coordinate(a_eq, x)
     if float(np.max(np.abs(r), initial=0.0)) <= 1e-12:
         return x
     r = r.reshape(a_eq.shape[0], -1)
-    step = _pinned_step(a_eq, r)
+    step = _pinned_step(a_eq, r) if isinstance(a_eq, DynamicsRows) else None
     if step is not None:
         return x + step.reshape(-1)
+    a_eq = np.asarray(a_eq)
     try:
         w = np.linalg.solve(a_eq @ a_eq.T, r)
     except np.linalg.LinAlgError:
@@ -722,7 +780,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     h, base = problem.objective.hessian_matrix, problem.base_inverse
     _check_hessian(h, n, values=base is None)
     k, d = h.shape[0], n // h.shape[0]  # the Hessian acts on each of d coordinates alike
-    a_eq = np.asarray(problem.a_eq, dtype=float) if problem.a_eq is not None else np.zeros((0, k))
+    a_eq = problem.a_eq if problem.a_eq is not None else np.zeros((0, k))
+    a_eq = a_eq if isinstance(a_eq, DynamicsRows) else np.asarray(a_eq, dtype=float)
     b_eq = np.asarray(problem.b_eq, dtype=float) if problem.b_eq is not None else np.zeros(0)
     lower = np.asarray(problem.lower, dtype=float) if problem.lower is not None else np.full(n, -np.inf)
     upper = np.asarray(problem.upper, dtype=float) if problem.upper is not None else np.full(n, np.inf)
@@ -750,8 +809,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     x = np.minimum(np.maximum(x, lower), upper)
 
     def evaluate(point: np.ndarray):
-        """Objective value, gradient, inequality rows."""
-        f, g = problem.objective.value_and_grad(point)
+        """Objective value, gradient, inequality rows, and H point."""
+        f, g, hx = problem.objective.value_and_grad(point, product=True)
         if problem.inequalities is not None:
             vals, jac = problem.inequalities(point)
             vals, jac = np.asarray(vals, dtype=float), np.asarray(jac, dtype=float)
@@ -764,7 +823,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
             for value, what in ((f, "objective"), (g, "objective gradient"), (vals, "inequality evaluator"),
                                 (jac, "inequality jacobian")):
                 _check_finite(value, what)
-        return f, g, vals, jac
+        return f, g, vals, jac, hx
 
     def penalty(vals: np.ndarray) -> float:
         return float(np.maximum(vals, 0.0).sum())
@@ -774,7 +833,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
 
     mu, delta = INITIAL_PENALTY, INITIAL_TRUST_RADIUS
 
-    fx, gx, rows_vals, rows_jac = evaluate(x)
+    fx, gx, rows_vals, rows_jac, hx = evaluate(x)
     merit = fx + mu * penalty(rows_vals)
 
     converged = False
@@ -786,7 +845,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         lo_eff = np.maximum(lower, x - delta)
         hi_eff = np.minimum(upper, x + delta)
         sol, _ = solve_qp(
-            h, gx - _per_coordinate(h, x) - PROX_REGULARIZATION * x, a_eq, b_eq, rows_jac, rows_jac @ x - rows_vals,
+            h, gx - hx - PROX_REGULARIZATION * x, a_eq, b_eq, rows_jac, rows_jac @ x - rows_vals,
             lower=lo_eff, upper=hi_eff, penalty=np.full(len(rows_vals), mu), base_inverse=base, stats=qp_stats,
         )
         x_new = np.minimum(np.maximum(sol, lo_eff), hi_eff)
@@ -802,7 +861,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         stalled = predicted <= 1e-12 * max(1.0, abs(merit))
         if not stalled:
             trial = evaluate(x_new)
-            f_new, _, vals_new, _ = trial
+            f_new, _, vals_new, _, _ = trial
             merit_new = f_new + mu * penalty(vals_new)
             ratio = (merit - merit_new) / predicted
 
@@ -814,7 +873,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
             if merit_new < merit:
                 stalled = float(np.abs(dx).max(initial=0.0)) <= opts.step_tolerance
                 x, merit = x_new, merit_new
-                fx, gx, rows_vals, rows_jac = trial
+                fx, gx, rows_vals, rows_jac, hx = trial
             elif delta <= MIN_TRUST_RADIUS * 1.01:
                 break
         if stalled:
@@ -948,7 +1007,7 @@ def build_segment_objective(
     sharing the split account for that waypoint.  In path-only mode the cost
     is the squared finite-difference velocity of each edge; edges are owned
     by exactly one segment so no halving is needed.  The Hessian is one
-    coordinate's block (``_segment_hessian``).
+    coordinate's block, held as its bands (``_segment_hessian``).
     """
     layout = segment_layout(scenario, first_index, last_index)
     g, c = _consensus_linear(layout, couplings, rho)
@@ -956,54 +1015,45 @@ def build_segment_objective(
     return QuadraticFunction(hessian_matrix=h, linear=g, constant=c)
 
 
-def _segment_hessian(layout: SegmentLayout, coupled: Sequence[int], rho: float) -> np.ndarray:
-    """One coordinate's Hessian block of a segment's cost plus rho on the states of its
-    ``coupled`` waypoints: p_k at s k and v_k at s k + 1, s = state_dim // dim."""
+def _segment_hessian(layout: SegmentLayout, coupled: Sequence[int], rho: float) -> Band:
+    """One coordinate's Hessian block of a segment's cost plus rho on the states of its ``coupled`` waypoints,
+    p_k at s k and v_k at s k + 1 (s = state_dim // dim): with dynamics a diagonal, else a path Laplacian."""
     count, s = layout.count, layout.state_dim // layout.dim
-    h = np.zeros((count * s, count * s))
+    bands = np.zeros((1 if layout.dynamics else 2, count * s, 1))
+    diagonal, *upper = bands[..., 0]
     if layout.dynamics:
         weight = np.ones(count)
         weight[list(coupled)] = 0.5
-        velocity = s * np.arange(count) + 1
-        h[velocity, velocity] = 2.0 * weight
+        diagonal[1::s] = 2.0 * weight
     else:
-        # squared edge differences: a path-graph Laplacian
+        # squared edge differences
         scale = 2.0 / (layout.dt * layout.dt)
-        np.fill_diagonal(h, scale * ((np.arange(count) > 0).astype(float) + (np.arange(count) < count - 1)))
-        edge = np.arange(count - 1)
-        h[edge, edge + 1] = h[edge + 1, edge] = -scale
+        diagonal[:] = scale * ((np.arange(count) > 0).astype(float) + (np.arange(count) < count - 1))
+        upper[0][:-1] = -scale
     for k in coupled:
-        state = s * k + np.arange(s)
-        h[state, state] += rho
-    return h
+        diagonal[s * k : s * k + s] += rho
+    return Band(bands)
 
 
 def segment_equalities(
     scenario: Scenario, first_index: int, last_index: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[DynamicsRows, np.ndarray]:
     """Affine rows: dynamics between consecutive waypoints plus endpoint pins.
 
     The global start pins position (and velocity, with dynamics) of the first
     waypoint; the global goal pins the last.  Split-point waypoints are never
-    pinned, consensus terms steer them instead.  ``a_eq`` is one coordinate's
+    pinned, consensus terms steer them instead.  ``DynamicsRows`` hold one coordinate's
     block, on the Hessian's columns; the values are per row and coordinate.
     """
     layout = segment_layout(scenario, first_index, last_index)
     count, sd, s = layout.count, layout.state_dim, layout.state_dim // layout.dim
-    # q_{k+1} - q_k - dt v_k = 0 per waypoint pair; q holds the q_k columns
-    q = s * np.arange(count - 1 if layout.dynamics else 0)
+    steps = count - 1 if layout.dynamics else 0
     pins = [(0, scenario.start)] if first_index == 0 else []
     if last_index == scenario.num_waypoints - 1:
         pins.append((count - 1, scenario.goal))
     pinned = (s * np.array([k for k, _ in pins], dtype=int)[:, None] + np.arange(s)).reshape(-1)
-    rows = np.arange(q.size)
-    a_eq = np.zeros((q.size + pinned.size, count * s))
-    a_eq[rows, q + s] = 1.0
-    a_eq[rows, q] = -1.0
-    a_eq[rows, q + 1] = -layout.dt
-    a_eq[q.size + np.arange(pinned.size), pinned] = 1.0
     values = [np.concatenate([state.position, state.velocity])[:sd] for _, state in pins]
-    return a_eq, np.concatenate([np.zeros(q.size * layout.dim), *values])
+    return DynamicsRows(count, s, layout.dt, steps, pinned), np.concatenate([np.zeros(steps * layout.dim), *values])
 
 
 def segment_bounds(scenario: Scenario, layout: SegmentLayout) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -1119,7 +1169,7 @@ def convexify_segment(
         a_eq, b_eq = segment_equalities(scenario, first_index, last_index)
         lower, upper = segment_bounds(scenario, layout)
         base = kkt_inverse(hessian, a_eq, layout.dim, PROX_REGULARIZATION)
-        for array in (hessian, a_eq, b_eq, lower, upper, base.block):
+        for array in (hessian.bands, a_eq.pinned, b_eq, lower, upper, base.block):
             if array is not None:
                 array.flags.writeable = False
         held[key] = (hessian, a_eq, b_eq, lower, upper, _collision_rows(scenario, layout), base)

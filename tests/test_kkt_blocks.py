@@ -1,8 +1,9 @@
 """The base KKT inverse of one coordinate's blocks.
 
 A segment's cost, dynamics and pins act on each coordinate alone and alike,
-so its Hessian and equalities are built as one coordinate's blocks B and
-A_1 of H = kron(B, I_d) and A_eq = kron(A_1, I_d).  ``kkt_inverse`` inverts
+so its Hessian and equalities are one coordinate's blocks B and A_1 of
+H = kron(B, I_d) and A_eq = kron(A_1, I_d), held as a ``Band`` and
+``DynamicsRows`` (``np.asarray`` expands them).  ``kkt_inverse`` inverts
 [[B + prox I, A_1'], [A_1, 0]], from its structure when it holds enough exact
 2x2 pivots (with dynamics, a velocity and its own row): the pins are
 eliminated in closed form and the positions' tridiagonal is swept.  Its
@@ -46,6 +47,7 @@ SHIFT = 1e-10
 
 
 def dense_inverse(hessian, a_eq, shift=SHIFT):
+    hessian, a_eq = np.asarray(hessian), np.asarray(a_eq)  # a Band and DynamicsRows expanded
     n, m = hessian.shape[0], a_eq.shape[0]
     kkt = np.zeros((n + m, n + m))
     kkt[:n, :n] = hessian + shift * np.eye(n)
@@ -138,9 +140,9 @@ def test_block_problem_matches_expanded_problem(segment):
 @pytest.mark.parametrize("count, which", [(40, "mono"), (160, "mono"), (320, "mono"),
                                           (640, "first"), (640, "middle"), (640, "last")])
 def test_projection_matches_dense_least_norm(count, which):
-    # a dynamics block of GRAM_SWEEP_ROWS rows or more has its pins applied and
-    # its Euler rows' Gram matrix swept, a shorter one solves the dense Gram
-    # matrix; both give the dense least-norm step (segments of a split4 run)
+    # a dynamics block of any size has its pins applied and its Euler rows'
+    # Gram matrix swept, which gives the dense least-norm step (segments of a
+    # split4 run)
     scenario = stretched("circle_blocked.yaml", count)
     edges = [0, *split_uniform(count, 3), count - 1]
     first, last = {"mono": (0, count - 1), "first": edges[:2], "middle": edges[1:3], "last": edges[-2:]}[which]
@@ -149,7 +151,7 @@ def test_projection_matches_dense_least_norm(count, which):
     pinned_step, steps = nlp._pinned_step, []
     with mock.patch.object(nlp, "_pinned_step", lambda *args: steps.append(pinned_step(*args)) or steps[-1]):
         got = project_to_affine(x, a_eq, b_eq)
-    assert (steps[0] is not None) == (a_eq.shape[0] >= nlp.GRAM_SWEEP_ROWS)
+    assert steps[0] is not None
     expanded = dense(a_eq, scenario.dim)
     want = x + np.linalg.lstsq(expanded, b_eq - expanded @ x, rcond=None)[0]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -225,7 +227,7 @@ def test_block_of_another_shape_is_the_dense_inverse_bit_for_bit(extra):
     hessian = build_segment_objective(scenario, 0, 39).hessian_matrix
     a_eq, _ = segment_equalities(scenario, 0, 39)
     if extra == "hessian":
-        hessian = hessian.copy()
+        hessian = np.array(hessian)
         hessian[10, 18] = hessian[18, 10] = 0.1
     else:
         a_eq = np.vstack([a_eq, np.eye(1, a_eq.shape[1], 6) - np.eye(1, a_eq.shape[1], 14)])
@@ -245,6 +247,7 @@ def test_singular_condensed_block_is_a_pseudo_inverse():
     hessian = build_segment_objective(scenario, 0, 39).hessian_matrix
     a_eq, _ = segment_equalities(scenario, 0, 39)
     pins = 39  # the first pin row: the start's position
+    a_eq = np.asarray(a_eq)
     a_eq = np.vstack([a_eq, a_eq[pins : pins + 1]])
     with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
         inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
@@ -342,8 +345,9 @@ def test_mono_transient_memory():
         tracemalloc.stop()
     assert report.converged
     # the inverse itself is 483^2 doubles, 1.87 MB, built in place; the
-    # Hessian and equality blocks and the SCP's rows make up most of the rest
-    assert peak < 4.5e6
+    # Hessian band and the equality rows take 5 KB, the projection makes no
+    # copy of them, and the SCP's rows and iterates make up most of the rest
+    assert peak < 3.2e6
 
 
 # ||K X - I||_inf (the largest row sum) of the LU-condensed factor that the sweep
@@ -363,6 +367,7 @@ def test_condensed_residual(which):
     with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
         inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
     assert spy.called and not inverse.pseudo
+    hessian, a_eq = np.asarray(hessian), np.asarray(a_eq)
     n, m = hessian.shape[0], a_eq.shape[0]
     kkt = np.block([[hessian + SHIFT * np.eye(n), a_eq.T], [a_eq, np.zeros((m, m))]])
     residual = np.abs(kkt @ inverse.block - np.eye(n + m)).sum(axis=1).max()

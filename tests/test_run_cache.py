@@ -115,7 +115,7 @@ def test_cache_holds_one_read_only_entry_per_shape():
     admm.primal_update(scenario, segments, consensus, config, factors)
     assert len(factors.segments) == 4 == run(scenario, config).factorizations
     for hessian, a_eq, b_eq, lower, upper, rows, base in factors.segments.values():
-        for array in (hessian, a_eq, b_eq, lower, upper, base.block):
+        for array in (hessian.bands, a_eq.pinned, b_eq, lower, upper, base.block):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
