@@ -104,7 +104,7 @@ class _Block:
     __array_ufunc__ = None  # numpy defers to the block's own products rather than expand it
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        dense, (i, j, v) = np.zeros(self.shape), _entries(self)
+        dense, (i, j, v) = np.zeros(self.shape), self.entries()
         dense[i, j] = v
         return dense
 
@@ -128,17 +128,24 @@ class Band(_Block):
             out[1:] += upper * x[:-1]
         return out
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the entries that may be nonzero: the diagonal, then any off-diagonals."""
+        k, upper = np.arange(self.shape[0]), self.bands[1:, :-1, 0].reshape(-1)
+        u, v = k[: upper.size], k[1 : upper.size + 1]
+        return np.concatenate([k, u, v]), np.concatenate([k, v, u]), np.concatenate([self.bands[0, :, 0], upper, upper])
+
 
 @dataclass(frozen=True, eq=False)
 class DynamicsRows(_Block):
-    """A segment's equality block A_1: ``steps`` Euler rows q_{k+1} - q_k - dt v_k = 0, then a pin
-    (coefficient 1) on each column in ``pinned``; ``count`` waypoints of ``s`` columns, v_k at s k + 1."""
+    """A segment's equality block A_1: with velocities (s = 2), an Euler row q_{k+1} - q_k - dt v_k = 0 per step,
+    then a pin (coefficient 1) on each column in ``pinned``; ``count`` waypoints of ``s`` columns, v_k at s k + 1."""
 
     count: int
     s: int
     dt: float
-    steps: int
     pinned: np.ndarray
+
+    steps = property(lambda self: self.count - 1 if self.s > 1 else 0)  # the Euler rows
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -157,23 +164,13 @@ class DynamicsRows(_Block):
         out.reshape(self.shape[1], -1)[self.pinned] += w[e:]
         return out.reshape(self.shape[1], -1)
 
-
-def _entries(matrix, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the entries of ``matrix`` (+ shift I, square) that may be nonzero."""
-    if isinstance(matrix, Band):
-        k, (diagonal, *upper) = np.arange(matrix.shape[0]), matrix.bands[..., 0]
-        upper = upper[0][:-1] if upper else np.zeros(k.size - 1)
-        return (np.concatenate([k, k[:-1], k[1:]]), np.concatenate([k, k[1:], k[:-1]]),
-                np.concatenate([diagonal + shift, upper, upper]))
-    if isinstance(matrix, DynamicsRows):  # p_k, v_k and p_{k+1} in Euler row k, then the pins
-        e, s, p = np.arange(matrix.steps), matrix.s, matrix.pinned
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the nonzeros: p_k, v_k and p_{k+1} in Euler row k, then the pins."""
+        e, s, p = np.arange(self.steps), self.s, self.pinned
         if not e.size:
             return np.arange(p.size), p, np.ones(p.size)
         return (np.concatenate([e, e, e, e.size + np.arange(p.size)]), np.concatenate([s * e, s * e + 1, s * e + s, p]),
-                np.repeat([-1.0, -matrix.dt, 1.0, 1.0], [e.size] * 3 + [p.size]))
-    matrix = matrix + shift * np.eye(matrix.shape[0]) if shift else matrix
-    i, j = np.nonzero(matrix)
-    return i, j, matrix[i, j]
+                np.repeat([-1.0, -self.dt, 1.0, 1.0], [e.size] * 3 + [p.size]))
 
 
 # a block with fewer exact 2x2 pivots is inverted whole; np.linalg.inv and the
@@ -361,23 +358,27 @@ def kkt_inverse(hessian, a_eq, coordinates: int = 1, shift: float = 0.0) -> KktI
     the optimum of the base problem, is one product with it, and a constraint c
     entering the working set needs only the column K^-1 [c; 0] (for a bound, a
     column of the inverse itself).  ``hessian`` and ``a_eq`` are the
-    one-coordinate blocks B and A_1 of H = kron(B, I_d) and A = kron(A_1, I_d),
-    arrays or a segment's ``Band`` and ``DynamicsRows``, whose entries are
-    written straight into the buffer and give the pattern; ``coordinates`` is
-    d and only labels the result.  A block with ``MIN_PIVOTS`` or more exact
+    one-coordinate blocks B and A_1 of H = kron(B, I_d) and A = kron(A_1, I_d):
+    arrays, copied whole, or a segment's ``Band`` and ``DynamicsRows``, whose
+    entries are written into the buffer and give the pattern; ``coordinates``
+    is d and only labels the result.  A block with ``MIN_PIVOTS`` or more exact
     2x2 pivots (with dynamics, each velocity and its Euler step or the goal's
-    velocity pin) whose rest is pins around a tridiagonal
-    (``_condensed_inverse``) is inverted from that structure in O(size^2),
-    written into the output; any other block by ``np.linalg.inv``.  A singular
-    matrix is answered by the whole block's pseudo-inverse, marked ``pseudo``.
+    velocity pin) whose rest is pins around a tridiagonal (``_condensed_inverse``)
+    is inverted from that structure in O(size^2), written into the output; any
+    other by ``np.linalg.inv``, a singular one by ``np.linalg.pinv`` (``pseudo``).
     """
     n, m = hessian.shape[0], a_eq.shape[0]
-    (hi, hj, hv), (ai, aj, av) = _entries(hessian, shift), _entries(a_eq)
-    kkt = np.zeros((n + m, n + m))
-    kkt[hi, hj], kkt[n + ai, aj], kkt[aj, n + ai] = hv, av, av
+    kkt, structured = np.zeros((n + m, n + m)), isinstance(hessian, Band) and isinstance(a_eq, DynamicsRows)
+    if structured:
+        (hi, hj, hv), (ai, aj, av) = hessian.entries(), a_eq.entries()
+        kkt[hi, hj], kkt[n + ai, aj], kkt[aj, n + ai] = hv, av, av
+    else:
+        kkt[:n, :n], kkt[n:, :n], kkt[:n, n:] = hessian, a_eq, np.transpose(a_eq)
+    kkt.reshape(-1)[: n * (n + m) : n + m + 1] += shift  # the diagonal of H
     j = r = np.zeros(0, dtype=int)
     if m >= MIN_PIVOTS:  # K's entries in the variables' columns
-        entries = np.concatenate([hi, n + ai]), np.concatenate([hj, aj]), np.concatenate([hv, av])
+        ki, kc = (np.concatenate([hi, n + ai]), np.concatenate([hj, aj])) if structured else np.nonzero(kkt[:, :n])
+        entries = ki, kc, kkt[ki, kc]
         j, r = _pivots(*entries, n)
     try:
         if j.size >= MIN_PIVOTS and (condensed := _condensed_inverse(kkt, n, j, r, entries)) is not None:
@@ -603,10 +604,9 @@ class QuadraticFunction:
     def value(self, x: np.ndarray) -> float:
         return self.value_and_grad(x)[0]
 
-    def value_and_grad(self, x: np.ndarray, product: bool = False):
-        """f(x) and its gradient, then H x when ``product``."""
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         hx = _per_coordinate(self.hessian_matrix, x)
-        return (float(0.5 * x @ hx + self.linear @ x + self.constant), hx + self.linear, hx)[: 2 + product]
+        return float(0.5 * x @ hx + self.linear @ x + self.constant), hx + self.linear
 
 
 # inequality rows g(x) <= 0: rows(x) -> (values, jacobian)
@@ -762,8 +762,8 @@ def project_to_affine(x: np.ndarray, a_eq, b_eq: np.ndarray, stats: QpStats | No
 def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolution:
     """Solve an NLP by sequential convexification with an l1 exact penalty.
 
-    Every point visited (``x0`` and each trial step) is evaluated exactly
-    once; an accepted trial's evaluation is the next iteration's model.
+    Every point visited (``x0`` and each QP step) is evaluated exactly once,
+    its rows only if it is tried; an accepted trial is the next model.
     Never raises on non-convergence: the iteration limit, or the problem's
     ``deadline`` reached first, returns the iterate reached with
     ``converged=False``.  A non-finite objective array or evaluator output
@@ -808,9 +808,9 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         x = project_to_affine(x, a_eq, b_eq, qp_stats)
     x = np.minimum(np.maximum(x, lower), upper)
 
-    def evaluate(point: np.ndarray):
-        """Objective value, gradient, inequality rows, and H point."""
-        f, g, hx = problem.objective.value_and_grad(point, product=True)
+    def evaluate(point: np.ndarray, objective: tuple[float, np.ndarray]):
+        """The objective's value and gradient at ``point``, from ``value_and_grad``, then the inequality rows."""
+        f, g = objective
         if problem.inequalities is not None:
             vals, jac = problem.inequalities(point)
             vals, jac = np.asarray(vals, dtype=float), np.asarray(jac, dtype=float)
@@ -823,7 +823,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
             for value, what in ((f, "objective"), (g, "objective gradient"), (vals, "inequality evaluator"),
                                 (jac, "inequality jacobian")):
                 _check_finite(value, what)
-        return f, g, vals, jac, hx
+        return f, g, vals, jac
 
     def penalty(vals: np.ndarray) -> float:
         return float(np.maximum(vals, 0.0).sum())
@@ -833,7 +833,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
 
     mu, delta = INITIAL_PENALTY, INITIAL_TRUST_RADIUS
 
-    fx, gx, rows_vals, rows_jac, hx = evaluate(x)
+    fx, gx, rows_vals, rows_jac = evaluate(x, problem.objective.value_and_grad(x))
     merit = fx + mu * penalty(rows_vals)
 
     converged = False
@@ -845,13 +845,14 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         lo_eff = np.maximum(lower, x - delta)
         hi_eff = np.minimum(upper, x + delta)
         sol, _ = solve_qp(
-            h, gx - hx - PROX_REGULARIZATION * x, a_eq, b_eq, rows_jac, rows_jac @ x - rows_vals,
+            h, problem.objective.linear - PROX_REGULARIZATION * x, a_eq, b_eq, rows_jac, rows_jac @ x - rows_vals,
             lower=lo_eff, upper=hi_eff, penalty=np.full(len(rows_vals), mu), base_inverse=base, stats=qp_stats,
         )
         x_new = np.minimum(np.maximum(sol, lo_eff), hi_eff)
 
         dx = x_new - x
-        model_obj = fx + gx @ dx + 0.5 * dx @ _per_coordinate(h, dx)
+        objective_new = problem.objective.value_and_grad(x_new)  # the model's H dx is its change of gradient
+        model_obj = fx + gx @ dx + 0.5 * dx @ (objective_new[1] - gx)
         lin_vals = rows_vals + rows_jac @ dx
         model_merit = model_obj + mu * penalty(lin_vals)
         predicted = merit - model_merit
@@ -860,8 +861,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         # accepted step is below the step tolerance
         stalled = predicted <= 1e-12 * max(1.0, abs(merit))
         if not stalled:
-            trial = evaluate(x_new)
-            f_new, _, vals_new, _, _ = trial
+            trial = evaluate(x_new, objective_new)
+            f_new, _, vals_new, _ = trial
             merit_new = f_new + mu * penalty(vals_new)
             ratio = (merit - merit_new) / predicted
 
@@ -873,7 +874,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
             if merit_new < merit:
                 stalled = float(np.abs(dx).max(initial=0.0)) <= opts.step_tolerance
                 x, merit = x_new, merit_new
-                fx, gx, rows_vals, rows_jac, hx = trial
+                fx, gx, rows_vals, rows_jac = trial
             elif delta <= MIN_TRUST_RADIUS * 1.01:
                 break
         if stalled:
@@ -1047,13 +1048,12 @@ def segment_equalities(
     """
     layout = segment_layout(scenario, first_index, last_index)
     count, sd, s = layout.count, layout.state_dim, layout.state_dim // layout.dim
-    steps = count - 1 if layout.dynamics else 0
     pins = [(0, scenario.start)] if first_index == 0 else []
     if last_index == scenario.num_waypoints - 1:
         pins.append((count - 1, scenario.goal))
     pinned = (s * np.array([k for k, _ in pins], dtype=int)[:, None] + np.arange(s)).reshape(-1)
     values = [np.concatenate([state.position, state.velocity])[:sd] for _, state in pins]
-    return DynamicsRows(count, s, layout.dt, steps, pinned), np.concatenate([np.zeros(steps * layout.dim), *values])
+    return (rows := DynamicsRows(count, s, layout.dt, pinned)), np.concatenate([np.zeros(rows.steps * layout.dim), *values])
 
 
 def segment_bounds(scenario: Scenario, layout: SegmentLayout) -> tuple[np.ndarray | None, np.ndarray | None]:
