@@ -12,12 +12,13 @@ segment shape (a ``FactorCache`` keeps it), since only the consensus linear
 term changes between rounds.  A segment's cost, dynamics and pins act on each
 coordinate alone and alike: H = kron(B, I_d) and A_eq = kron(A_1, I_d) are held
 as B's diagonal and superdiagonal (``Band``) and A_1's Euler rows and pins
-(``DynamicsRows``), with O(k) products.  With dynamics each velocity and its
-Euler row are an exact 2x2 pivot, and each pin fixes its variable, both
-eliminated in closed form; the free positions are left with a tridiagonal,
-which one LDL' sweep inverts in place in the output.  Collision rows, the only
-ones that mix coordinates, enter through the QP's Schur complement, whose
-working set is a count over preallocated buffers that double when full.
+(``DynamicsRows``), with O(k) products.  Their KKT block's inverse is held in
+O(k) memory as P + Q T^-1 Q' (``KktInverse``): the velocities, Euler rows and
+pins eliminated in closed form give the sparse P and Q, and T, the free
+positions' tridiagonal, is held as the generators of its LDL' factor.
+Collision rows, the only ones that mix coordinates, enter through the QP's
+Schur complement, whose working set is a count over preallocated buffers that
+double when full.
 Trust region and joint limits are bounds, held while active; linearized rows
 are elastic: a row's multiplier is capped at its penalty weight, and a row at
 the cap is tied (its weight moves into the gradient), so no slack is a variable.
@@ -33,6 +34,7 @@ feasibility and step tolerances.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -66,30 +68,75 @@ class QpStats:
 class KktInverse:
     """Inverse of a base KKT matrix [[H, A'], [A, 0]], H = kron(B, I_d) and A = kron(A_1, I_d).
 
-    ``block`` inverts [[B, A_1'], [A_1, 0]]: KKT index t, a variable or an
-    equality row, lies in coordinate t mod d at position t // d, d =
-    ``coordinates``, and entries between coordinates are zero.  ``block`` is
-    symmetric, so a row of the inverse is also its column.  ``pseudo`` is
-    True when the matrix was singular and ``block`` is a pseudo-inverse.
+    It inverts the one-coordinate block K = [[B, A_1'], [A_1, 0]] of ``size``
+    rows: KKT index t, a variable or an equality row, lies in coordinate
+    t mod d at position t // d, d = ``coordinates``, and entries between
+    coordinates are zero.  A segment's block of ``DENSE_SIZE`` rows or more
+    is held as K^-1 = P + Q T^-1 Q' (``_segment_parts``): ``p`` and ``q`` are
+    sparse, each (rows, columns, values) with O(size) entries, and T^-1, the
+    inverse of a tridiagonal, is held as the generators ``u`` and ``s`` of its
+    factor (``_ldl``): (T^-1)_ij = u_i v_j for i <= j, v_j = u_j sum_{k>=j} s_k^2
+    (Meurant, 1992).  Any other block is held ``dense``, a pseudo-inverse if K
+    was singular (``pseudo``).  K^-1 is symmetric, so a row is also a column.
     """
 
-    def __init__(self, block: np.ndarray, coordinates: int, pseudo: bool) -> None:
-        self.block, self.coordinates, self.pseudo = block, coordinates, pseudo
+    def __init__(self, size: int, coordinates: int, pseudo: bool = False, dense: np.ndarray | None = None,
+                 parts: tuple | None = None) -> None:
+        self.size, self.coordinates, self.pseudo, self.dense = size, coordinates, pseudo, dense
+        self.p, self.q, self.u, self.s = parts or ((), (), None, None)
+        if dense is not None:
+            self.diagonal = dense.diagonal()
+            return
+        # P's diagonal, plus q T^-1 q' over each row q of Q; the entries' flat indices for d columns
+        (pi, pj, pv), (qc, qv) = self.p, _padded(*self.q, size)
+        low, high = np.minimum(qc[:, :, None], qc[:, None, :]), np.maximum(qc[:, :, None], qc[:, None, :])
+        v = self.u * np.cumsum((self.s * self.s)[::-1])[::-1]
+        self.diagonal = (np.bincount(pi[pi == pj], pv[pi == pj], minlength=size)
+                         + (qv[:, :, None] * qv[:, None, :] * self.u[low] * v[high]).sum((1, 2)))
+        self.flat = _flat(*self.p, coordinates), _flat(*self.q, coordinates)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """K^-1 rhs: one product of the block with a column per coordinate."""
-        return _per_coordinate(self.block, rhs)
+        """K^-1 rhs, a column per coordinate: with the parts, Q', two cumulative sums, then P and Q."""
+        return self._apply(rhs.reshape(self.size, -1)).reshape(-1)
 
     def rows(self, idx) -> np.ndarray:
         """K^-1[idx] for an index or an index array."""
         d, flat = self.coordinates, np.ravel(idx)
-        out = np.zeros((flat.size, self.block.shape[0], d))
-        out[np.arange(flat.size), :, flat % d] = self.block[flat // d]
-        return out.reshape(np.shape(idx) + (self.block.shape[0] * d,))
+        if self.dense is not None:
+            block = self.dense[flat // d]
+        else:  # a collision row asks for the d coordinates of one row of the block: it is taken once
+            rows = flat // d
+            rows = rows[:1] if rows.size > 1 and rows.min() == rows.max() else rows
+            unit = np.zeros((self.size, rows.size))
+            unit[rows, np.arange(rows.size)] = 1.0
+            block = self._apply(unit).T
+        out = np.zeros((flat.size, self.size, d))
+        out[np.arange(flat.size), :, flat % d] = block
+        return out.reshape(np.shape(idx) + (self.size * d,))
 
     def entry(self, i: int) -> float:
         """K^-1[i, i]."""
-        return self.block[i // self.coordinates, i // self.coordinates]
+        return self.diagonal[i // self.coordinates]
+
+    def arrays(self) -> list[np.ndarray]:
+        """The arrays that define it: its dense form, or its parts, and its diagonal."""
+        return [a for a in (self.dense, self.u, self.s, self.diagonal, *self.p, *self.q) if a is not None]
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """The block's inverse times x of shape (size, columns)."""
+        if self.dense is not None:
+            return self.dense @ x
+        c, t, x = x.shape[1], self.u.size, x.reshape(-1)
+        (pi, pj, pv), (qi, qj, qv) = self.flat if c == self.coordinates else (_flat(*self.p, c), _flat(*self.q, c))
+        y = _tridiagonal_solve(self.u, self.s, np.bincount(qj, qv * x[qi], minlength=t * c).reshape(t, c)).reshape(-1)
+        return (np.bincount(pi, pv * x[pj], minlength=self.size * c) + np.bincount(qi, qv * y[qj], minlength=self.size * c)
+                ).reshape(-1, c)
+
+
+def _flat(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries (rows, cols, values) of a sparse S as those of kron(S, I_c): a product with x of c columns is
+    then one gather of x's flat entries and one ``np.bincount``."""
+    return (rows[:, None] * c + np.arange(c)).reshape(-1), (cols[:, None] * c + np.arange(c)).reshape(-1), np.repeat(values, c)
 
 
 def _per_coordinate(matrix, x: np.ndarray) -> np.ndarray:
@@ -120,13 +167,16 @@ class Band(_Block):
         return (self.bands.shape[1],) * 2
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """B x for x of shape (k, d)."""
-        out = self.bands[0] * x
-        if len(self.bands) > 1:
-            upper = self.bands[1, :-1]
-            out[:-1] += upper * x[1:]
-            out[1:] += upper * x[:-1]
-        return out
+        """B x for x of shape (k, d): on x's flat entries, each band repeated per coordinate."""
+        d, flat = x.shape[1], x.reshape(-1)
+        if d not in self.__dict__:  # the frozen dataclass keeps its repeated bands in its own __dict__
+            self.__dict__[d] = np.repeat(self.bands[0, :, 0], d), np.repeat(self.bands[1:, :-1, 0], d)
+        diagonal, upper = self.__dict__[d]
+        out = diagonal * flat
+        if upper.size:
+            out[: upper.size] += upper * flat[d:]
+            out[d:] += upper * flat[: upper.size]
+        return out.reshape(x.shape)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the entries that may be nonzero: the diagonal, then any off-diagonals."""
@@ -173,223 +223,170 @@ class DynamicsRows(_Block):
                 np.repeat([-1.0, -self.dt, 1.0, 1.0], [e.size] * 3 + [p.size]))
 
 
-# a block with fewer exact 2x2 pivots is inverted whole; np.linalg.inv and the
-# structured inverse cost about the same from 32 to 40 pivots (BENCH_28.json)
-MIN_PIVOTS = 32
-
-
-def _pivots(ki: np.ndarray, kc: np.ndarray, kv: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact 2x2 pivots of kkt = [[H, A'], [A, 0]], H n x n, from its entries (ki, kc, kv) in columns < n:
-    variables j whose row of H is zero off the diagonal and whose column of A has one nonzero, in row r; one per row."""
-    ki, kc = ki[kv != 0], kc[kv != 0]
-    rows = ki >= n
-    lone = (np.bincount(ki[~rows & (ki != kc)], minlength=n) == 0) & (np.bincount(kc[rows], minlength=n) == 1)
-    lone, row = np.flatnonzero(lone), np.zeros(n, dtype=int)
-    row[kc[rows]] = ki[rows] - n
-    r, first = np.unique(row[lone], return_index=True)
-    return lone[first], r
-
-
 def _ldl(diag: np.ndarray, off: np.ndarray) -> tuple[list[float], list[float]]:
-    """Pivots and multipliers of the LDL' factor of the symmetric tridiagonal (``diag``, ``off``).
+    """u and s with (L^-T D^-1/2)_ij = u_i s_j for i <= j, T = L D L' the symmetric tridiagonal (``diag``, ``off``).
 
-    Raises ``LinAlgError`` at a pivot that is not positive: the matrix is
-    not positive definite.
+    With T's pivots d_k, u_i is the product of -d_k / off_k over k < i, and
+    s_j = 1 / (u_j sqrt(d_j)).  Raises ``LinAlgError`` unless T is positive
+    definite with no zero off the diagonal.
     """
-    pivots: list[float] = []
-    multipliers: list[float] = []
-    for s, e in zip(diag.tolist(), [0.0, *off.tolist()]):
-        if pivots:
-            multipliers.append(e / pivots[-1])
-            s -= multipliers[-1] * e
-        if not s > 0.0:
+    a, b = diag.tolist(), off.tolist()
+    if not all(b):
+        raise np.linalg.LinAlgError("tridiagonal matrix is reducible")
+    pivot, u, s = a[:1], [1.0] * len(a), [0.0] * len(a)
+    for k in range(len(a)):
+        if not pivot[k] > 0.0:
             raise np.linalg.LinAlgError("tridiagonal matrix is not positive definite")
-        pivots.append(s)
-    return pivots, multipliers
+        s[k] = 1.0 / (u[k] * math.sqrt(pivot[k]))
+        if k < len(b):
+            pivot.append(a[k + 1] - b[k] / pivot[k] * b[k])
+            u[k + 1] = -u[k] * pivot[k] / b[k]
+    if not math.isfinite(sum(u) + sum(s)):
+        raise np.linalg.LinAlgError("tridiagonal matrix's factor overflows")
+    return u, s
 
 
-def _ldl_solve(rows: list, pivots: list[float], multipliers: list[float]) -> None:
-    """Replace ``rows`` by T^-1 rows, T = L D L' from ``_ldl``: a forward and a backward sweep.
+def _tridiagonal_solve(u: np.ndarray, s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """T^-1 b for b of shape (t, c), from ``_ldl``'s u and s: T^-1 = M M' with M_ij = u_i s_j for i <= j, so
+    (M' b)_j = s_j times the sum of u_i b_i over i <= j, and (M c)_i = u_i times the sum of s_j c_j over j >= i."""
+    inner = np.cumsum(u[:, None] * b, axis=0)
+    inner *= (s * s)[:, None]
+    return u[:, None] * np.cumsum(inner[::-1], axis=0)[::-1]
 
-    ``rows`` holds views of an array's rows, each step then one operation
-    on whole rows in place, or floats, which is faster for a single column.
+
+def _padded(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sparse matrix of entries (rows, cols, values), ``size`` rows, as each row's columns and values padded
+    with zeros to one width; entries of value 0 are dropped."""
+    keep = values != 0
+    order = np.argsort(rows[keep], kind="stable")
+    rows, cols, values = rows[keep][order], cols[keep][order], values[keep][order]
+    count = np.bincount(rows, minlength=size)
+    slot = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
+    padded_cols, padded_values = np.zeros((size, count.max(initial=0)), dtype=int), np.zeros((size, count.max(initial=0)))
+    padded_cols[rows, slot], padded_values[rows, slot] = cols, values
+    return padded_cols, padded_values
+
+
+def _join(x: tuple, y: tuple, size: int) -> list[np.ndarray]:
+    """Each pair of entries of the sparse x and y, (rows, cols, values) over ``size`` rows, in one row:
+    (row, x's column, y's column, product); summed over rows they give x'y."""
+    cols, values = _padded(*x, size)
+    r, c, v = y
+    return [np.concatenate(part) for part in zip(*[(r, cols[r, a], c, values[r, a] * v) for a in range(cols.shape[1])])]
+
+
+def _segment_parts(hessian: Band, rows: DynamicsRows, coordinates: int, shift: float) -> KktInverse | None:
+    """K^-1 = P + Q T^-1 Q' for a segment's block K = [[B + shift I, A_1'], [A_1, 0]], dense below ``DENSE_SIZE``
+    rows; None unless its pins are whole states of its first or last waypoint and leave T positive definite.
+
+    The nullspace method: with A_1 Y = I and Z a basis of A_1's nullspace,
+    K^-1 = [[0, Y], [Y', -Y'BY]] + [Z; -Y'BZ] (Z'BZ)^-1 [Z; -Y'BZ]'.  Z's
+    column moves a free position p_i and the velocities of the steps beside it
+    by -+1/dt, so T = Z'BZ is tridiagonal.  Y's column of an Euler row moves
+    its velocity by -1/dt, but a pinned start fixes p_1: the first row and
+    p_0's and v_0's pins move it (by 1, 1 and dt), v_1 repairing the second
+    row; the goal's position pin repairs the last step by v_{c-2}.  A last
+    velocity in no row adds 1/h(v) to P.  All have O(size) entries.
     """
-    for i in range(1, len(rows)):
-        rows[i] -= multipliers[i - 1] * rows[i - 1]
-    for i in reversed(range(len(rows))):
-        rows[i] /= pivots[i]
-        if i + 1 < len(rows):
-            rows[i] -= multipliers[i] * rows[i + 1]
+    c, s, dt, e, (m, n) = rows.count, rows.s, rows.dt, rows.steps, rows.shape
+    pinned, first, last = rows.pinned.tolist(), list(range(s)), list(range(s * c - s, s * c))
+    start = pinned[:s] == first
+    goal = pinned[s * start :] == last
+    lo, hi = min(s, c) * start, c - goal  # the free positions
+    if lo > hi or pinned != first * start + last * goal:
+        return None
+    free, step, size, t = range(lo, hi), 1.0 / dt, n + m, hi - lo
+    h, upper = hessian.bands[0, :, 0] + shift, hessian.bands[1, :-1] if len(hessian.bands) > 1 else None
+    w: list[list] = [[], [], []]  # [Y Z]'s entries: rows, columns (Y's are A_1's rows, Z's follow) and values
+
+    def add(*entries: list) -> None:
+        for part, more in zip(w, entries):
+            part += more
+
+    add(pinned, [e + k for k in range(len(pinned))], [1.0] * len(pinned))
+    add([s * i for i in free], [m + i - lo for i in free], [1.0] * t)
+    if s > 1:
+        paired, before, after = range(start, e), range(max(lo, 1), hi), range(lo, min(hi, c - 1))
+        add([2 * k + 1 for k in paired], list(paired), [-step] * len(paired))
+        add([2 * i - 1 for i in before], [m + i - lo for i in before], [step] * len(before))
+        add([2 * i + 1 for i in after], [m + i - lo for i in after], [-step] * len(after))
+        if start and c > 1:
+            moves = 3 + 3 * (c > 2)
+            add([2, 2, 2, 3, 3, 3][:moves], [0, e, e + 1, 0, e, e + 1][:moves], [1.0, 1.0, dt, -step, -step, -1.0][:moves])
+        if goal and c > 1:
+            add([2 * c - 3], [e + len(pinned) - 2], [step])
+    last_velocity = s > 1 and n - 1 not in pinned  # in no row: 1/h to P
+    try:
+        if size < DENSE_SIZE:
+            dense_w = np.zeros((n, m + t))
+            dense_w[w[0], w[1]] = w[2]
+            bw = h[:, None] * dense_w  # B [Y Z]
+            if upper is not None:
+                bw[:-1] += upper * dense_w[1:]
+                bw[1:] += upper * dense_w[:-1]
+            g = dense_w.T @ bw  # [Y Z]' B [Y Z]: Y'BY, Y'BZ and T
+            u, scale = map(np.array, _ldl(g[m:, m:].diagonal(), g[m:, m:].diagonal(1)))
+            # Q T^-1 Q' = R R', R = Q L^-T D^-1/2: a cumulative sum over each row of Q
+            r = np.concatenate([dense_w[:, m:], -g[:m, m:]]) * u
+            y, bw, dense_w = dense_w[:, :m].copy(), None, None  # freed before the block is made
+            np.cumsum(r, axis=1, out=r)
+            r *= scale
+            dense = r @ r.T
+            dense[:n, n:] += y
+            dense[n:, :n] += y.T
+            dense[n:, n:] -= g[:m, :m]
+            dense[n - 1, n - 1] += last_velocity / h[-1]
+            return KktInverse(size, coordinates, dense=dense)
+        w = np.array(w[0]), np.array(w[1]), np.array(w[2])
+        # as above from the entries: B is symmetric, so its entries paired with
+        # [Y Z]'s by row give B [Y Z], and those paired with [Y Z]'s give g
+        band = Band(np.concatenate([h[None, :, None], hessian.bands[1:]]))
+        _, i, j, g = _join(w, _join(band.entries(), w, n)[1:], n)
+        diagonal, above = (i >= m) & (i == j), (i >= m) & (j == i + 1)
+        u, scale = map(np.array, _ldl(np.bincount(i[diagonal] - m, g[diagonal], minlength=t),
+                                      np.bincount(i[above] - m, g[above], minlength=t)[: max(t - 1, 0)]))
+    except np.linalg.LinAlgError:
+        return None
+    (yr, yc, yv), (zr, zc, zv) = [[part[y] for part in w] for y in (w[1] < m, w[1] >= m)]
+    yy, yz, fv = (i < m) & (j < m), (i < m) & (j >= m), np.array([n - 1] * last_velocity, dtype=int)
+    p = (np.concatenate([yr, n + yc, n + i[yy], fv]), np.concatenate([n + yc, yr, n + j[yy], fv]),
+         np.concatenate([yv, yv, -g[yy], [1.0 / h[-1]] * last_velocity]))
+    q = np.concatenate([zr, n + i[yz]]), np.concatenate([zc - m, j[yz] - m]), np.concatenate([zv, -g[yz]])
+    return KktInverse(size, coordinates, parts=tuple((i[v != 0], j[v != 0], v[v != 0]) for i, j, v in (p, q)) + (u, scale))
 
 
-def _symmetrize(x: np.ndarray, tile: int = 128) -> None:
-    """Make x symmetric in place, a tile at a time: the upper triangle is copied to the lower,
-    and each diagonal tile is averaged with its transpose."""
-    for i in range(0, x.shape[0], tile):
-        mean = x[i : i + tile, i : i + tile] + x[i : i + tile, i : i + tile].T
-        mean *= 0.5
-        x[i : i + tile, i : i + tile] = mean
-        for j in range(i + tile, x.shape[0], tile):
-            x[j : j + tile, i : i + tile] = x[i : i + tile, j : j + tile].T
-
-
-def _condensed_inverse(kkt: np.ndarray, n: int, j: np.ndarray, r: np.ndarray, entries) -> np.ndarray | None:
-    """The symmetric inverse of ``kkt``, written into it, from its structure; None if it has another.
-
-    A pivot pair (variable j, row n + r) has the block [[h, a], [a, 0]], and
-    row r meets the other variables C in u; eliminating the pairs leaves
-    S = K_CC + sum (h/a^2) u u' over C and the unpaired rows.  There
-    1. a row that meets one remaining variable (a pin, or the first Euler
-       step once the start is pinned) fixes it: the pair changes no other
-       entry.  The fixed variables E and their rows F, in that order, have
-       a triangular A_FE = M^-1;
-    2. what is left must be a positive definite tridiagonal S_TT over the
-       free variables T (``LinAlgError`` if a pivot is not positive).  Rows
-       T of K^-1 are S_TT^-1 B_T, one LDL' sweep over rows of the output; B_T
-       is I on T, -S_TE M on F, -u/a on j and h u/a^2 on r;
-    3. every other row combines rows already written, read off K's rows:
-       E is M on F, j = (e_r - u X_C)/a, r = (e_j - h X_j)/a, and
-       F = M' (e_E - H_EC X_C - U_E' X_r).
-    No array of the output's size is made beside it: the last step makes it
-    symmetric a tile at a time.
-    """
-    size, pairs, rows = kkt.shape[0], j.size, n + r
-    h, a = kkt[j, j], kkt[rows, j]
-    free = np.ones(size, dtype=bool)
-    free[j] = free[rows] = False
-    pair = np.full(size, -1)
-    pair[rows] = np.arange(pairs)
-    # K's nonzero entries on the variables of C, row by row: H's, the unpaired rows' and u
-    keep = np.flatnonzero(free[entries[1]] & (entries[2] != 0))
-    ki, kc, kv = (a[keep[np.lexsort((entries[1][keep], entries[0][keep]))]] for a in entries)
-    in_h, in_u = ki < n, pair[ki] >= 0
-    meets: dict[int, dict[int, float]] = {row: {} for row in (np.flatnonzero(free[n:]) + n).tolist()}
-    unpaired = ~in_h & ~in_u
-    for row, var, value in zip(ki[unpaired].tolist(), kc[unpaired].tolist(), kv[unpaired].tolist()):
-        meets[row][var] = value
-    fixed: dict[int, int] = {}  # variable: the row that fixes it
-    left = list(meets)
-    while left:
-        for row in left:
-            live = [var for var in meets[row] if var not in fixed]
-            if len(live) < 2:
-                break
-        else:
-            return None  # rows that meet two free variables
-        if not live:
-            raise np.linalg.LinAlgError("a row meets no free variable")
-        fixed[live[0]] = row
-        left.remove(row)
-    e, f = np.array(list(fixed), dtype=int), np.array(list(fixed.values()), dtype=int)
-    a_fe = np.array([[meets[row].get(var, 0.0) for var in e] for row in f]).reshape(e.size, e.size)
-    m = np.linalg.inv(a_fe)  # triangular in the order of elimination
-    free[e] = False
-    t = np.flatnonzero(free[:n])
-    where, slot = np.full(size, -1), np.full(size, -1)
-    where[t], slot[e] = np.arange(t.size), np.arange(e.size)
-
-    # each pair row's entries u in columns, padded with zeros: variable and -u/a
-    up, uc, uv = pair[ki[in_u]], kc[in_u], kv[in_u]
-    count = np.bincount(up, minlength=pairs)
-    rank = np.arange(up.size) - (np.cumsum(count) - count)[up]
-    width = count.max(initial=0)
-    u_var, u_coef = np.zeros((pairs, width), dtype=int), np.zeros((pairs, width))
-    u_var[up, rank], u_coef[up, rank] = uc, -uv / a[up]
-    # S on C's variables: H there plus (h/a^2) u u'
-    si, sj, sv = [ki[in_h]], [kc[in_h]], [kv[in_h]]
-    for x in range(width):
-        for y in range(width):
-            si.append(u_var[:, x])
-            sj.append(u_var[:, y])
-            sv.append(h * u_coef[:, x] * u_coef[:, y])
-    si, sj, sv = (np.concatenate(c) for c in (si, sj, sv))
-    ti, tj = where[si], where[sj]
-    in_t = (ti >= 0) & (tj >= 0)
-    if np.any(np.abs(ti[in_t] - tj[in_t]) > 1):
-        return None  # not tridiagonal
-    diagonal, above = in_t & (ti == tj), in_t & (tj == ti + 1)
-    factor = _ldl(np.bincount(ti[diagonal], sv[diagonal], minlength=t.size),
-                  np.bincount(ti[above], sv[above], minlength=t.size)[: max(t.size - 1, 0)])
-    s_te = np.zeros((t.size, e.size))
-    te = (ti >= 0) & (slot[sj] >= 0)
-    np.add.at(s_te, (ti[te], slot[sj[te]]), sv[te])
-
-    # rows T: B_T, then the sweep
-    kkt[t] = 0.0
-    kkt[t, t] = 1.0
-    on_t = where[uc] >= 0
-    kkt[uc[on_t], j[up[on_t]]] = -uv[on_t] / a[up[on_t]]
-    kkt[uc[on_t], rows[up[on_t]]] = uv[on_t] * h[up[on_t]] / a[up[on_t]] ** 2
-    for column, values in zip(f, (-s_te @ m).T):
-        kkt[t, column] = values
-    _ldl_solve([kkt[k] for k in t.tolist()], *factor)
-    # rows E
-    kkt[e] = 0.0
-    for column, values in zip(f, m.T):
-        kkt[e, column] = values
-    # rows j and r, a block of pairs at a time
-    step = max(1, 2**14 // size)  # pairs per block: temporaries of 128 KB
-    for lo in range(0, pairs, step):
-        p = slice(lo, min(lo + step, pairs))
-        block = np.zeros((p.stop - lo, size))
-        for var, coef in zip(u_var[p].T, u_coef[p].T):
-            block += coef[:, None] * kkt[var]
-        q = np.arange(block.shape[0])
-        block[q, rows[p]] += 1.0 / a[p]
-        kkt[j[p]] = block
-        block *= (-h[p] / a[p])[:, None]
-        block[q, j[p]] += 1.0 / a[p]
-        kkt[rows[p]] = block
-    # rows F
-    z = np.zeros((e.size, size))
-    z[np.arange(e.size), e] = 1.0
-    he, ue = in_h & (slot[ki] >= 0), slot[uc] >= 0
-    np.subtract.at(z, slot[ki[he]], kv[he, None] * kkt[kc[he]])
-    np.subtract.at(z, slot[uc[ue]], uv[ue, None] * kkt[rows[up[ue]]])
-    kkt[f] = m.T @ z
-    _symmetrize(kkt)
-    return kkt
+# a segment block of fewer rows is multiplied out once and held dense: products
+# with it cost less than with its parts (BENCH_31.json)
+DENSE_SIZE = 128
 
 
 def kkt_inverse(hessian, a_eq, coordinates: int = 1, shift: float = 0.0) -> KktInverse:
-    """Inverse of the base KKT matrix [[H + shift I, A'], [A, 0]] of a QP, symmetrized.
+    """Inverse of the base KKT matrix [[H + shift I, A'], [A, 0]] of a QP.
 
     Every active-set step of ``solve_qp`` reuses it: the dual method's start,
     the optimum of the base problem, is one product with it, and a constraint c
     entering the working set needs only the column K^-1 [c; 0] (for a bound, a
     column of the inverse itself).  ``hessian`` and ``a_eq`` are the
-    one-coordinate blocks B and A_1 of H = kron(B, I_d) and A = kron(A_1, I_d):
-    arrays, copied whole, or a segment's ``Band`` and ``DynamicsRows``, whose
-    entries are written into the buffer and give the pattern; ``coordinates``
-    is d and only labels the result.  A block with ``MIN_PIVOTS`` or more exact
-    2x2 pivots (with dynamics, each velocity and its Euler step or the goal's
-    velocity pin) whose rest is pins around a tridiagonal (``_condensed_inverse``)
-    is inverted from that structure in O(size^2), written into the output; any
-    other by ``np.linalg.inv``, a singular one by ``np.linalg.pinv`` (``pseudo``).
+    one-coordinate blocks B and A_1 of H = kron(B, I_d) and A = kron(A_1, I_d);
+    ``coordinates`` is d and only labels the result.  A segment's ``Band`` and
+    ``DynamicsRows`` are held as P + Q T^-1 Q' (``_segment_parts``); arrays, and
+    a segment block of other pins or left singular by them, are inverted whole
+    by ``np.linalg.inv``, a singular one by ``np.linalg.pinv`` (``pseudo``).
     """
     n, m = hessian.shape[0], a_eq.shape[0]
-    kkt, structured = np.zeros((n + m, n + m)), isinstance(hessian, Band) and isinstance(a_eq, DynamicsRows)
-    if structured:
-        (hi, hj, hv), (ai, aj, av) = hessian.entries(), a_eq.entries()
-        kkt[hi, hj], kkt[n + ai, aj], kkt[aj, n + ai] = hv, av, av
-    else:
-        kkt[:n, :n], kkt[n:, :n], kkt[:n, n:] = hessian, a_eq, np.transpose(a_eq)
+    if isinstance(hessian, Band) and isinstance(a_eq, DynamicsRows) and (inverse := _segment_parts(hessian, a_eq, coordinates, shift)):
+        return inverse
+    kkt = np.zeros((n + m, n + m))
+    kkt[:n, :n], kkt[n:, :n], kkt[:n, n:] = hessian, a_eq, np.transpose(a_eq)
     kkt.reshape(-1)[: n * (n + m) : n + m + 1] += shift  # the diagonal of H
-    j = r = np.zeros(0, dtype=int)
-    if m >= MIN_PIVOTS:  # K's entries in the variables' columns
-        ki, kc = (np.concatenate([hi, n + ai]), np.concatenate([hj, aj])) if structured else np.nonzero(kkt[:, :n])
-        entries = ki, kc, kkt[ki, kc]
-        j, r = _pivots(*entries, n)
     try:
-        if j.size >= MIN_PIVOTS and (condensed := _condensed_inverse(kkt, n, j, r, entries)) is not None:
-            return KktInverse(condensed, coordinates, False)
         inverse, pseudo = np.linalg.inv(kkt), False
     except np.linalg.LinAlgError:
         inverse, pseudo = np.linalg.pinv(kkt), True
     # symmetrized, so that row i is column i; kkt's buffer takes the result
     np.add(inverse, inverse.T, out=kkt)
     kkt *= 0.5
-    return KktInverse(kkt, coordinates, pseudo)
+    return KktInverse(n + m, coordinates, pseudo, dense=kkt)
 
 
 class FactorCache:
@@ -718,19 +715,20 @@ def _check_hessian(h, n: int, values: bool = True) -> None:
 def _pinned_step(rows: DynamicsRows, r: np.ndarray) -> np.ndarray | None:
     """The least-norm s with A_1 s = r, one column per coordinate, for a segment's rows: a pin fixes
     its variable's step, and the Euler rows' Gram matrix on the free variables is a tridiagonal (rows
-    k and k + 1 share p_{k+1}), swept once per coordinate.  None if it is singular (a row all pinned).
+    k and k + 1 share p_{k+1}), solved through ``_ldl``'s factor for every coordinate at once.  None
+    if it is singular (a row all pinned) or reducible.
     """
     free = 1.0 - np.bincount(rows.pinned, minlength=rows.shape[1])  # 0 on pinned columns
     step, e, f = np.zeros((rows.shape[1], r.shape[1])), rows.steps, free.reshape(rows.count, rows.s)
     step[rows.pinned] = r[e:]
+    if not e:
+        return step
     try:
-        factor = _ldl(f[:e, 0] + rows.dt * rows.dt * f[:e, -1] + f[1 : e + 1, 0], -f[1:e, 0])
+        u, s = map(np.array, _ldl(f[:e, 0] + rows.dt * rows.dt * f[:e, -1] + f[1 : e + 1, 0], -f[1:e, 0]))
     except np.linalg.LinAlgError:
         return None
-    columns = (r[:e] - (rows @ step)[:e]).T.tolist()
-    for column in columns:
-        _ldl_solve(column, *factor)
-    return step + free[:, None] * rows.rmatmat(np.vstack([np.array(columns).T, np.zeros_like(r[e:])]))
+    w = _tridiagonal_solve(u, s, r[:e] - (rows @ step)[:e])
+    return step + free[:, None] * rows.rmatmat(np.vstack([w, np.zeros_like(r[e:])]))
 
 
 def project_to_affine(x: np.ndarray, a_eq, b_eq: np.ndarray, stats: QpStats | None = None) -> np.ndarray:
@@ -801,7 +799,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     # kkt_inverse of H + prox I and A_eq, the base of every QP of this solve
     if base is None:
         base = kkt_inverse(h, a_eq, d, PROX_REGULARIZATION)
-    elif base.block.shape[0] != k + a_eq.shape[0] or base.coordinates != d:
+    elif base.size != k + a_eq.shape[0] or base.coordinates != d:
         raise ConfigError(f"base_inverse must be of a KKT matrix of size {n + b_eq.size}")
     qp_stats.kkt_fallbacks += base.pseudo
     if a_eq.shape[0]:
@@ -1169,7 +1167,7 @@ def convexify_segment(
         a_eq, b_eq = segment_equalities(scenario, first_index, last_index)
         lower, upper = segment_bounds(scenario, layout)
         base = kkt_inverse(hessian, a_eq, layout.dim, PROX_REGULARIZATION)
-        for array in (hessian.bands, a_eq.pinned, b_eq, lower, upper, base.block):
+        for array in (hessian.bands, a_eq.pinned, b_eq, lower, upper, *base.arrays()):
             if array is not None:
                 array.flags.writeable = False
         held[key] = (hessian, a_eq, b_eq, lower, upper, _collision_rows(scenario, layout), base)

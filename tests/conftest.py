@@ -151,6 +151,29 @@ def dense(block, d):
     return np.kron(block, np.eye(d))
 
 
+def kkt_matrix(hessian, a_eq, shift):
+    """[[H + shift I, A'], [A, 0]] of a Hessian and equality rows, a ``Band`` and ``DynamicsRows`` expanded."""
+    hessian, a_eq = np.asarray(hessian), np.asarray(a_eq)
+    n, m = hessian.shape[0], a_eq.shape[0]
+    return np.block([[hessian + shift * np.eye(n), a_eq.T], [a_eq, np.zeros((m, m))]])
+
+
+def one_coordinate(inverse, chunk=64):
+    """The one-coordinate block of a ``KktInverse``, read through ``rows`` a chunk of rows at a time."""
+    block, d = np.zeros((inverse.size, inverse.size)), inverse.coordinates
+    for lo in range(0, inverse.size, chunk):
+        idx = np.arange(lo, min(lo + chunk, inverse.size))
+        block[idx] = inverse.rows(d * idx)[:, ::d]
+    return block
+
+
+# ||K X - I||_inf (the largest row sum) of the LU-condensed factor on the mono
+# N=160 block of circle_blocked and on the middle segment of its split4 run
+# (BENCH_28.json); 10 times these bound the structured inverse's residual, and
+# its distance from the dense inverse relative to the largest entry
+LU_CONDENSED_RESIDUAL = {"mono": 7.73e-12, "middle": 3.58e-12}
+
+
 # --- brute-force QP oracle ------------------------------------------------------
 #
 # Minimize 1/2 x'Hx + g'x s.t. A_eq x = b_eq, A_in x <= b_in by enumerating

@@ -3,13 +3,13 @@
 A segment's cost, dynamics and pins act on each coordinate alone and alike,
 so its Hessian and equalities are one coordinate's blocks B and A_1 of
 H = kron(B, I_d) and A_eq = kron(A_1, I_d), held as a ``Band`` and
-``DynamicsRows`` (``np.asarray`` expands them).  ``kkt_inverse`` inverts
-[[B + prox I, A_1'], [A_1, 0]], from its structure when it holds enough exact
-2x2 pivots (with dynamics, a velocity and its own row): the pins are
-eliminated in closed form and the positions' tridiagonal is swept.  Its
-answers must be those of the dense inverse of the expanded matrix
-(``conftest.dense``), and a solve of the block problem must be that of the
-expanded one.
+``DynamicsRows`` (``np.asarray`` expands them).  ``kkt_inverse`` holds the
+inverse of [[B + prox I, A_1'], [A_1, 0]] as P + Q T^-1 Q': the velocities,
+Euler rows and pins eliminated in closed form, and the free positions'
+tridiagonal T inverted through its generators; below ``DENSE_SIZE`` rows
+those parts are multiplied out once, dense.  Its answers must be those of
+the dense inverse of the expanded matrix (``conftest.dense``), and a solve of
+the block problem must be that of the expanded one.
 """
 
 import tracemalloc
@@ -39,7 +39,7 @@ from trajsplit.nlp import (  # noqa: E402
 )
 from trajsplit.scenario_io import load_scenario  # noqa: E402
 
-from conftest import dense, stretched  # noqa: E402
+from conftest import LU_CONDENSED_RESIDUAL, dense, kkt_matrix, one_coordinate, stretched  # noqa: E402
 
 SCENARIOS = {name: load_scenario(bundled_scenario_dir() / name)
              for name in ("circle_blocked.yaml", "arm_two_link.yaml", "arm_three_link.yaml")}
@@ -47,13 +47,16 @@ SHIFT = 1e-10
 
 
 def dense_inverse(hessian, a_eq, shift=SHIFT):
-    hessian, a_eq = np.asarray(hessian), np.asarray(a_eq)  # a Band and DynamicsRows expanded
-    n, m = hessian.shape[0], a_eq.shape[0]
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = hessian + shift * np.eye(n)
-    kkt[:n, n:] = a_eq.T
-    kkt[n:, :n] = a_eq
-    return np.linalg.inv(kkt)
+    return np.linalg.inv(kkt_matrix(hessian, a_eq, shift))
+
+
+def both_forms(hessian, a_eq, d):
+    """``kkt_inverse`` held as its parts (``DENSE_SIZE`` 0), then as it is held by default."""
+    for dense_size in (0, nlp.DENSE_SIZE):
+        with mock.patch.object(nlp, "DENSE_SIZE", dense_size):
+            inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
+        assert (inverse.dense is None) == (inverse.size >= dense_size) and not inverse.pseudo
+        yield inverse
 
 
 def assert_same_inverse(inverse, want, rng):
@@ -72,21 +75,16 @@ def assert_same_inverse(inverse, want, rng):
 def segments(draw):
     """A segment's Hessian and equality blocks: point or arm, with or without dynamics, pins and couplings.
 
-    Short segments hold too few velocity pivots to be condensed.  Long ones
-    run from just under ``MIN_PIVOTS`` pivots to twice as many, anywhere on a
-    longer grid, so that both pinned ends, one or none occur.  With dynamics
-    a segment of k waypoints pairs each velocity with its Euler row, but for
-    v_0 when the start is pinned, and the last one with the goal's velocity
-    pin.  The last item says whether the block is condensed.
+    Long ones run from 30 to 64 waypoints, anywhere on a longer grid, so
+    that both pinned ends, one or none occur.
     """
     scenario = SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))]
     long = draw(st.booleans())
-    length = draw(st.integers(nlp.MIN_PIVOTS - 2, 2 * nlp.MIN_PIVOTS) if long else st.integers(2, 12))
+    length = draw(st.integers(30, 64) if long else st.integers(2, 12))
     count = draw(st.integers(max(length, 4), length + 10))
     scenario = replace(scenario, num_waypoints=count, dynamics_enabled=draw(st.booleans()))
     first = draw(st.integers(0, count - length))
     last = first + length - 1
-    pivots = length - 1 - (first == 0) + (last == count - 1)
     sd = 2 * scenario.dim if scenario.dynamics_enabled else scenario.dim
     # as in a split run, every unpinned end is coupled at rho > 0, which keeps
     # the KKT matrix well conditioned enough to compare two inverses at 1e-10
@@ -95,26 +93,24 @@ def segments(draw):
     rho = draw(st.sampled_from([2.0, 50.0]))
     hessian = build_segment_objective(scenario, first, last, couplings, rho).hessian_matrix
     a_eq, b_eq = segment_equalities(scenario, first, last)
-    return scenario.dim, hessian, a_eq, b_eq, draw(st.integers(0, 2**32 - 1)), (
-        scenario.dynamics_enabled and pivots >= nlp.MIN_PIVOTS)
+    return scenario.dim, hessian, a_eq, b_eq, draw(st.integers(0, 2**32 - 1))
 
 
 @given(segments())
 def test_block_inverse_matches_dense_inverse(segment):
-    d, hessian, a_eq, _, seed, condensed = segment
-    with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
-        inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
-    assert spy.called == condensed
-    assert inverse.coordinates == d
-    assert inverse.block.shape[0] * d == dense(hessian, d).shape[0] + dense(a_eq, d).shape[0]
-    assert_same_inverse(inverse, dense_inverse(dense(hessian, d), dense(a_eq, d)), np.random.default_rng(seed))
+    d, hessian, a_eq, _, seed = segment
+    want = dense_inverse(dense(hessian, d), dense(a_eq, d))
+    for inverse in both_forms(hessian, a_eq, d):
+        assert inverse.coordinates == d
+        assert inverse.size * d == want.shape[0]
+        assert_same_inverse(inverse, want, np.random.default_rng(seed))
 
 
 @given(segments())
 def test_block_problem_matches_expanded_problem(segment):
     # the block objective and a solve of the block problem are those of the
     # kron-expanded problem, solved as one coordinate (d = 1)
-    d, hessian, a_eq, b_eq, seed, _ = segment
+    d, hessian, a_eq, b_eq, seed = segment
     rng = np.random.default_rng(seed)
     n = hessian.shape[0] * d
     linear = rng.normal(size=n)
@@ -134,7 +130,9 @@ def test_block_problem_matches_expanded_problem(segment):
     blocks, whole = (solve(p, SolverOptions(max_outer_iterations=100)) for p in problems)
     assert blocks.converged == whole.converged
     assert blocks.iterations == whole.iterations
-    np.testing.assert_allclose(blocks.point, whole.point, rtol=0, atol=1e-10)
+    # the expanded solve's point is only as exact as its own equality rows:
+    # its dense inverse can leave them 1e-10 off where the blocks hold them
+    np.testing.assert_allclose(blocks.point, whole.point, rtol=0, atol=1e-10 + 10 * whole.max_equality_violation)
 
 
 @pytest.mark.parametrize("count, which", [(40, "mono"), (160, "mono"), (320, "mono"),
@@ -158,12 +156,12 @@ def test_projection_matches_dense_least_norm(count, which):
     np.testing.assert_allclose(expanded @ got, b_eq, rtol=0, atol=1e-12 * (1 + np.abs(b_eq).max()))
 
 
-def test_one_coordinate_is_the_dense_inverse_bit_for_bit():
+def test_one_coordinate_matches_the_dense_inverse():
     hessian = build_segment_objective(SCENARIOS["circle_blocked.yaml"], 0, 9).hessian_matrix
     a_eq, _ = segment_equalities(SCENARIOS["circle_blocked.yaml"], 0, 9)
-    inverse = kkt_inverse(hessian, a_eq, 1, SHIFT)
     want = dense_inverse(hessian, a_eq)
-    np.testing.assert_array_equal(inverse.block, 0.5 * (want + want.T))
+    for inverse in both_forms(hessian, a_eq, 1):
+        np.testing.assert_allclose(one_coordinate(inverse), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 # --- the condensed factor on blocks that runs build ----------------------------
@@ -175,13 +173,15 @@ def coordinate_block(hessian, a_eq, d):
 
 
 def assert_condensed_matches_dense(hessian, a_eq, d, tolerance):
-    """The condensed factor ran and agrees with the dense inverse to ``tolerance`` of its largest entry."""
-    with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
-        inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
-    assert spy.called and not inverse.pseudo and inverse.coordinates == d
+    """The inverse, as its parts and as held by default, agrees with the dense inverse to ``tolerance`` of its
+    largest entry; a block held dense is symmetric."""
     want = dense_inverse(*coordinate_block(dense(hessian, d), dense(a_eq, d), d))
-    np.testing.assert_allclose(inverse.block, want, rtol=0, atol=tolerance * np.abs(want).max())
-    np.testing.assert_array_equal(inverse.block, inverse.block.T)
+    for inverse in both_forms(hessian, a_eq, d):
+        assert inverse.coordinates == d
+        got = one_coordinate(inverse)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tolerance * np.abs(want).max())
+        if inverse.dense is not None:
+            np.testing.assert_array_equal(got, got.T)
 
 
 @pytest.mark.parametrize("count", [40, 160, 640])
@@ -206,23 +206,19 @@ def test_split_segment_block_is_condensed_and_matches_dense_inverse(which):
     assert_condensed_matches_dense(hessian, a_eq, scenario.dim, 1e-9)
 
 
-def test_path_only_block_is_the_dense_inverse_bit_for_bit():
-    # a path graph's Laplacian couples every variable: no pivots, so no condensing
+def test_path_only_block_matches_the_dense_inverse():
+    # a path graph's Laplacian couples every variable: no velocities, the pins
+    # eliminated, and T is the Laplacian on the free positions
     scenario = stretched("arm_three_link.yaml", 120)
     hessian = build_segment_objective(scenario, 0, 119).hessian_matrix
     a_eq, _ = segment_equalities(scenario, 0, 119)
-    with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
-        inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
-    assert not spy.called and inverse.coordinates == scenario.dim
-    want = dense_inverse(*coordinate_block(dense(hessian, scenario.dim), dense(a_eq, scenario.dim), scenario.dim))
-    np.testing.assert_array_equal(inverse.block, 0.5 * (want + want.T))
+    assert_condensed_matches_dense(hessian, a_eq, scenario.dim, 1e-12)
 
 
 @pytest.mark.parametrize("extra", ["hessian", "row"])
 def test_block_of_another_shape_is_the_dense_inverse_bit_for_bit(extra):
-    # a Hessian entry between positions 5 and 9, or a row p_3 - p_7 = 0, leaves
-    # no tridiagonal after the pairs and pins: the structured inverse declines
-    # and the block is inverted whole
+    # a Hessian entry between positions 5 and 9, or a row p_3 - p_7 = 0, is no
+    # segment's structure: the arrays are inverted whole
     scenario = stretched("circle_blocked.yaml", 40)
     hessian = build_segment_objective(scenario, 0, 39).hessian_matrix
     a_eq, _ = segment_equalities(scenario, 0, 39)
@@ -231,30 +227,26 @@ def test_block_of_another_shape_is_the_dense_inverse_bit_for_bit(extra):
         hessian[10, 18] = hessian[18, 10] = 0.1
     else:
         a_eq = np.vstack([a_eq, np.eye(1, a_eq.shape[1], 6) - np.eye(1, a_eq.shape[1], 14)])
-    condensed_inverse, returned = nlp._condensed_inverse, []
-    with mock.patch.object(nlp, "_condensed_inverse", lambda *args: returned.append(condensed_inverse(*args))):
-        inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
-    assert returned == [None] and not inverse.pseudo
+    inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
+    assert inverse.dense is not None and not inverse.pseudo
     want = dense_inverse(hessian, a_eq)
-    np.testing.assert_array_equal(inverse.block, 0.5 * (want + want.T))
+    np.testing.assert_array_equal(inverse.dense, 0.5 * (want + want.T))
 
 
 def test_singular_condensed_block_is_a_pseudo_inverse():
-    # the start's position pins twice: once the first pin fixes p_0 the second
-    # meets no free variable, so the block is singular and answered whole by its
-    # pseudo-inverse
+    # the start's position pins twice: the second pin repeats the first, so
+    # the block is singular and answered whole by its pseudo-inverse
     scenario = stretched("circle_blocked.yaml", 40)
     hessian = build_segment_objective(scenario, 0, 39).hessian_matrix
     a_eq, _ = segment_equalities(scenario, 0, 39)
     pins = 39  # the first pin row: the start's position
     a_eq = np.asarray(a_eq)
     a_eq = np.vstack([a_eq, a_eq[pins : pins + 1]])
-    with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
-        inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
-    assert spy.called and inverse.pseudo and inverse.coordinates == scenario.dim
+    inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
+    assert inverse.pseudo and inverse.coordinates == scenario.dim
     h, a = coordinate_block(dense(hessian, scenario.dim), dense(a_eq, scenario.dim), scenario.dim)
-    kkt = np.block([[h + SHIFT * np.eye(h.shape[0]), a.T], [a, np.zeros((a.shape[0], a.shape[0]))]])
-    np.testing.assert_allclose(kkt @ inverse.block @ kkt, kkt, atol=1e-9)
+    kkt = kkt_matrix(h, a, SHIFT)
+    np.testing.assert_allclose(kkt @ inverse.dense @ kkt, kkt, atol=1e-9)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -271,7 +263,7 @@ def test_violated_elastic_row_of_zeros_changes_nothing(d):
     gradient = np.linspace(-1.0, 1.0, n)
     keepout = -np.eye(1, n, 4)
     inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
-    assert inverse.rows(np.zeros(0, dtype=int)).shape == (0, inverse.block.shape[0] * d)
+    assert inverse.rows(np.zeros(0, dtype=int)).shape == (0, inverse.size * d)
     args = dict(lower=np.full(n, -5.0), upper=np.full(n, 5.0), base_inverse=inverse)
     want, want_optimal = solve_qp(hessian, gradient, a_eq, b_eq, keepout, np.array([-0.5]),
                                   penalty=np.array([10.0]), **args)
@@ -313,7 +305,7 @@ def mono_n160():
 
 
 def test_mono_inverts_one_coordinate_block(monkeypatch):
-    factored = []
+    factored, made = [], []
 
     def spying(real):
         def spy(matrix, *args, **kwargs):
@@ -324,35 +316,51 @@ def test_mono_inverts_one_coordinate_block(monkeypatch):
     # every dense factorization, whether taken as an inverse or a solve
     for name in ("inv", "solve"):
         monkeypatch.setattr(np.linalg, name, spying(getattr(np.linalg, name)))
+    real = nlp.kkt_inverse
+    monkeypatch.setattr(nlp, "kkt_inverse", lambda *args: made.append((args, real(*args))) or made[-1][1])
     report = run(*mono_n160())
     assert report.converged
     # 160 waypoints of (x, y, vx, vy): 640 variables and 159 * 2 + 8 rows,
-    # 966 in all, 483 per coordinate; condensing pairs 159 velocities with
-    # their rows (158 Euler steps and the goal's velocity pin).  Of the 165
-    # rows left, the 3 pins and the first Euler step fix p_0, v_0, p_159 and
-    # p_1 (a 4 x 4 triangle is inverted), and the 157 free positions are swept,
-    # as is the projection's Gram matrix (163 rows): neither is factored dense
+    # 966 in all, 483 per coordinate, held as its parts: no dense
+    # factorization of the block, nor of the projection's Gram matrix
     assert factored and max(factored) < 163
+    ((hessian, a_eq, d, shift), inverse), = made
+    assert inverse.dense is None and inverse.size == 483 and d == 2
+    want = np.linalg.inv(kkt_matrix(hessian, a_eq, shift))
+    np.testing.assert_allclose(one_coordinate(inverse), want, rtol=0,
+                               atol=10 * LU_CONDENSED_RESIDUAL["mono"] * np.abs(want).max())
 
 
-def test_mono_transient_memory():
-    scenario, config = mono_n160()
+def traced_peak(call, *args):
     tracemalloc.start()
     try:
-        report = run(scenario, config)
+        result = call(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_mono_transient_memory():
+    # the dense inverse was 483^2 doubles, 1.87 MB; its parts take O(483)
+    # entries, the Hessian band and the equality rows 5 KB, and the SCP's
+    # rows and iterates make up most of the rest
+    report, peak = traced_peak(run, *mono_n160())
     assert report.converged
-    # the inverse itself is 483^2 doubles, 1.87 MB, built in place; the
-    # Hessian band and the equality rows take 5 KB, the projection makes no
-    # copy of them, and the SCP's rows and iterates make up most of the rest
-    assert peak < 3.2e6
+    assert peak < 1.2e6
 
 
-# ||K X - I||_inf (the largest row sum) of the LU-condensed factor that the sweep
-# replaced, on the same blocks (BENCH_28.json)
-LU_CONDENSED_RESIDUAL = {"mono": 7.73e-12, "middle": 3.58e-12}
+def test_long_mono_memory():
+    # mono N=1280: the factor peaked at 120 MB with its dense inverse (3843^2
+    # doubles) and the run at 168 MB.  Beyond the parts' 3.0 MB the run holds
+    # the dense collision Jacobian: 376-408 rows of 5120 columns, 15-17 MB each
+    scenario = stretched("circle_blocked.yaml", 1280)
+    hessian = build_segment_objective(scenario, 0, 1279).hessian_matrix
+    a_eq, _ = segment_equalities(scenario, 0, 1279)
+    inverse, peak = traced_peak(kkt_inverse, hessian, a_eq, scenario.dim, SHIFT)
+    assert inverse.dense is None and peak < 10e6
+    report, peak = traced_peak(run, scenario, SplitConfig(num_splits=0))
+    assert report.converged and peak < 60e6
 
 
 @pytest.mark.parametrize("which", ["mono", "middle"])
@@ -364,11 +372,7 @@ def test_condensed_residual(which):
     couplings = [] if which == "mono" else [ConsensusCoupling(k, np.ones(sd), np.zeros(sd)) for k in (0, last - first)]
     hessian = build_segment_objective(scenario, first, last, couplings, 2.0).hessian_matrix
     a_eq, _ = segment_equalities(scenario, first, last)
-    with mock.patch.object(nlp, "_condensed_inverse", wraps=nlp._condensed_inverse) as spy:
-        inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
-    assert spy.called and not inverse.pseudo
-    hessian, a_eq = np.asarray(hessian), np.asarray(a_eq)
-    n, m = hessian.shape[0], a_eq.shape[0]
-    kkt = np.block([[hessian + SHIFT * np.eye(n), a_eq.T], [a_eq, np.zeros((m, m))]])
-    residual = np.abs(kkt @ inverse.block - np.eye(n + m)).sum(axis=1).max()
+    inverse = kkt_inverse(hessian, a_eq, scenario.dim, SHIFT)
+    assert not inverse.pseudo and (inverse.dense is None) == (which == "mono")
+    residual = np.abs(kkt_matrix(hessian, a_eq, SHIFT) @ one_coordinate(inverse) - np.eye(inverse.size)).sum(axis=1).max()
     assert residual <= 10 * LU_CONDENSED_RESIDUAL[which]
