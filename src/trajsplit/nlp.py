@@ -84,6 +84,7 @@ class KktInverse:
                  parts: tuple | None = None) -> None:
         self.size, self.coordinates, self.pseudo, self.dense = size, coordinates, pseudo, dense
         self.p, self.q, self.u, self.s = parts or ((), (), None, None)
+        self.flat: tuple = ()
         if dense is not None:
             self.diagonal = dense.diagonal()
             return
@@ -119,8 +120,9 @@ class KktInverse:
         return self.diagonal[i // self.coordinates]
 
     def arrays(self) -> list[np.ndarray]:
-        """The arrays that define it: its dense form, or its parts, and its diagonal."""
-        return [a for a in (self.dense, self.u, self.s, self.diagonal, *self.p, *self.q) if a is not None]
+        """Every array it holds: its dense form, or its parts and their entries for d columns, and its diagonal."""
+        flat = [a for part in self.flat for a in part]
+        return [a for a in (self.dense, self.u, self.s, self.diagonal, *self.p, *self.q, *flat) if a is not None]
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """The block's inverse times x of shape (size, columns)."""
@@ -158,7 +160,8 @@ class _Block:
 
 @dataclass(frozen=True, eq=False)
 class Band(_Block):
-    """A symmetric tridiagonal block: ``bands``, each (k, 1), are its diagonal, then its superdiagonal and a 0 if any."""
+    """A symmetric tridiagonal block: ``bands`` are its diagonal, then its superdiagonal and a 0 if any, each (k, 1)
+    or (k, d) with d equal columns, as a segment's are held, so that a product with d columns broadcasts nothing."""
 
     bands: np.ndarray
 
@@ -167,16 +170,13 @@ class Band(_Block):
         return (self.bands.shape[1],) * 2
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """B x for x of shape (k, d): on x's flat entries, each band repeated per coordinate."""
-        d, flat = x.shape[1], x.reshape(-1)
-        if d not in self.__dict__:  # the frozen dataclass keeps its repeated bands in its own __dict__
-            self.__dict__[d] = np.repeat(self.bands[0, :, 0], d), np.repeat(self.bands[1:, :-1, 0], d)
-        diagonal, upper = self.__dict__[d]
-        out = diagonal * flat
-        if upper.size:
-            out[: upper.size] += upper * flat[d:]
-            out[d:] += upper * flat[: upper.size]
-        return out.reshape(x.shape)
+        """B x for x of shape (k, d)."""
+        out = self.bands[0] * x
+        if len(self.bands) > 1:
+            upper = self.bands[1, :-1]
+            out[:-1] += upper * x[1:]
+            out[1:] += upper * x[:-1]
+        return out
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the entries that may be nonzero: the diagonal, then any off-diagonals."""
@@ -296,7 +296,7 @@ def _segment_parts(hessian: Band, rows: DynamicsRows, coordinates: int, shift: f
     if lo > hi or pinned != first * start + last * goal:
         return None
     free, step, size, t = range(lo, hi), 1.0 / dt, n + m, hi - lo
-    h, upper = hessian.bands[0, :, 0] + shift, hessian.bands[1, :-1] if len(hessian.bands) > 1 else None
+    h, upper = hessian.bands[0, :, 0] + shift, hessian.bands[1, :-1, :1] if len(hessian.bands) > 1 else None
     w: list[list] = [[], [], []]  # [Y Z]'s entries: rows, columns (Y's are A_1's rows, Z's follow) and values
 
     def add(*entries: list) -> None:
@@ -340,7 +340,7 @@ def _segment_parts(hessian: Band, rows: DynamicsRows, coordinates: int, shift: f
         w = np.array(w[0]), np.array(w[1]), np.array(w[2])
         # as above from the entries: B is symmetric, so its entries paired with
         # [Y Z]'s by row give B [Y Z], and those paired with [Y Z]'s give g
-        band = Band(np.concatenate([h[None, :, None], hessian.bands[1:]]))
+        band = Band(np.concatenate([h[None, :, None], hessian.bands[1:, :, :1]]))
         _, i, j, g = _join(w, _join(band.entries(), w, n)[1:], n)
         diagonal, above = (i >= m) & (i == j), (i >= m) & (j == i + 1)
         u, scale = map(np.array, _ldl(np.bincount(i[diagonal] - m, g[diagonal], minlength=t),
@@ -1015,8 +1015,8 @@ def build_segment_objective(
 
 
 def _segment_hessian(layout: SegmentLayout, coupled: Sequence[int], rho: float) -> Band:
-    """One coordinate's Hessian block of a segment's cost plus rho on the states of its ``coupled`` waypoints,
-    p_k at s k and v_k at s k + 1 (s = state_dim // dim): with dynamics a diagonal, else a path Laplacian."""
+    """One coordinate's Hessian block of a segment's cost plus rho on the states of its ``coupled`` waypoints (p_k
+    at s k, v_k at s k + 1): with dynamics a diagonal, else a path Laplacian, each band repeated per coordinate."""
     count, s = layout.count, layout.state_dim // layout.dim
     bands = np.zeros((1 if layout.dynamics else 2, count * s, 1))
     diagonal, *upper = bands[..., 0]
@@ -1031,7 +1031,7 @@ def _segment_hessian(layout: SegmentLayout, coupled: Sequence[int], rho: float) 
         upper[0][:-1] = -scale
     for k in coupled:
         diagonal[s * k : s * k + s] += rho
-    return Band(bands)
+    return Band(np.repeat(bands, layout.dim, axis=2))
 
 
 def segment_equalities(

@@ -105,20 +105,34 @@ def test_outcomes_match_factoring_on_every_call(monkeypatch):
         assert outcome(alone) == outcome(shared[name])
 
 
-def test_cache_holds_one_read_only_entry_per_shape():
-    # arm_two_link, 30 waypoints in 5 segments of 7, 7, 6, 7 and 7: 4 shapes
+def held_arrays(value):
+    """Every array that ``value`` holds in its attributes, through tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in held_arrays(item)]
+    return held_arrays(list(vars(value).values())) if hasattr(value, "__dict__") else []
+
+
+def test_cache_holds_one_read_only_entry_per_shape(monkeypatch):
+    # arm_two_link, 30 waypoints in 5 segments of 7, 7, 6, 7 and 7: 4 shapes,
+    # each inverse held dense, then as its parts (DENSE_SIZE 0)
     scenario, config = bundled("arm_two_link.yaml"), SplitConfig(num_splits=4)
     splits = split_uniform(scenario.num_waypoints, 4)
-    segments = admm.build_segments(scenario, splits, admm.initial_point(scenario))
-    consensus = admm.ConsensusState.initial(splits, np.zeros((4, 2)), 2)
-    factors = FactorCache(scenario)
-    admm.primal_update(scenario, segments, consensus, config, factors)
-    assert len(factors.segments) == 4 == run(scenario, config).factorizations
-    for hessian, a_eq, b_eq, lower, upper, rows, base in factors.segments.values():
-        for array in (hessian.bands, a_eq.pinned, b_eq, lower, upper, *base.arrays()):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 1.0
+    for dense_size in (nlp.DENSE_SIZE, 0):
+        monkeypatch.setattr(nlp, "DENSE_SIZE", dense_size)
+        segments = admm.build_segments(scenario, splits, admm.initial_point(scenario))
+        consensus = admm.ConsensusState.initial(splits, np.zeros((4, 2)), 2)
+        factors = FactorCache(scenario)
+        admm.primal_update(scenario, segments, consensus, config, factors)
+        assert len(factors.segments) == 4 == run(scenario, config).factorizations
+        for hessian, a_eq, b_eq, lower, upper, rows, base in factors.segments.values():
+            assert (base.dense is None) == (dense_size == 0)
+            assert {id(a) for a in held_arrays(base)} == {id(a) for a in base.arrays()}
+            for array in held_arrays([hessian, a_eq, b_eq, lower, upper, base]):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 1.0
 
 
 def test_run_leaves_no_factor_reachable(monkeypatch):
