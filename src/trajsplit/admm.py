@@ -97,9 +97,9 @@ class SplitConfig:
 class SegmentProblem:
     """One segment's waypoint range and its current packed iterate.
 
-    ``rows`` holds the collision rows at ``x`` as (x, rows) after a solve of
-    a segment with obstacles, so that the next solve need not evaluate its
-    start again (see ``nlp.SolveRows``).
+    ``rows`` holds (x, its collision rows as values, columns and coefficients)
+    after a solve of a segment with obstacles, so that the next solve need not
+    evaluate its start again (see ``nlp.SolveRows``).
     """
 
     index: int

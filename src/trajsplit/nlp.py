@@ -16,8 +16,9 @@ as B's diagonal and superdiagonal (``Band``) and A_1's Euler rows and pins
 O(k) memory as P + Q T^-1 Q' (``KktInverse``): the velocities, Euler rows and
 pins eliminated in closed form give the sparse P and Q, and T, the free
 positions' tridiagonal, is held as the generators of its LDL' factor.
-Collision rows, the only ones that mix coordinates, enter through the QP's
-Schur complement, whose working set is a count over preallocated buffers that
+Collision rows, the only ones that mix coordinates, are held as their
+waypoint's d columns and coefficients and enter through the QP's Schur
+complement, whose working set is a count over preallocated buffers that
 double when full.
 Trust region and joint limits are bounds, held while active; linearized rows
 are elastic: a row's multiplier is capped at its penalty weight, and a row at
@@ -406,6 +407,11 @@ class FactorCache:
 QP_TOLERANCE = 1e-11  # violations, multiplier rates and Schur pivots this small count as zero
 
 
+def _row_products(columns: np.ndarray, coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the rows of A held as their ``coefficients`` on x's ``columns``, both (rows, width)."""
+    return (coefficients * x[columns]).sum(1)
+
+
 def solve_qp(
     hessian: np.ndarray,
     gradient: np.ndarray,
@@ -414,6 +420,7 @@ def solve_qp(
     a_in: np.ndarray,
     b_in: np.ndarray,
     *,
+    columns: np.ndarray,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
     penalty: np.ndarray | None = None,
@@ -424,11 +431,13 @@ def solve_qp(
     """Minimize 1/2 x'Hx + g'x + sum_r penalty_r max(0, a_r x - b_r)
     s.t. A_eq x = b_eq, a_r x <= b_r for the hard rows, lower <= x <= upper.
 
-    ``penalty`` gives each row of A_in an l1 weight >= 0, or inf for a hard
-    row (the default for every row).  A finite weight makes the row elastic,
-    as in Fletcher's Sl1QP: its multiplier is capped at the weight, and a
-    row whose multiplier reaches the cap is tied: its slack a_r x - b_r may
-    grow, and the weight moves into the gradient.
+    Row r of A_in is ``a_in[r]`` on the columns ``columns[r]`` of x, both
+    (rows, width); a dense (rows, n) matrix lists every column.  ``penalty``
+    gives each row an l1 weight >= 0, or inf for a hard row (the default).
+    A finite weight makes the row elastic, as in Fletcher's Sl1QP: its
+    multiplier is capped at the weight, and a row whose multiplier reaches
+    the cap is tied: its slack a_r x - b_r may grow, and the weight moves
+    into the gradient.
 
     Dual active set (Goldfarb & Idnani, 1983) over one inverted base KKT
     matrix [[H, A_eq'], [A_eq, 0]] (``base_inverse`` from ``kkt_inverse``, or
@@ -475,8 +484,7 @@ def solve_qp(
         """x - hi, lo - x and a_in x - b, written into ``over``."""
         np.subtract(x, hi, out=upper_over)
         np.subtract(lo, x, out=lower_over)
-        np.matmul(a_in, x, out=row_over)
-        np.subtract(row_over, b, out=row_over)
+        np.subtract(_row_products(columns, a_in, x), b, out=row_over)
         return over
 
     if (violations() <= slack).all():  # the start violates nothing
@@ -484,7 +492,7 @@ def solve_qp(
     weight = np.full(m, np.inf) if penalty is None else np.asarray(penalty, dtype=float)
     if max_iterations is None:
         max_iterations = 3 * (n + m + np.count_nonzero(np.isfinite(lo)) + np.count_nonzero(np.isfinite(hi))) + 100
-    row_columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    row_columns: dict[int, np.ndarray] = {}
 
     # working set of k entries (variable j for a bound, n + r for row r),
     # their sides (-1 for a lower bound or a row entered from the tied side),
@@ -500,12 +508,11 @@ def solve_qp(
         """K^-1 [c; 0] of entry e, its Schur row against the working set, and its pivot."""
         if e < n:
             return kinv.rows(e), cols[e, :k], kinv.entry(e)
+        a, at = a_in[e - n], columns[e - n]
         if e not in row_columns:
-            nz = np.flatnonzero(a_in[e - n])
-            row_columns[e] = nz, a_in[e - n, nz] @ kinv.rows(nz)
-        nz, col = row_columns[e]
-        a = a_in[e - n, nz]
-        return col, a @ cols[nz, :k], a @ col[nz]
+            row_columns[e] = a @ kinv.rows(at)
+        col = row_columns[e]
+        return col, a @ cols[at, :k], a @ col[at]
 
     def finish(optimal: bool) -> tuple[np.ndarray, bool]:
         index = entries[:k]
@@ -549,7 +556,7 @@ def solve_qp(
                 np.divide(held_lam, -rate, out=ratio, where=rate < -QP_TOLERANCE)
                 np.divide(cap[:k] - held_lam, rate, out=ratio, where=(rate > QP_TOLERANCE) & (cap[:k] < np.inf))
                 drop = int(ratio.argmin())
-            violation = s * ((x[e] if e < n else a_in[e - n] @ x) - value)
+            violation = s * ((x[e] if e < n else a_in[e - n] @ x[columns[e - n]]) - value)
             bounds = (max(violation, 0.0) / sigma if sigma > QP_TOLERANCE * pivot else np.inf, limit - taken, ratio[drop])
             event = min(range(3), key=bounds.__getitem__)
             if bounds[event] == np.inf:
@@ -606,8 +613,9 @@ class QuadraticFunction:
         return float(0.5 * x @ hx + self.linear @ x + self.constant), hx + self.linear
 
 
-# inequality rows g(x) <= 0: rows(x) -> (values, jacobian)
-InequalityFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# inequality rows g(x) <= 0: rows(x) -> (values (rows,), columns of x and coefficients, both (rows, width))
+InequalityRows = tuple[np.ndarray, np.ndarray, np.ndarray]
+InequalityFn = Callable[[np.ndarray], InequalityRows]
 
 
 @dataclass(frozen=True)
@@ -619,7 +627,9 @@ class NlpProblem:
     its rows serve both the convex model and the merit and feasibility
     accounting.  It may return a different number of rows each time: rows
     may omit constraints that are satisfied at x (e.g. collision pairs far
-    from contact), never violated ones.  With a (k, k) Hessian, ``a_eq`` is
+    from contact), never violated ones.  Row r of the Jacobian is
+    coefficients[r] on columns[r] (``InequalityFn``), a dense one listing
+    every column.  With a (k, k) Hessian, ``a_eq`` is
     (rows, k) or ``DynamicsRows``, A_eq = kron(a_eq, I_d), and ``b_eq`` holds
     rows * d values, row-major.  ``base_inverse``, when given, must be
     ``kkt_inverse`` of the Hessian and ``a_eq`` with shift
@@ -764,8 +774,9 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
     its rows only if it is tried; an accepted trial is the next model.
     Never raises on non-convergence: the iteration limit, or the problem's
     ``deadline`` reached first, returns the iterate reached with
-    ``converged=False``.  A non-finite objective array or evaluator output
-    raises ``EvaluatorError``; an asymmetric Hessian, an array of the wrong
+    ``converged=False``.  A non-finite objective array or evaluator output,
+    rows of mismatched shapes, or columns that are not integers in [0, n)
+    raise ``EvaluatorError``; an asymmetric Hessian, an array of the wrong
     shape, or bounds that are NaN or cross raise ``ConfigError``.  The
     Hessian is checked once, and only when no ``base_inverse`` is handed in.
     """
@@ -810,18 +821,21 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         """The objective's value and gradient at ``point``, from ``value_and_grad``, then the inequality rows."""
         f, g = objective
         if problem.inequalities is not None:
-            vals, jac = problem.inequalities(point)
-            vals, jac = np.asarray(vals, dtype=float), np.asarray(jac, dtype=float)
-            if vals.ndim != 1 or jac.shape != (vals.shape[0], n):
-                raise EvaluatorError(f"inequality evaluator must return values (rows,) and a jacobian "
-                                     f"(rows, {n}), got {vals.shape} and {jac.shape}")
+            vals, cols, coef = problem.inequalities(point)
+            vals, cols, coef = np.asarray(vals, dtype=float), np.asarray(cols), np.asarray(coef, dtype=float)
+            if vals.ndim != 1 or coef.ndim != 2 or cols.shape != coef.shape or len(coef) != len(vals):
+                raise EvaluatorError(f"inequality evaluator must return values (rows,), then the jacobian's columns and "
+                                     f"coefficients of one shape (rows, width), got {vals.shape}, {cols.shape} and {coef.shape}")
+            if cols.dtype.kind not in "iu" or not ((cols >= 0) & (cols < n)).all():
+                raise EvaluatorError(f"inequality jacobian's columns must be integers in [0, {n}), got {cols.dtype} "
+                                     f"from {cols.min(initial=0)} to {cols.max(initial=0)}")
         else:
-            vals, jac = np.zeros(0), np.zeros((0, n))
-        if not np.isfinite(np.concatenate(([f], g, vals, jac.reshape(-1)))).all():  # the checks below name it
+            vals, cols, coef = np.zeros(0), np.zeros((0, 0), dtype=int), np.zeros((0, 0))
+        if not np.isfinite(np.concatenate(([f], g, vals, coef.reshape(-1)))).all():  # the checks below name it
             for value, what in ((f, "objective"), (g, "objective gradient"), (vals, "inequality evaluator"),
-                                (jac, "inequality jacobian")):
+                                (coef, "inequality coefficients")):
                 _check_finite(value, what)
-        return f, g, vals, jac
+        return f, g, vals, cols, coef
 
     def penalty(vals: np.ndarray) -> float:
         return float(np.maximum(vals, 0.0).sum())
@@ -831,7 +845,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
 
     mu, delta = INITIAL_PENALTY, INITIAL_TRUST_RADIUS
 
-    fx, gx, rows_vals, rows_jac = evaluate(x, problem.objective.value_and_grad(x))
+    fx, gx, rows_vals, rows_cols, rows_coef = evaluate(x, problem.objective.value_and_grad(x))
     merit = fx + mu * penalty(rows_vals)
 
     converged = False
@@ -843,7 +857,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         lo_eff = np.maximum(lower, x - delta)
         hi_eff = np.minimum(upper, x + delta)
         sol, _ = solve_qp(
-            h, problem.objective.linear - PROX_REGULARIZATION * x, a_eq, b_eq, rows_jac, rows_jac @ x - rows_vals,
+            h, problem.objective.linear - PROX_REGULARIZATION * x, a_eq, b_eq, rows_coef,
+            _row_products(rows_cols, rows_coef, x) - rows_vals, columns=rows_cols,
             lower=lo_eff, upper=hi_eff, penalty=np.full(len(rows_vals), mu), base_inverse=base, stats=qp_stats,
         )
         x_new = np.minimum(np.maximum(sol, lo_eff), hi_eff)
@@ -851,7 +866,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         dx = x_new - x
         objective_new = problem.objective.value_and_grad(x_new)  # the model's H dx is its change of gradient
         model_obj = fx + gx @ dx + 0.5 * dx @ (objective_new[1] - gx)
-        lin_vals = rows_vals + rows_jac @ dx
+        lin_vals = rows_vals + _row_products(rows_cols, rows_coef, dx)
         model_merit = model_obj + mu * penalty(lin_vals)
         predicted = merit - model_merit
 
@@ -860,7 +875,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
         stalled = predicted <= 1e-12 * max(1.0, abs(merit))
         if not stalled:
             trial = evaluate(x_new, objective_new)
-            f_new, _, vals_new, _ = trial
+            f_new, _, vals_new, _, _ = trial
             merit_new = f_new + mu * penalty(vals_new)
             ratio = (merit - merit_new) / predicted
 
@@ -872,7 +887,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> NlpSolut
             if merit_new < merit:
                 stalled = float(np.abs(dx).max(initial=0.0)) <= opts.step_tolerance
                 x, merit = x_new, merit_new
-                fx, gx, rows_vals, rows_jac = trial
+                fx, gx, rows_vals, rows_cols, rows_coef = trial
             elif delta <= MIN_TRUST_RADIUS * 1.01:
                 break
         if stalled:
@@ -1070,10 +1085,11 @@ def _collision_rows(scenario: Scenario, layout: SegmentLayout) -> InequalityFn |
     """Row evaluator: activation-filtered linearizations of the clearances.
 
     Rows encode  margin - sd(q_k) <= 0  for each near-contact pair at each
-    waypoint, ordered by waypoint, then link, then obstacle.  The activation
-    distance exceeds the margin, so every violated pair is among the rows;
-    it is also the cutoff of ``clearances``, so only pairs that can become
-    rows reach the exact kernel.
+    waypoint, ordered by waypoint, then link, then obstacle, as -grad sd on
+    the waypoint's d position columns.  The activation distance exceeds the
+    margin, so every violated pair is among the rows; it is also the cutoff
+    of ``clearances``, so only pairs that can become rows reach the exact
+    kernel.
     """
     if not scenario.obstacles:
         return None
@@ -1082,20 +1098,12 @@ def _collision_rows(scenario: Scenario, layout: SegmentLayout) -> InequalityFn |
     # packed-vector columns of each waypoint's position block
     columns = layout.state_dim * np.arange(layout.count)[:, None] + np.arange(layout.dim)
 
-    def rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rows(x: np.ndarray) -> InequalityRows:
         _, (waypoint, _, _), sd, grad = gathered_clearances(scenario, layout.positions(x), activation)
         keep = sd <= activation
-        waypoint = waypoint[keep]
-        jac = np.zeros((waypoint.size, layout.size))
-        jac[np.arange(waypoint.size)[:, None], columns[waypoint]] = -grad[keep]
-        return margin - sd[keep], jac
+        return margin - sd[keep], columns[waypoint[keep]], -grad[keep]
 
     return rows
-
-
-# an older evaluation's Jacobian this large is kept as its entries that are not
-# +0.0; a smaller one costs less memory than its compaction costs time
-COMPACT_BYTES = 2**16
 
 
 class SolveRows:
@@ -1105,34 +1113,23 @@ class SolveRows:
     ``carry`` (the previous solution's), so a solve that starts there,
     unmoved by its projection and clip, does not evaluate its start again.
     ``at`` gives a known point's (point, rows), for the segment to carry on.
-    An older evaluation's Jacobian of ``COMPACT_BYTES`` or more (the newest
-    stays dense) keeps only its entries that are not +0.0, so a long
-    segment's solve does not hold a dense Jacobian per point it visited.
+    A point's rows hold d coefficients each, so a long segment's solve keeps
+    O(rows) per point it visited.
     """
 
     def __init__(self, rows: InequalityFn) -> None:
-        self.rows, self.known, self.newest = rows, {}, None
+        self.rows, self.known = rows, {}
 
-    def carry(self, x: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> None:
+    def carry(self, x: np.ndarray, rows: InequalityRows) -> None:
         self.known[x.tobytes()] = rows
 
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, x: np.ndarray) -> InequalityRows:
         key = x.tobytes()
         if key not in self.known:
-            rows = self.rows(x)
-            if self.newest is not None and self.known[self.newest][1].nbytes >= COMPACT_BYTES:
-                vals, jac = self.known[self.newest]
-                kept = np.flatnonzero((jac != 0) | np.signbit(jac))
-                self.known[self.newest] = vals, (jac.shape, kept, jac.reshape(-1)[kept])
-            self.known[key], self.newest = rows, key
-        vals, jac = self.known[key]
-        if isinstance(jac, tuple):
-            shape, kept, entries = jac
-            jac = np.zeros(shape)
-            jac.reshape(-1)[kept] = entries
-        return vals, jac
+            self.known[key] = self.rows(x)
+        return self.known[key]
 
-    def at(self, x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    def at(self, x: np.ndarray) -> tuple[np.ndarray, InequalityRows]:
         return x, self(x)
 
 

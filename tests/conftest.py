@@ -174,6 +174,34 @@ def one_coordinate(inverse, chunk=64):
 LU_CONDENSED_RESIDUAL = {"mono": 7.73e-12, "middle": 3.58e-12}
 
 
+# --- inequality rows as (columns, coefficients) -------------------------------
+#
+# The solver holds each inequality row as its coefficients on the columns it
+# lists (``nlp.InequalityFn``); a dense matrix is the form that lists them all.
+
+def full_columns(matrix):
+    """The column table of a dense (rows, n) matrix: every row lists every column."""
+    rows, n = np.shape(matrix)
+    return np.broadcast_to(np.arange(n), (rows, n))
+
+
+def sparse_rows(evaluator):
+    """A dense evaluator x -> (values, jacobian) as one returning (values, columns, coefficients)."""
+    def rows(x):
+        values, jacobian = evaluator(x)
+        return values, full_columns(jacobian), jacobian
+
+    return rows
+
+
+def dense_jacobian(rows, n):
+    """The (rows, n) Jacobian of a returned (values, columns, coefficients), its unlisted entries +0.0."""
+    _, columns, coefficients = rows
+    out = np.zeros((len(coefficients), n))
+    out[np.arange(len(coefficients))[:, None], columns] = coefficients
+    return out
+
+
 # --- brute-force QP oracle ------------------------------------------------------
 #
 # Minimize 1/2 x'Hx + g'x s.t. A_eq x = b_eq, A_in x <= b_in by enumerating

@@ -297,7 +297,7 @@ class TestPrimalUpdate:
         evaluated = self.spy_on_rows(monkeypatch)
         problem = convexify_segment(scenario, 0, 9, x0)
         # rows carried at x0 would read as one violated row; the solve must never see them
-        problem.inequalities.carry(x0, (np.array([5.0]), np.zeros((1, layout.size))))
+        problem.inequalities.carry(x0, (np.array([5.0]), np.arange(layout.dim)[None, :], np.zeros((1, layout.dim))))
         carried = solve(problem)
         np.testing.assert_array_equal(evaluated[0][0], scenario.start.position)
         assert carried.point.tobytes() == fresh.point.tobytes()

@@ -41,10 +41,19 @@ def test_trace_layers_restores_every_attribute(monkeypatch):
 
 def test_traced_run_counts_solves_and_qps(monkeypatch):
     # on_qp reads solve_qp's gradient and a_in positionally (args[1], args[4]);
-    # a solve that passed them by keyword would break the traced pass here
+    # a solve that passed them by keyword would break the traced pass here.
+    # Its row count is len(a_in): a spy under the tracer's wrapper counts the
+    # rows by b_in, so a row form whose len is not its row count shows here
     monkeypatch.syspath_prepend(str(BENCHMARK))
     tracing = importlib.import_module("tracing")
     scenario = scenario_io.load_scenario(bundled_scenario_dir() / "circle_blocked.yaml")
+    sizes, solve_qp = [], nlp.solve_qp
+
+    def spy(hessian, gradient, a_eq, b_eq, a_in, b_in, **kwargs):
+        sizes.append((len(gradient), len(b_in)))
+        return solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in, **kwargs)
+
+    monkeypatch.setattr(nlp, "solve_qp", spy)
     tracer = tracing.Tracer()
     tracing.trace_layers(tracer)
     try:
@@ -55,4 +64,6 @@ def test_traced_run_counts_solves_and_qps(monkeypatch):
     assert report.converged
     assert totals["nlp.solve.calls"] >= report.iterations * report.num_segments
     assert totals["nlp.solve_qp.calls"] >= totals["nlp.solve.calls"]
-    assert totals["nlp.qp_size"] > 0
+    assert totals["nlp.solve_qp.calls"] == len(sizes)
+    assert totals["nlp.qp_size"] == sum(n + rows for n, rows in sizes)
+    assert sum(rows for _, rows in sizes) > 0  # the run's QPs hold collision rows

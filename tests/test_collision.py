@@ -66,7 +66,7 @@ def row_count(scenario, q):
     """Collision rows the segment solver keeps for one waypoint at ``q``."""
     layout = segment_layout(scenario, 0, 0)
     x = layout.pack(np.asarray(q, dtype=float)[None, :], np.zeros((1, layout.dim)))
-    vals, _ = convexify_segment(scenario, 0, 0, x).inequalities(x)
+    vals, _, _ = convexify_segment(scenario, 0, 0, x).inequalities(x)
     return vals.size
 
 

@@ -13,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from conftest import oracle_signed_distance  # noqa: E402
+from conftest import dense_jacobian, oracle_signed_distance  # noqa: E402
 from trajsplit.cli import bundled_scenario_dir  # noqa: E402
 from trajsplit.collision import (  # noqa: E402
     activation_distance,
@@ -210,7 +210,7 @@ def test_rows_carry_every_violated_pair(robot, obstacles, margin, dynamics, data
     bound = 2.0 if isinstance(robot, Point2D) else math.pi
     coords = st.floats(-bound, bound, allow_nan=False)
     x = np.array(data.draw(st.lists(coords, min_size=layout.size, max_size=layout.size)))
-    rows, _ = convexify_segment(scenario, 0, count - 1, x).inequalities(x)
+    rows, _, _ = convexify_segment(scenario, 0, count - 1, x).inequalities(x)
     full = margin_values(scenario, layout, x)
     np.testing.assert_array_equal(rows[rows > 0.0], full[full > 0.0])
 
@@ -266,7 +266,8 @@ def test_gathered_rows_equal_dense_clearances(world, margin, dynamics, cutoff):
     activation = activation_distance(margin)
     layout = segment_layout(scenario, 0, count - 1)
     x = layout.pack(configs, np.ones_like(configs))
-    rows, jac = convexify_segment(scenario, 0, count - 1, x).inequalities(x)
+    found = convexify_segment(scenario, 0, count - 1, x).inequalities(x)
+    rows, jac = found[0], dense_jacobian(found, layout.size)
     # the solver's rows are margin - sd of exactly the pairs within the
     # activation distance, in (waypoint, link, obstacle) order, each gradient
     # at its waypoint's position block
@@ -444,7 +445,8 @@ def assert_rows_match_finite_differences(scenario, rng, draws=200):
     for _ in range(draws):
         x = rng.uniform(-math.pi, math.pi, size=layout.size)
         problem = convexify_segment(scenario, 0, 3, x)
-        row_vals, row_jac = problem.inequalities(x)
+        found = problem.inequalities(x)
+        row_vals, row_jac = found[0], dense_jacobian(found, layout.size)
         full = margin_values(scenario, layout, x)
         active = np.nonzero(scenario.safety_margin - full <= activation)[0]
         np.testing.assert_array_equal(row_vals, full[active])

@@ -31,9 +31,11 @@ from trajsplit.nlp import (  # noqa: E402
     NlpProblem,
     SolverOptions,
     build_segment_objective,
+    convexify_segment,
     kkt_inverse,
     project_to_affine,
     segment_equalities,
+    segment_layout,
     solve,
     solve_qp,
 )
@@ -123,7 +125,7 @@ def test_block_problem_matches_expanded_problem(segment):
     assert block.value(x) == got
 
     def keepout(x):
-        return np.array([0.5 - x[n // 2]]), -np.eye(1, x.size, n // 2)
+        return np.array([0.5 - x[n // 2]]), np.array([[n // 2]]), -np.ones((1, 1))
 
     problems = [NlpProblem(dim=n, objective=objective, a_eq=a, b_eq=b_eq, inequalities=keepout)
                 for objective, a in ((block, a_eq), (expanded, dense(a_eq, d)))]
@@ -257,7 +259,7 @@ def test_singular_condensed_block_is_a_pseudo_inverse():
 @pytest.mark.parametrize("d", [1, 2])
 def test_violated_elastic_row_of_zeros_changes_nothing(d):
     # a violated row with a zero Jacobian (a collision gradient can be zero)
-    # ties at once: it adds a constant penalty and reads no row of the inverse
+    # ties at once: it adds a constant penalty and moves nothing
     # d = 1 factors the expanded matrices as one coordinate, d = 2 the blocks
     scenario = SCENARIOS["circle_blocked.yaml"]
     hessian = build_segment_objective(scenario, 0, 9).hessian_matrix
@@ -266,14 +268,15 @@ def test_violated_elastic_row_of_zeros_changes_nothing(d):
     if d == 1:
         hessian, a_eq = dense(hessian, scenario.dim), dense(a_eq, scenario.dim)
     gradient = np.linspace(-1.0, 1.0, n)
-    keepout = -np.eye(1, n, 4)
+    keepout = np.array([[4, 5]]), np.array([[-1.0, 0.0]])  # columns and coefficients, on waypoint 1's position
     inverse = kkt_inverse(hessian, a_eq, d, SHIFT)
     assert inverse.rows(np.zeros(0, dtype=int)).shape == (0, inverse.size * d)
     args = dict(lower=np.full(n, -5.0), upper=np.full(n, 5.0), base_inverse=inverse)
-    want, want_optimal = solve_qp(hessian, gradient, a_eq, b_eq, keepout, np.array([-0.5]),
+    want, want_optimal = solve_qp(hessian, gradient, a_eq, b_eq, keepout[1], np.array([-0.5]), columns=keepout[0],
                                   penalty=np.array([10.0]), **args)
-    got, optimal = solve_qp(hessian, gradient, a_eq, b_eq, np.vstack([np.zeros(n), keepout]),
-                            np.array([-1.0, -0.5]), penalty=np.array([10.0, 10.0]), **args)
+    got, optimal = solve_qp(hessian, gradient, a_eq, b_eq, np.vstack([np.zeros(2), keepout[1]]),
+                            np.array([-1.0, -0.5]), columns=np.vstack([keepout[0], keepout[0]]),
+                            penalty=np.array([10.0, 10.0]), **args)
     assert optimal and want_optimal
     np.testing.assert_array_equal(got, want)
 
@@ -284,7 +287,7 @@ def test_solve_from_a_zero_gradient_row():
     objective = nlp.QuadraticFunction(hessian_matrix=np.eye(2), linear=-target)  # the block of 2 coordinates
 
     def outside(x):
-        return np.array([1.0 - x @ x]), -2.0 * x[None, :]
+        return np.array([1.0 - x @ x]), np.arange(4)[None, :], -2.0 * x[None, :]
 
     base = kkt_inverse(np.eye(2), np.zeros((0, 2)), 2, nlp.PROX_REGULARIZATION)
     assert base.coordinates == 2
@@ -357,15 +360,26 @@ def test_mono_transient_memory():
 
 def test_long_mono_memory():
     # mono N=1280: the factor peaked at 120 MB with its dense inverse (3843^2
-    # doubles) and the run at 168 MB.  Beyond the parts' 3.0 MB the run holds
-    # the dense collision Jacobian: 376-408 rows of 5120 columns, 15-17 MB each
+    # doubles), and the run at 168 MB, then at 51 MB with a dense collision
+    # Jacobian per point (376-408 rows of 5120 columns).  A row is now its
+    # waypoint's d = 2 columns and coefficients: the run peaks at 4.6 MB,
+    # 3.0 MB of it the factor's parts
     scenario = stretched("circle_blocked.yaml", 1280)
     hessian = build_segment_objective(scenario, 0, 1279).hessian_matrix
     a_eq, _ = segment_equalities(scenario, 0, 1279)
     inverse, peak = traced_peak(kkt_inverse, hessian, a_eq, scenario.dim, SHIFT)
     assert inverse.dense is None and peak < 10e6
     report, peak = traced_peak(run, scenario, SplitConfig(num_splits=0))
-    assert report.converged and peak < 60e6
+    assert report.converged and peak < 5e6
+    arm = SCENARIOS["arm_two_link.yaml"]
+    for scenario, report in ((scenario, report), (arm, run(arm, SplitConfig(num_splits=0)))):
+        last = scenario.num_waypoints - 1
+        layout = segment_layout(scenario, 0, last)
+        x = layout.pack(report.trajectory.positions(), report.trajectory.velocities())
+        values, columns, coefficients = convexify_segment(scenario, 0, last, x).inequalities(x)
+        assert values.size and columns.shape == coefficients.shape == (values.size, scenario.dim)
+        # each row's columns are one waypoint's position block
+        assert (columns == columns[:, :1] + np.arange(scenario.dim)).all() and not (columns[:, 0] % layout.state_dim).any()
 
 
 @pytest.mark.parametrize("which", ["mono", "middle"])

@@ -25,7 +25,7 @@ from trajsplit.nlp import (
     solve_qp,
 )
 
-from conftest import dense, enumerate_qp
+from conftest import dense, dense_jacobian, enumerate_qp, full_columns, sparse_rows
 
 
 def point_scenario(n=5, obstacles=(), margin=0.05, dynamics=True, dt=0.5):
@@ -56,7 +56,7 @@ class TestSolveQp:
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(30):
             hessian, gradient, a_eq, b_eq, a_in, b_in = random_qp(rng, n=5, m_in=3)
-            x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in)
+            x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in, columns=full_columns(a_in))
             assert ok
             want_val, want_x = enumerate_qp(hessian, gradient, a_eq, b_eq, a_in, b_in)
             got_val = 0.5 * x @ hessian @ x + gradient @ x
@@ -66,7 +66,7 @@ class TestSolveQp:
     def test_with_equalities(self, rng):
         for _ in range(15):
             hessian, gradient, a_eq, b_eq, a_in, b_in = random_qp(rng, n=4, m_in=3, n_eq=1)
-            x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in)
+            x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in, columns=full_columns(a_in))
             assert ok
             want_val, _ = enumerate_qp(hessian, gradient, a_eq, b_eq, a_in, b_in)
             got_val = 0.5 * x @ hessian @ x + gradient @ x
@@ -81,7 +81,7 @@ class TestSolveQp:
         gradient = rng.normal(size=n)
         a_eq = rng.normal(size=(m, n))
         b_eq = rng.normal(size=m)
-        x, ok = solve_qp(hessian, gradient, a_eq, b_eq, np.zeros((0, n)), np.zeros(0))
+        x, ok = solve_qp(hessian, gradient, a_eq, b_eq, np.zeros((0, n)), np.zeros(0), columns=np.zeros((0, n), dtype=int))
         assert ok
         kkt = np.block([[hessian, a_eq.T], [a_eq, np.zeros((m, m))]])
         ref = np.linalg.solve(kkt, np.concatenate([-gradient, b_eq]))[:n]
@@ -152,6 +152,7 @@ class TestSolve:
             hessian, gradient, _, _, a_in, b_in = random_qp(rng, n=5, m_in=3)
             obj = QuadraticFunction(hessian_matrix=hessian, linear=gradient)
 
+            @sparse_rows
             def ineq(x, a_in=a_in, b_in=b_in):
                 return a_in @ x - b_in, a_in
 
@@ -172,6 +173,7 @@ class TestSolve:
         b_eq = np.array([0.3])
         obj = QuadraticFunction(hessian_matrix=hessian, linear=gradient)
 
+        @sparse_rows
         def ineq(x):
             return a_in @ x - b_in, a_in
 
@@ -204,6 +206,7 @@ class TestSolve:
         target = np.array([0.5, 0.0])
         obj = QuadraticFunction(hessian_matrix=2.0 * np.eye(2), linear=-2.0 * target)
 
+        @sparse_rows
         def keepout(x):
             r = np.linalg.norm(x)
             return np.array([1.0 - r]), (-x / r).reshape(1, 2)
@@ -224,6 +227,7 @@ class TestSolve:
         a_in = np.array([[1.0], [-1.0]])
         b_in = np.array([-1.0, -1.0])
 
+        @sparse_rows
         def ineq(x):
             return a_in @ x - b_in, a_in
 
@@ -250,7 +254,7 @@ class TestSolve:
 
         def keepout(x):
             rows.append(x)
-            return np.array([1.0 - x[0]]), -np.eye(1, 2)
+            return np.array([1.0 - x[0]]), np.array([[0]]), -np.ones((1, 1))
 
         problem = NlpProblem(dim=2, objective=QuadraticFunction(hessian_matrix=hessian, linear=linear),
                              inequalities=keepout, x0=np.zeros(2))
@@ -273,7 +277,7 @@ class TestSolve:
         obj = QuadraticFunction(hessian_matrix=np.eye(1), linear=np.zeros(1))
 
         def bad(x):
-            return np.array([np.nan]), np.zeros((1, 1))
+            return np.array([np.nan]), np.zeros((1, 1), dtype=int), np.zeros((1, 1))
 
         problem = NlpProblem(dim=1, objective=obj, inequalities=bad, x0=np.zeros(1))
         with pytest.raises(EvaluatorError):
@@ -285,9 +289,11 @@ class TestSolve:
         (dict(a_eq=np.ones((1, 2))), ConfigError, "b_eq"),
         (dict(lower=np.zeros(3)), ConfigError, "lower"),
         (dict(upper=np.zeros((2, 1))), ConfigError, "upper"),
-        (dict(inequalities=lambda x: (np.zeros((1, 1)), np.zeros((1, 2)))), EvaluatorError, "values"),
-        (dict(inequalities=lambda x: (np.zeros(1), np.zeros((1, 3)))), EvaluatorError, "jacobian"),
-        (dict(inequalities=lambda x: (np.zeros(1), np.zeros(2))), EvaluatorError, "jacobian"),
+        # inequality rows are values (rows,), then the jacobian's columns and coefficients, both (rows, width)
+        (dict(inequalities=lambda x: (np.zeros((1, 1)), np.zeros((1, 2), dtype=int), np.zeros((1, 2)))),
+         EvaluatorError, "values"),
+        (dict(inequalities=lambda x: (np.zeros(1), np.arange(3)[None, :], np.zeros((1, 3)))), EvaluatorError, "jacobian"),
+        (dict(inequalities=lambda x: (np.zeros(1), np.arange(2), np.zeros(2))), EvaluatorError, "jacobian"),
         (dict(objective=QuadraticFunction(hessian_matrix=np.eye(2), linear=np.zeros(3))), ConfigError, "linear"),
         (dict(objective=QuadraticFunction(hessian_matrix=np.eye(2), linear=np.zeros((2, 1)))), ConfigError, "linear"),
         # a (1, 1) block acts on both coordinates: one row of it holds one value per coordinate
@@ -296,6 +302,18 @@ class TestSolve:
         (dict(lower=np.ones(2), upper=np.zeros(2)), ConfigError, "lower"),
         (dict(lower=np.array([np.nan, 0.0])), ConfigError, "lower"),
         (dict(upper=np.array([0.0, np.nan])), ConfigError, "upper"),
+        # columns that are not integers, or outside [0, n), would be read by x[columns] without a word
+        (dict(inequalities=lambda x: (np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2)))), EvaluatorError,
+         r"integers in \[0, 2\), got float64"),
+        (dict(inequalities=lambda x: (np.zeros(1), np.array([[-1, 0]]), np.zeros((1, 2)))), EvaluatorError,
+         r"integers in \[0, 2\), got int64 from -1 to 0"),
+        (dict(inequalities=lambda x: (np.zeros(1), np.array([[0, 2]]), np.zeros((1, 2)))), EvaluatorError,
+         r"integers in \[0, 2\), got int64 from 0 to 2"),
+        # columns and coefficients of different shapes, and a row count that is not the values'
+        (dict(inequalities=lambda x: (np.zeros(1), np.zeros((1, 2), dtype=int), np.zeros((1, 1)))), EvaluatorError,
+         r"got \(1,\), \(1, 2\) and \(1, 1\)"),
+        (dict(inequalities=lambda x: (np.zeros(2), np.zeros((1, 2), dtype=int), np.zeros((1, 2)))), EvaluatorError,
+         r"got \(2,\), \(1, 2\) and \(1, 2\)"),
     ])
     def test_malformed_problem_raises_a_named_error(self, fields, error, match):
         # each would otherwise surface as numpy's own ValueError from deep in
@@ -398,6 +416,7 @@ class TestSolve:
         target = np.array([0.5, 0.0])
         obj = QuadraticFunction(hessian_matrix=2.0 * np.eye(2), linear=-2.0 * target)
 
+        @sparse_rows
         def keepout(x):
             r = np.linalg.norm(x)
             return np.array([1.0 - r]), (-x / r).reshape(1, 2)
@@ -418,6 +437,7 @@ class TestSolve:
         obj = QuadraticFunction(hessian_matrix=2.0 * np.eye(2), linear=-2.0 * target)
         visited = []
 
+        @sparse_rows
         def keepout(x):
             visited.append(x.copy())
             r = np.linalg.norm(x)
@@ -674,26 +694,25 @@ class TestSegmentConstraints:
 
 
 class TestSolveRows:
-    def test_older_large_jacobians_return_bit_for_bit_without_a_second_evaluation(self):
-        # rows of COMPACT_BYTES or more are kept as their entries that are not +0.0
-        # once a newer point is evaluated; -0.0 entries survive, and no point is evaluated twice
-        n = nlp.COMPACT_BYTES // 8
+    def test_no_point_is_evaluated_twice_and_carry_and_at_agree(self):
+        # a point's rows come back as they were stored, however many points
+        # were evaluated after it, and rows handed to ``carry`` are never
+        # evaluated: ``at`` returns them
         evaluated = []
 
         def rows(x):
             evaluated.append(x.copy())
-            jac = np.zeros((3, n))
-            jac[:, : x.size] = x
-            jac[1, -1] = -0.0
-            return x[:3] - 1.0, jac
+            return x[:3] - 1.0, np.tile([0, 3], (3, 1)), np.tile([x[0], -0.0], (3, 1))
 
         solve_rows = nlp.SolveRows(rows)
         points = [np.full(4, float(k)) for k in range(3)]
-        first = [(vals.copy(), jac.copy()) for vals, jac in (solve_rows(x) for x in points)]
-        for x, (vals, jac) in zip(points, first):
-            again_vals, again_jac = solve_rows(x)
-            assert again_vals.tobytes() == vals.tobytes() and again_jac.tobytes() == jac.tobytes()
-        assert solve_rows.at(points[0])[1][1].tobytes() == first[0][1].tobytes()
+        first = [tuple(part.copy() for part in solve_rows(x)) for x in points]
+        for x, want in zip(points, first):
+            assert [part.tobytes() for part in solve_rows(x)] == [part.tobytes() for part in want]
+        assert [part.tobytes() for part in solve_rows.at(points[0])[1]] == [part.tobytes() for part in first[0]]
+        carried = np.full(4, 9.0), (np.array([5.0]), np.array([[1]]), np.array([[-0.0]]))
+        solve_rows.carry(*carried)
+        assert solve_rows.at(carried[0]) == carried
         assert len(evaluated) == 3
 
 
@@ -703,9 +722,10 @@ class TestConvexifySegment:
         layout = segment_layout(scenario, 0, 2)
         x0 = layout.pack(np.zeros((3, 2)), np.zeros((3, 2)))
         problem = convexify_segment(scenario, 0, 2, x0)
-        vals, jac = problem.inequalities(x0)
+        vals, columns, coefficients = found = problem.inequalities(x0)
         assert vals.shape == (0,)
-        assert jac.shape == (0, layout.size)
+        assert columns.shape == coefficients.shape == (0, layout.dim)
+        assert dense_jacobian(found, layout.size).shape == (0, layout.size)
 
     def test_single_active_row_structure(self):
         # Margin chosen so the activation band (3*margin + 0.2) reaches the
@@ -721,7 +741,8 @@ class TestConvexifySegment:
         layout = segment_layout(scenario, 0, 0)
         x0 = layout.pack(np.zeros((1, 2)), np.zeros((1, 2)))
         problem = convexify_segment(scenario, 0, 0, x0)
-        vals, jac = problem.inequalities(x0)
+        found = problem.inequalities(x0)
+        vals, jac = found[0], dense_jacobian(found, layout.size)
         assert vals.shape == (1,)
         assert vals[0] == pytest.approx(margin - 1.0, abs=1e-12)
         np.testing.assert_allclose(jac[0][layout.position_slice(0)], [1.0, 0.0], atol=1e-12)
@@ -746,7 +767,7 @@ class TestConvexifySegment:
         pos = rng.uniform(-0.5, 2.0, size=(3, 2))
         x = layout.pack(pos, np.zeros((3, 2)))
         problem = convexify_segment(scenario, 0, 2, x)
-        rows_vals, _ = problem.inequalities(x)
+        rows_vals, _, _ = problem.inequalities(x)
         full = 0.1 - clearances(scenario, layout.positions(x)).ravel()
         active = full[full >= rows_vals.min() - 1e-12] if rows_vals.size else full
         # every emitted row value appears among the true constraint values
@@ -770,6 +791,7 @@ class TestConvexifySegment:
         ref_x, ok = solve_qp(
             dense(obj.hessian_matrix, 2) + 1e-12 * np.eye(layout.size), obj.linear,
             dense(problem.a_eq, 2), problem.b_eq, np.zeros((0, layout.size)), np.zeros(0),
+            columns=np.zeros((0, layout.size), dtype=int),
         )
         assert ok
         np.testing.assert_allclose(sol.point, ref_x, atol=1e-6)

@@ -10,7 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import qp_kkt_residuals  # noqa: E402
+from conftest import full_columns, qp_kkt_residuals  # noqa: E402
 from trajsplit.nlp import QpStats, solve_qp  # noqa: E402
 
 KKT_TOL = 1e-8
@@ -85,7 +85,7 @@ def slack_form(hessian, gradient, a_eq, a_in, b_in, lower, upper, penalty, x):
 def test_solution_satisfies_kkt(qp):
     hessian, gradient, a_eq, b_eq, a_in, b_in, lower, upper, penalty, x0 = qp
     stats = QpStats()
-    x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in,
+    x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in, columns=full_columns(a_in),
                      lower=lower, upper=upper, penalty=penalty, stats=stats)
     assert ok
     assert (stats.nonoptimal, stats.kkt_fallbacks) == (0, 0)
@@ -107,7 +107,7 @@ def test_working_set_outgrows_its_buffers_and_loses_entries():
     penalty = np.concatenate([[np.inf], np.full(len(soft), 0.3)])
     lower, upper, a_eq, b_eq = np.full(n, -np.inf), np.ones(n), np.zeros((0, n)), np.zeros(0)
     stats = QpStats()
-    x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in,
+    x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in, columns=full_columns(a_in),
                      lower=lower, upper=upper, penalty=penalty, stats=stats)
     assert ok
     assert (stats.nonoptimal, stats.kkt_fallbacks) == (0, 0)
@@ -122,7 +122,7 @@ def test_bounds_snap_exactly():
     # both optimum coordinates lie beyond their bounds: the answer is the
     # bound values themselves, not values within rounding of them
     x, ok = solve_qp(np.eye(2), np.array([-5.0, 5.0]), np.zeros((0, 2)), np.zeros(0),
-                     np.zeros((0, 2)), np.zeros(0),
+                     np.zeros((0, 2)), np.zeros(0), columns=np.zeros((0, 2), dtype=int),
                      lower=np.array([-0.3, -0.7]), upper=np.array([0.1, 0.9]))
     assert ok
     assert x.tolist() == [0.1, -0.7]
@@ -133,7 +133,7 @@ def test_elastic_row_is_fixed_or_tied(weight, want):
     # minimize (x - 2)^2 / 2 + weight * max(0, x - 1): a heavy weight holds x
     # at the kink (slack fixed at 0), a light one lets it through (tied)
     x, ok = solve_qp(np.eye(1), np.array([-2.0]), np.zeros((0, 1)), np.zeros(0), np.array([[1.0]]),
-                     np.array([1.0]), penalty=np.array([weight]))
+                     np.array([1.0]), columns=np.array([[0]]), penalty=np.array([weight]))
     assert ok
     assert x[0] == pytest.approx(want, abs=1e-12)
 
@@ -145,7 +145,7 @@ def test_row_order_changes_nothing(qp, seed):
     # the rows are met must not move it
     hessian, gradient, a_eq, b_eq, a_in, b_in, lower, upper, penalty, _ = qp
     order = np.random.default_rng(seed).permutation(len(b_in))
-    args = dict(lower=lower, upper=upper)
+    args = dict(columns=full_columns(a_in), lower=lower, upper=upper)
     x, ok = solve_qp(hessian, gradient, a_eq, b_eq, a_in, b_in, penalty=penalty, **args)
     y, ok_permuted = solve_qp(hessian, gradient, a_eq, b_eq, a_in[order], b_in[order], penalty=penalty[order], **args)
     assert ok and ok_permuted
@@ -160,7 +160,8 @@ def test_infeasible_hard_rows_are_not_optimal(a_in, b_in):
     # x_0 <= 0 and x_0 >= 1 admit no point, and neither does 0 <= -1: the
     # dual step grows without bound
     stats = QpStats()
-    _, ok = solve_qp(np.eye(2), np.array([-1.0, 1.0]), np.zeros((0, 2)), np.zeros(0), a_in, b_in, stats=stats)
+    _, ok = solve_qp(np.eye(2), np.array([-1.0, 1.0]), np.zeros((0, 2)), np.zeros(0), a_in, b_in,
+                     columns=full_columns(a_in), stats=stats)
     assert not ok
     assert (stats.nonoptimal, stats.kkt_fallbacks) == (1, 0)
 
@@ -178,8 +179,8 @@ def test_tied_row_reenters_from_the_tied_side(hard, bound, want):
     # is satisfied and re-enters from the tied side: three steps
     stats = QpStats()
     x, ok = solve_qp(np.eye(2), np.array([-2.0, 0.0]), np.zeros((0, 2)), np.zeros(0),
-                     np.vstack([[1.0, 0.0], hard]), np.array([1.0, bound]), penalty=np.array([0.8, np.inf]),
-                     stats=stats)
+                     np.vstack([[1.0, 0.0], hard]), np.array([1.0, bound]), columns=full_columns(np.zeros((2, 2))),
+                     penalty=np.array([0.8, np.inf]), stats=stats)
     assert ok
     np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-12)
     assert stats.steps == 3

@@ -24,7 +24,7 @@ def test_iteration_cap_counts_as_nonoptimal():
     # the second can be
     stats = QpStats()
     x, ok = solve_qp(np.eye(2), np.array([-2.0, -2.0]), *NO_ROWS,
-                     np.eye(2), np.array([1.0, 1.0]),
+                     np.eye(2), np.array([1.0, 1.0]), columns=np.array([[0, 1], [0, 1]]),
                      max_iterations=1, stats=stats)
     assert not ok
     assert stats.nonoptimal == 1
@@ -34,7 +34,7 @@ def test_iteration_cap_counts_as_nonoptimal():
 def test_clean_solve_counts_nothing():
     stats = QpStats()
     _, ok = solve_qp(np.eye(2), np.array([-2.0, -2.0]), *NO_ROWS,
-                     np.array([[1.0, 0.0]]), np.array([1.0]), stats=stats)
+                     np.array([[1.0, 0.0]]), np.array([1.0]), columns=np.array([[0, 1]]), stats=stats)
     assert ok
     assert stats == QpStats(steps=1)
 
@@ -43,7 +43,8 @@ def test_singular_kkt_counts_as_fallback():
     # duplicated equality rows make the KKT matrix exactly singular
     stats = QpStats()
     a_eq = np.array([[1.0, 1.0], [1.0, 1.0]])
-    x, ok = solve_qp(np.eye(2), np.zeros(2), a_eq, np.array([1.0, 1.0]), *NO_ROWS, stats=stats)
+    x, ok = solve_qp(np.eye(2), np.zeros(2), a_eq, np.array([1.0, 1.0]), *NO_ROWS,
+                     columns=np.zeros((0, 2), dtype=int), stats=stats)
     assert ok
     np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-12)
     assert stats.kkt_fallbacks >= 1
